@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -63,7 +62,6 @@ class ExperimentConfig:
     positive and a fixed seed pins all sampled randomness."""
 
     delta: float = 0.05
-    epsilon: float = 1e-3
     resolution: float = 0.02
     u_radius: float = 0.35
     max_iter: int = 25
@@ -71,11 +69,10 @@ class ExperimentConfig:
     n_paths: int = 16
     path_len: int = 40
     seed: int = 0
-    threads: int = 1
 
     def violations(self) -> list[str]:
         out = []
-        for name in ("delta", "epsilon", "resolution", "u_radius"):
+        for name in ("delta", "resolution", "u_radius"):
             if getattr(self, name) <= 0:
                 out.append(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("max_iter", "max_cycle_len", "path_len"):
@@ -83,8 +80,6 @@ class ExperimentConfig:
                 out.append(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_paths < 0:
             out.append(f"n_paths must be >= 0, got {self.n_paths}")
-        if self.threads < 1:
-            out.append(f"threads must be >= 1, got {self.threads}")
         return out
 
     def sampling(self) -> SamplingParams:
@@ -92,7 +87,7 @@ class ExperimentConfig:
                               path_len=self.path_len, seed=self.seed)
 
 
-def _emit(payload: dict, path: str | None) -> None:
+def _emit(payload: dict, path: str | Path | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path:
         Path(path).write_text(text)
@@ -118,9 +113,6 @@ def _load_config(args) -> ExperimentConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             overrides[name] = flag
-    env_threads = os.environ.get("SHADOWBENCH_THREADS")
-    if env_threads and "threads" not in overrides:
-        overrides["threads"] = int(env_threads)
     cfg = replace(cfg, **overrides)
     problems = cfg.violations()
     if problems:
@@ -175,7 +167,7 @@ def cmd_closure(args) -> int:
         return _error("input", str(exc), EXIT_INPUT)
     try:
         trace = iterate_closure(map, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
-                                params=cfg.sampling(), max_workers=cfg.threads)
+                                params=cfg.sampling())
     except ShadowingRefusal as exc:
         return _error("refusal", str(exc), EXIT_REFUSAL)
     payload = trace.to_json_dict(include_iterates=args.include)
@@ -289,8 +281,7 @@ def cmd_crovisier(args) -> int:
         delta = args.closure_delta if args.closure_delta is not None else 4 * width
         u_radius = args.closure_u_radius if args.closure_u_radius is not None else 3 * width
         trace = iterate_closure(F, lam, delta, u_radius, cfg.max_iter,
-                                params=cfg.sampling(), max_defect=np.inf,
-                                max_workers=cfg.threads)
+                                params=cfg.sampling(), max_defect=np.inf)
         payload["closure"] = trace.to_json_dict(include_iterates="none")
         payload["closure"]["gamma"] = gamma_for(F, delta)
         if args.out_csv:
@@ -324,7 +315,7 @@ def _suite_shadow(cfg: ExperimentConfig, map, out_dir: Path, quick: bool) -> dic
               "K_adapted": K, "worst_ratio": worst_ratio,
               "worst_exact_newton_gap": worst_gap,
               "bound_holds": bool(worst_ratio <= K)}
-    (out_dir / "shadow.json").write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    _emit(result, out_dir / "shadow.json")
     return result
 
 
@@ -350,16 +341,13 @@ def _suite_equivariance(cfg: ExperimentConfig, map, out_dir: Path, quick: bool) 
         rhs = map.apply(shadow_operator(map, po).point)
         worst = max(worst, torus_distance(lhs, rhs))
     result = {"cases": n, "worst_discrepancy": worst, "passes": bool(worst < 1e-9)}
-    (out_dir / "equivariance.json").write_text(
-        json.dumps(result, sort_keys=True, indent=2) + "\n")
+    _emit(result, out_dir / "equivariance.json")
     return result
 
 
 def closure_battery(map, resolution: float = 0.02) -> list[tuple[str, SetApprox]]:
     """Seeded stabilization inputs: fixed points, periodic nets, and
     homoclinic (horseshoe-generating) windows."""
-    from .torus import TorusPoint
-
     entries: list[tuple[str, SetApprox]] = [
         ("fixed-point", SetApprox(np.array([[0.0, 0.0]]), resolution, "fp")),
         ("two-cycle", SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), resolution, "2cyc")),
@@ -371,20 +359,18 @@ def closure_battery(map, resolution: float = 0.02) -> list[tuple[str, SetApprox]
     ]
     s = map.splitting
     vu, vs = s.unstable_basis[:, 0], s.stable_basis[:, 0]
-    for tag, lattice in (("m10", (1, 0)), ("m01", (0, 1)), ("m11", (1, 1))):
+
+    def homoclinic(tag: str, lattice: tuple[int, int], n_win: int):
+        # the fixed point 0 plus the orbit window of W^u(0) ∩ (W^s(0) + lattice)
         t, _ = np.linalg.solve(np.column_stack([vu, -vs]), np.array(lattice, float))
-        z = wrap(t * vu)
-        window = map.orbit_segment(TorusPoint(z), -3, 3)
+        window = map.orbit_segment(TorusPoint(wrap(t * vu)), -n_win, n_win)
         pts = np.vstack([[[0.0, 0.0]], window])
-        entries.append((f"homoclinic-{tag}",
-                        SetApprox.build(pts, resolution, f"homoclinic-{tag}")))
-    for n_win, tag in ((2, "short"), (4, "long"), (5, "longer")):
-        t, _ = np.linalg.solve(np.column_stack([vu, -vs]), np.array([1.0, 0.0]))
-        z = wrap(t * vu)
-        window = map.orbit_segment(TorusPoint(z), -n_win, n_win)
-        pts = np.vstack([[[0.0, 0.0]], window])
-        entries.append((f"homoclinic-{tag}",
-                        SetApprox.build(pts, resolution, f"homoclinic-{tag}")))
+        return f"homoclinic-{tag}", SetApprox.build(pts, resolution, f"homoclinic-{tag}")
+
+    entries += [homoclinic(tag, lattice, 3)
+                for tag, lattice in (("m10", (1, 0)), ("m01", (0, 1)), ("m11", (1, 1)))]
+    entries += [homoclinic(tag, (1, 0), n_win)
+                for n_win, tag in ((2, "short"), (4, "long"), (5, "longer"))]
     return entries
 
 
@@ -395,7 +381,7 @@ def _suite_closure(cfg: ExperimentConfig, map, out_dir: Path, quick: bool) -> di
     results = {}
     for name, sa in entries:
         trace = iterate_closure(map, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
-                                params=cfg.sampling(), max_workers=cfg.threads)
+                                params=cfg.sampling())
         eps = 0.1
         delta_pair = min(maximality_mod.bracket_delta_for(map.splitting, eps),
                          3 * cfg.resolution)
@@ -411,7 +397,7 @@ def _suite_closure(cfg: ExperimentConfig, map, out_dir: Path, quick: bool) -> di
             "lps_passed": lps.passed,
             "lps_pairs": lps.pairs_tested,
         }
-    (out_dir / "closure.json").write_text(json.dumps(results, sort_keys=True, indent=2) + "\n")
+    _emit(results, out_dir / "closure.json")
     return results
 
 
@@ -446,7 +432,7 @@ def _suite_sft(cfg: ExperimentConfig, out_dir: Path, quick: bool) -> dict:
         "random_stabilization_all_true": bool(stab_all),
         "random_cases": n_random * len(k_values),
     }
-    (out_dir / "sft.json").write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    _emit(result, out_dir / "sft.json")
     return result
 
 
@@ -474,7 +460,7 @@ def _suite_crovisier(cfg: ExperimentConfig, out_dir: Path, quick: bool) -> dict:
         F, lam, 4 * width, 3 * width, max_iter,
         params=SamplingParams(max_cycle_len=2, n_paths=cfg.n_paths,
                               path_len=min(cfg.path_len, 30), seed=cfg.seed + 3),
-        max_defect=np.inf, max_workers=cfg.threads)
+        max_defect=np.inf)
     result = {
         "depth": depth,
         "cells": grid.count,
@@ -485,7 +471,7 @@ def _suite_crovisier(cfg: ExperimentConfig, out_dir: Path, quick: bool) -> dict:
         "never_stabilized": trace.verdict.kind != "stabilized",
     }
     trace.to_csv(out_dir / "crovisier.csv")
-    (out_dir / "crovisier.json").write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    _emit(result, out_dir / "crovisier.json")
     return result
 
 
@@ -519,7 +505,7 @@ def cmd_suite(args) -> int:
                                     "random_stabilization_all_true")},
         "crovisier_never_stabilized": crov["never_stabilized"],
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _emit(summary, out_dir / "summary.json")
     sys.stdout.write(json.dumps({"out": str(out_dir), "summary": summary},
                                 sort_keys=True) + "\n")
     return EXIT_OK
@@ -532,7 +518,6 @@ def cmd_suite(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its entries")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--resolution", type=float, default=None)
     p.add_argument("--u-radius", dest="u_radius", type=float, default=None)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
@@ -542,8 +527,16 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1 with a JSON error line)
+    instead of argparse's exit 2, which is the refusal code here."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shadowbench",
         description="Shadowing, shadowing-closure stabilization, local product "
                     "structure, and symbolic dynamics on toral systems.")
@@ -615,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         return _error("input", str(exc), EXIT_INPUT)

@@ -18,7 +18,6 @@ tests cross-check it against the brute-force definition.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from itertools import islice, product
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .shadowing import PseudoOrbit, ShadowingRefusal, exact_shadow_linear
-from .torus import ToralAutomorphism, TorusPoint, wrap
+from .torus import ToralAutomorphism, torus_distance_array, wrap
 
 __all__ = [
     "SetApprox",
@@ -114,15 +113,11 @@ class SetApprox:
         Returns the merged net and the number of points actually added.
         """
         cand = wrap(np.atleast_2d(np.asarray(new_points, dtype=float)))
-        if cand.size == 0:
-            return self, 0
         threshold = self.resolution / 2.0
-        far = self.distance_to(cand) >= threshold
-        cand = cand[far]
-        if len(cand) == 0:
-            return (self if label is None else SetApprox(self.points, self.resolution,
-                                                         label, _validate=False)), 0
-        kept = _greedy_net(cand, threshold, against=self.points)
+        kept = cand[:0]
+        if cand.size:
+            far = cand[self.distance_to(cand) >= threshold]
+            kept = _greedy_net(far, threshold, against=self.points)
         if len(kept) == 0:
             return (self if label is None else SetApprox(self.points, self.resolution,
                                                          label, _validate=False)), 0
@@ -157,8 +152,6 @@ def _greedy_net(points: np.ndarray, threshold: float,
                 against: np.ndarray | None = None) -> np.ndarray:
     """Keep-first filter: drop any point within `threshold` of an earlier
     kept point (and of `against`, assumed already a valid net)."""
-    if len(points) == 0:
-        return points
     d = points.shape[1]
     n_b = max(1, int(np.floor(1.0 / max(threshold, 1e-9))))
     cell = 1.0 / n_b
@@ -186,9 +179,7 @@ def _greedy_net(points: np.ndarray, threshold: float,
         if not near(p):
             kept.append(p)
             buckets.setdefault(bucket_of(p), []).append(p)
-    if against is not None:
-        return np.array(kept) if kept else np.empty((0, d))
-    return np.array(kept)
+    return np.array(kept) if kept else np.empty((0, d))
 
 
 def directed_hausdorff(A: SetApprox | np.ndarray, B: SetApprox | np.ndarray) -> float:
@@ -236,8 +227,6 @@ class TransitionGraph:
         return np.sort(np.asarray(idx, dtype=int))
 
     def self_loop_nodes(self) -> np.ndarray:
-        from .torus import torus_distance_array
-
         d = torus_distance_array(self.images, self.set.points)
         return np.nonzero(d < self.delta)[0]
 
@@ -245,8 +234,6 @@ class TransitionGraph:
         """Re-check the defining inequality on every materialized edge."""
         if self.edges is None or len(self.edges) == 0:
             return True
-        from .torus import torus_distance_array
-
         img = map.apply_array(self.set.points[self.edges[:, 0]])
         return bool(np.all(torus_distance_array(img, self.set.points[self.edges[:, 1]]) < self.delta))
 
@@ -316,9 +303,7 @@ def _segment_pseudo(points: np.ndarray, idx: Sequence[int], delta: float) -> Pse
     return PseudoOrbit(pts, delta, periodic=False, start_index=-(len(seq) // 2))
 
 
-def sample_pseudo_orbits(graph: TransitionGraph, max_cycle_len: int | None = None,
-                         n_paths: int | None = None, path_len: int | None = None,
-                         seed: int | None = None, *,
+def sample_pseudo_orbits(graph: TransitionGraph, *,
                          params: SamplingParams | None = None) -> SampledOrbits:
     """Generate pseudo-orbits sitting on the graph, deterministically.
 
@@ -332,15 +317,6 @@ def sample_pseudo_orbits(graph: TransitionGraph, max_cycle_len: int | None = Non
     if graph.n_nodes == 0:
         raise ValueError("empty graph")
     p = params or SamplingParams()
-    if max_cycle_len is not None:
-        p = replace(p, max_cycle_len=max_cycle_len)
-    if n_paths is not None:
-        p = replace(p, n_paths=n_paths)
-    if path_len is not None:
-        p = replace(p, path_len=path_len)
-    if seed is not None:
-        p = replace(p, seed=seed)
-
     pts = graph.set.points
     delta = graph.delta
     rng = np.random.default_rng(p.seed)
@@ -425,28 +401,18 @@ class ClosureStepStats:
 
 def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
                   params: SamplingParams, *, max_defect: float | None,
-                  edge_cap: int, label: str,
-                  max_workers: int = 1) -> tuple[SetApprox, ClosureStepStats]:
-    graph = build_graph(map, sa, delta, edge_cap=edge_cap)
+                  label: str) -> tuple[SetApprox, ClosureStepStats]:
+    graph = build_graph(map, sa, delta)
     sampled = sample_pseudo_orbits(graph, params=params)
 
-    def shadow_one(po: PseudoOrbit) -> np.ndarray | None:
+    windows, refused = [], 0
+    for po in sampled.orbits:
         measured = PseudoOrbit.from_map(map, po.points, periodic=po.periodic,
                                         start_index=po.start_index)
         try:
-            return exact_shadow_linear(map, measured, max_defect=max_defect).orbit
+            windows.append(exact_shadow_linear(map, measured, max_defect=max_defect).orbit)
         except ShadowingRefusal:
-            return None
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(shadow_one, sampled.orbits))
-    else:
-        results = [shadow_one(po) for po in sampled.orbits]
-    windows = [r for r in results if r is not None]
-    refused = sum(r is None for r in results)
+            refused += 1
     if sampled.orbits and refused == len(sampled.orbits):
         raise ShadowingRefusal(delta, map.splitting.max_shadow_defect
                                if max_defect is None else max_defect)
@@ -459,9 +425,7 @@ def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
 
 def shadowing_closure(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
                       params: SamplingParams | None = None,
-                      max_defect: float | None = None,
-                      edge_cap: int = 2_000_000,
-                      max_workers: int = 1) -> SetApprox:
+                      max_defect: float | None = None) -> SetApprox:
     """One application of sh(., delta) at the net's resolution.
 
     Shadows every sampled pseudo-orbit of the net's transition graph,
@@ -471,25 +435,22 @@ def shadowing_closure(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
     skipped; if every sample is refused the call errors.
     """
     merged, _ = _closure_step(map, sa, delta, params or SamplingParams(),
-                              max_defect=max_defect, edge_cap=edge_cap,
-                              label=sa.label, max_workers=max_workers)
+                              max_defect=max_defect, label=sa.label)
     return merged
 
 
-def gamma_for(map: ToralAutomorphism, delta: float,
-              domain: SetApprox | None = None, *, margin: float = 0.1) -> float:
+def gamma_for(map: ToralAutomorphism, delta: float) -> float:
     """The gamma of the dichotomy argument: points gamma-close stay
     delta/4-close under one application of f or f^{-1}.
 
-    gamma = min(delta/4, delta/(4L)) * (1 - margin) with L the Lipschitz
-    bound of the map and its inverse (for a linear map, the larger operator
-    norm; exact, so `domain` is unused).  The margin keeps the paper-side
-    inequalities strict.
+    gamma = delta/(4L) * 0.9 with L >= 1 the Lipschitz bound of the map and
+    its inverse (for a linear map, the larger operator norm).  The 10%
+    margin keeps the paper-side inequalities strict.
     """
     if delta <= 0:
         raise ValueError("positive delta required")
     L = max(map.lipschitz, 1.0)
-    return min(delta / 4.0, delta / (4.0 * L)) * (1.0 - margin)
+    return delta / (4.0 * L) * 0.9
 
 
 @dataclass(frozen=True)
@@ -516,7 +477,8 @@ class ClosureTrace:
     step_stats: tuple[ClosureStepStats, ...] = ()
 
     def __post_init__(self):
-        assert len(self.nus) == len(self.iterates) - 1
+        if len(self.nus) != len(self.iterates) - 1:
+            raise ValueError("need one increment nu_j per step: len(nus) == len(iterates) - 1")
 
     @property
     def final(self) -> SetApprox:
@@ -577,25 +539,24 @@ class ClosureTrace:
                 writer.writerow([j, repr(float(nu)), len(self.iterates[j]), tag])
 
 
+_CONFIRM_STEPS = 3  # quiet steps after the first that confirm stabilization
+
+
 def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
                     u_radius: float, max_iter: int, *,
                     params: SamplingParams | None = None,
-                    stab_tol: float | None = None,
-                    confirm_steps: int = 3,
-                    max_defect: float | None = None,
-                    edge_cap: int = 2_000_000,
-                    max_workers: int = 1) -> ClosureTrace:
+                    max_defect: float | None = None) -> ClosureTrace:
     """Iterate the shadowing closure and classify the outcome.
 
     Stabilization is declared at the first index j whose following
-    `1 + confirm_steps` increments all fall below `stab_tol`; the default
-    tolerance 0.45 * resolution sits strictly below the net half-spacing
-    r/2, so a step that genuinely adds a net point can never read as
+    `1 + _CONFIRM_STEPS` increments all fall below the tolerance
+    0.45 * resolution, which sits strictly below the net half-spacing r/2,
+    so a step that genuinely adds a net point can never read as
     stabilization.  Escape fires when a new point leaves the u_radius
     neighborhood of Lambda_0.  Budget exhaustion is a verdict, not an error.
     """
     p = params or SamplingParams()
-    tol = 0.45 * lam0.resolution if stab_tol is None else stab_tol
+    tol = 0.45 * lam0.resolution
     gamma = gamma_for(map, delta)
     iterates = [SetApprox(lam0.points, lam0.resolution, "Lambda_0", _validate=False)]
     nus: list[float] = []
@@ -607,8 +568,7 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
         step_params = replace(p, seed=p.seed * 1_000_003 + i)
         current = iterates[-1]
         new_sa, st = _closure_step(map, current, delta, step_params,
-                                   max_defect=max_defect, edge_cap=edge_cap,
-                                   label=f"Lambda_{i}", max_workers=max_workers)
+                                   max_defect=max_defect, label=f"Lambda_{i}")
         added = new_sa.points[len(current):]
         nu = float(np.max(current.distance_to(added))) if len(added) else 0.0
         iterates.append(new_sa)
@@ -621,7 +581,7 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
 
         if nu <= tol:
             quiet_run += 1
-            if quiet_run >= 1 + confirm_steps:
+            if quiet_run >= 1 + _CONFIRM_STEPS:
                 verdict = Verdict("stabilized", i - quiet_run)
                 break
         else:

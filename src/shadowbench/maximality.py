@@ -15,11 +15,8 @@ shrinks monotonically with more sweeps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 from mpmath import mp
@@ -62,10 +59,9 @@ class BracketError(ValueError):
 @dataclass(frozen=True)
 class BracketPoint:
     """The intersection point W^u(x) ∩ W^s(y) with the distances along each
-    manifold.  `time_shift` is zero for maps and reserved for flows."""
+    manifold."""
 
     point: TorusPoint
-    time_shift: float
     s_distance: float
     u_distance: float
 
@@ -111,8 +107,8 @@ def bracket(map: ToralAutomorphism, x: TorusPoint, y: TorusPoint, eps: float,
             f"no local bracket: component distances ({ss:.4g}, {su:.4g}) exceed eps = {eps}"
         )
     if np.all(w == 0.0):
-        return BracketPoint(x, 0.0, 0.0, 0.0)
-    return BracketPoint(TorusPoint(wrap(x.coords + wu)), 0.0, ss, su)
+        return BracketPoint(x, 0.0, 0.0)
+    return BracketPoint(TorusPoint(wrap(x.coords + wu)), ss, su)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ bounds because boundary effects decay exponentially.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -109,9 +108,10 @@ class PseudoOrbit:
     def from_map(cls, map: ToralAutomorphism, points: Iterable, *,
                  periodic: bool = False, start_index: int = 0) -> "PseudoOrbit":
         """Build a pseudo-orbit with its defect measured from the map."""
-        pts = _points_array(points)
-        return cls(pts, pseudo_orbit_defect(map, pts, periodic=periodic),
-                   periodic=periodic, start_index=start_index)
+        po = cls(points, 0.0, periodic=periodic, start_index=start_index)
+        # the rows are converted once, above; the defect is measured on them
+        object.__setattr__(po, "defect", _defect(map, po.points, periodic))
+        return po
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -139,7 +139,10 @@ class PseudoOrbit:
 def pseudo_orbit_defect(map: ToralAutomorphism, points: Iterable, *,
                         periodic: bool = False) -> float:
     """Max over consecutive pairs of d(f(x_j), x_{j+1}); 0 for a true orbit."""
-    pts = _points_array(points)
+    return _defect(map, _points_array(points), periodic)
+
+
+def _defect(map: ToralAutomorphism, pts: np.ndarray, periodic: bool) -> float:
     if len(pts) < 2 and not periodic:
         if len(pts) < 1:
             raise ValueError("need at least one point")
@@ -172,7 +175,8 @@ class ShadowResult:
     method: str = "exact"
 
     def __post_init__(self):
-        assert abs(self.sup_distance - float(np.max(self.per_index))) < 1e-15
+        if not abs(self.sup_distance - float(np.max(self.per_index))) < 1e-15:
+            raise ValueError("sup_distance must be the maximum of per_index")
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,10 +196,6 @@ class ShadowResult:
                 )
             ],
         }
-
-
-def _splitting_of(map: ToralAutomorphism):
-    return map.splitting
 
 
 def _lifted_errors(map: ToralAutomorphism, po: PseudoOrbit) -> np.ndarray:
@@ -257,7 +257,7 @@ def exact_shadow_linear(map: ToralAutomorphism, po: PseudoOrbit, *,
     result satisfies sup distance <= K * defect with
     K = C * (1/(1-lambda_s) + 1/(lambda_u-1)).
     """
-    s = _splitting_of(map)
+    s = map.splitting
     _check_gate(po.defect, s, max_defect)
     n, d = po.points.shape
     ds = s.stable_dim
@@ -310,6 +310,32 @@ def exact_shadow_linear(map: ToralAutomorphism, po: PseudoOrbit, *,
                               method="exact")
 
 
+def _newton_jacobian(map: ToralAutomorphism, n: int, periodic: bool) -> sp.csr_matrix:
+    """Jacobian of the orbit equations A v_j - v_{j+1} in the n lifted
+    displacements, with the free-end clamp rows for a segment.
+
+    Every block entry is stored, zeros included: the sparse LU orders its
+    work by the stored pattern, so dropping them changes the Newton solution
+    in the last bit.  At n = 1 periodic, A and -I share a block and sum.
+    """
+    s = map.splitting
+    d = map.dim
+    n_eq = n if periodic else n - 1
+    r, c = np.divmod(np.arange(d * d), d)  # entry offsets inside a d x d block
+    eq = np.arange(n_eq) * d
+    # equation j: A in block (j, j), -I in block (j, j+1 mod n)
+    rows = np.add.outer(np.tile(eq, 2), r).ravel()
+    cols = np.add.outer(np.concatenate([eq, (eq + d) % (n * d)]), c).ravel()
+    data = np.concatenate([np.tile(map.matrix.astype(float).ravel(), n_eq),
+                           np.tile(-np.eye(d).ravel(), n_eq)])
+    if not periodic:
+        # clamp rows: stable coords of v_0, unstable coords of v_{n-1}
+        rows = np.append(rows, n_eq * d + r)
+        cols = np.append(cols, c + np.where(r < s.stable_dim, 0, (n - 1) * d))
+        data = np.append(data, s.basis_inv.ravel())
+    return sp.csr_matrix((data, (rows, cols)), shape=(n * d, n * d))
+
+
 def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12,
                   max_iter: int = 20, max_defect: float | None = None) -> ShadowResult:
     """Newton solve of the orbit equations y_{j+1} = f(y_j).
@@ -324,7 +350,7 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
     Non-convergence is reported through `converged=False` with the final
     residual, not an exception.
     """
-    s = _splitting_of(map)
+    s = map.splitting
     _check_gate(po.defect, s, max_defect)
     n, d = po.points.shape
     ds = s.stable_dim
@@ -333,7 +359,6 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
                                   converged=True, method="newton")
 
     x = po.points
-    A = map.matrix.astype(float)
     n_eq = n if po.periodic else n - 1
 
     def residual_rows(v: np.ndarray) -> np.ndarray:
@@ -343,25 +368,7 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
             return minimal_lift(images - np.roll(y, -1, axis=0))
         return minimal_lift(images[:-1] - y[1:])
 
-    rows_i, cols_i, data = [], [], []
-
-    def add_block(r0: int, c0: int, block: np.ndarray):
-        br, bc = block.shape
-        for i in range(br):
-            for j in range(bc):
-                rows_i.append(r0 + i)
-                cols_i.append(c0 + j)
-                data.append(block[i, j])
-
-    for j in range(n_eq):
-        add_block(j * d, j * d, A)
-        add_block(j * d, ((j + 1) % n) * d, -np.eye(d))
-    if not po.periodic:
-        # clamp rows: stable coords of v_0, unstable coords of v_{n-1}
-        add_block(n_eq * d, 0, s.basis_inv[:ds, :])
-        add_block(n_eq * d + ds, (n - 1) * d, s.basis_inv[ds:, :])
-    J = sp.csr_matrix((data, (rows_i, cols_i)), shape=(n * d, n * d))
-
+    J = _newton_jacobian(map, n, po.periodic)
     v = np.zeros((n, d))
     res = residual_rows(v)
     res_norm = float(np.max(np.linalg.norm(res, axis=1))) if len(res) else 0.0
@@ -385,7 +392,7 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
 
 
 def shadow_operator(map: ToralAutomorphism, po: PseudoOrbit, *,
-                    max_defect: float | None = None, tol: float = 1e-12) -> ShadowResult:
+                    max_defect: float | None = None) -> ShadowResult:
     """The shadowing operator T: pseudo-orbit -> shadowing orbit point.
 
     Linear toral automorphisms take the exact series route; anything else
@@ -624,17 +631,3 @@ def pseudo_orbit_points_from_csv(path: str | Path) -> tuple[np.ndarray, int]:
     if indices != list(range(indices[0], indices[0] + len(indices))):
         raise ValueError("pseudo-orbit indices must be consecutive")
     return np.array([r[1] for r in rows]), indices[0]
-
-
-def pseudo_orbit_to_json_dict(po: PseudoOrbit) -> dict:
-    return {
-        "start_index": po.start_index,
-        "periodic": po.periodic,
-        "defect": po.defect,
-        "points": po.points.tolist(),
-    }
-
-
-def pseudo_orbit_from_json_dict(d: dict) -> PseudoOrbit:
-    return PseudoOrbit(np.array(d["points"]), float(d["defect"]),
-                       periodic=bool(d["periodic"]), start_index=int(d["start_index"]))

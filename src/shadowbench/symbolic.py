@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "PeriodicWord",
@@ -309,7 +309,7 @@ def sft_closure(s: SubshiftPresentation, k: int) -> SFT:
     return SFT(s.alphabet_size, k, frozenset(language(s, k)))
 
 
-def is_member(t: SFT, w: PeriodicWord, *, extra_margin: int = 0) -> bool:
+def is_member(t: SFT, w: PeriodicWord) -> bool:
     """True iff every k-subword of the unrolled word is admissible."""
     if w.alphabet_size != t.alphabet_size:
         raise ValueError("alphabet mismatch")
@@ -317,27 +317,30 @@ def is_member(t: SFT, w: PeriodicWord, *, extra_margin: int = 0) -> bool:
     return set(language(probe, t.k)) <= t.words
 
 
-def _debruijn_successors(t: SFT) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    succ: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+def _debruijn_edges(t: SFT, forward: bool) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """De Bruijn edges by (k-1)-block: the admissible words leaving each
+    block (forward) or entering it (backward), in sorted order."""
+    edges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for w in t.sorted_words():
-        succ.setdefault(w[:-1] if t.k > 1 else (), []).append(w)
-    return succ
+        edges.setdefault(w[:-1] if forward else w[1:], []).append(w)
+    return edges
 
 
-def _follow_to_cycle(start: tuple[int, ...], succ) -> tuple[list[int], tuple[int, ...]]:
-    """Follow first-choice de Bruijn successors until a node repeats.
-    Returns (emitted symbols, cycle symbols)."""
+def _walk_to_cycle(start: tuple[int, ...], edges,
+                   forward: bool) -> tuple[list[int], tuple[int, ...]]:
+    """Follow first-choice de Bruijn edges from `start` until a block
+    repeats.  Returns (emitted symbols, cycle symbols) in walking order;
+    the cycle is empty when the walk dead-ends."""
     node = start
     seen = {node: 0}
     emitted: list[int] = []
     while True:
-        choices = succ.get(node)
+        choices = edges.get(node)
         if not choices:
             return emitted, ()
         w = choices[0]
-        sym = w[-1]
-        emitted.append(sym)
-        node = w[1:] if len(w) > 1 else ()
+        emitted.append(w[-1] if forward else w[0])
+        node = w[1:] if forward else w[:-1]
         if node in seen:
             idx = seen[node]
             return emitted[:idx], tuple(emitted[idx:])
@@ -349,33 +352,12 @@ def as_presentation(t: SFT) -> SubshiftPresentation:
     one generator through every admissible word, extended along first-choice
     de Bruijn edges into cycles on both sides.  Words that cannot extend to
     bi-infinite paths are dropped (they occur in no element of M_W)."""
-    succ = _debruijn_successors(t)
-    pred: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for w in t.sorted_words():
-        pred.setdefault(w[1:] if t.k > 1 else (), []).append(w)
-
-    def follow_back(start):
-        node = start
-        seen = {node: 0}
-        emitted: list[int] = []
-        while True:
-            choices = pred.get(node)
-            if not choices:
-                return emitted, ()
-            w = choices[0]
-            emitted.append(w[0])
-            node = w[:-1] if len(w) > 1 else ()
-            if node in seen:
-                idx = seen[node]
-                return emitted[:idx], tuple(emitted[idx:])
-            seen[node] = len(emitted)
-
+    succ = _debruijn_edges(t, forward=True)
+    pred = _debruijn_edges(t, forward=False)
     gens = []
     for w in t.sorted_words():
-        head_node = w[:-1] if t.k > 1 else ()
-        tail_node = w[1:] if t.k > 1 else ()
-        back_emit, back_cycle = follow_back(head_node)
-        fwd_emit, fwd_cycle = _follow_to_cycle(tail_node, succ)
+        back_emit, back_cycle = _walk_to_cycle(w[:-1], pred, forward=False)
+        fwd_emit, fwd_cycle = _walk_to_cycle(w[1:], succ, forward=True)
         if not back_cycle or not fwd_cycle:
             continue
         core = tuple(reversed(back_emit)) + w + tuple(fwd_emit)

@@ -8,11 +8,9 @@ are pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "crovisier_product",
     "system_from_config",
     "system_to_config",
-    "load_system",
 ]
 
 _UNIT_MOD_TOL = 1e-9  # eigenvalue modulus this close to 1 is rejected
@@ -532,8 +529,3 @@ def system_to_config(system: ToralAutomorphism | ProductSystem) -> dict:
             }
         }
     return {"matrix": system.matrix.tolist()}
-
-
-def load_system(path: str | Path) -> ToralAutomorphism | ProductSystem:
-    with open(path) as fh:
-        return system_from_config(json.load(fh))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from shadowbench.cli import ExperimentConfig, closure_battery, main
+from shadowbench.cli import ExperimentConfig, _noisy_orbit, closure_battery, main
 from shadowbench.closure import (
     SamplingParams,
     SetApprox,
@@ -47,17 +47,6 @@ from shadowbench.symbolic import (
 from shadowbench.torus import TorusPoint, cat_map, crovisier_product, torus_distance, wrap
 
 SEED = 20240817
-
-
-def _noisy_orbit(map, rng, length, eps):
-    x = rng.random(map.dim)
-    pts = [x]
-    for _ in range(length - 1):
-        step = rng.standard_normal(map.dim)
-        step *= rng.uniform(0, eps) / np.linalg.norm(step)
-        x = wrap(map.matrix.astype(float) @ x + step)
-        pts.append(x)
-    return np.array(pts)
 
 
 @pytest.fixture(scope="session")

@@ -159,6 +159,26 @@ class TestCrovisierCommand:
         assert payload["closure"]["dichotomy"]
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["closure", "--points", "x.csv", "--delta", "abc"],
+        ["closure", "--points", "x.csv", "--no-such-flag"],
+        ["closure", "--points", "x.csv", "--epsilon", "0.001"],
+        ["suite"],
+    ])
+    def test_bad_arguments_exit_one_with_json(self, argv, capsys):
+        code, payload = run(argv, capsys)
+        assert code == 1
+        assert payload["error"]["kind"] == "input"
+        assert payload["error"]["message"].startswith("shadowbench")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", "--help"])
+        assert exc.value.code == 0
+        assert "--points" in capsys.readouterr().out
+
+
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "shadowbench", "crovisier", "--depth", "3",

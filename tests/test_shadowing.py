@@ -5,7 +5,9 @@ from shadowbench.shadowing import (
     FlowPseudoTrajectory,
     PseudoOrbit,
     Reparameterization,
+    ShadowResult,
     ShadowingRefusal,
+    _newton_jacobian,
     exact_shadow_linear,
     expansivity_test,
     flow_defect,
@@ -183,6 +185,43 @@ class TestNewtonShadow:
         newton = newton_shadow(F, po)
         assert newton.converged
         assert torus_distance(exact.point, newton.point) < 1e-10
+
+
+class TestNewtonJacobian:
+    @staticmethod
+    def _dense_reference(map, n, periodic):
+        d, ds = map.dim, map.splitting.stable_dim
+        A, minus_I = map.matrix.astype(float), -np.eye(d)
+        if periodic:
+            return np.kron(np.eye(n), A) + np.kron(np.roll(np.eye(n), 1, axis=1), minus_I)
+        orbit_rows = np.kron(np.eye(n - 1, n), A) + np.kron(np.eye(n - 1, n, k=1), minus_I)
+        clamp = np.zeros((d, n * d))
+        clamp[:ds, :d] = map.splitting.basis_inv[:ds]
+        clamp[ds:, -d:] = map.splitting.basis_inv[ds:]
+        return np.vstack([orbit_rows, clamp])
+
+    @pytest.mark.parametrize("system", ["cat", "crovisier"])
+    @pytest.mark.parametrize("n, periodic", [(5, False), (2, False), (5, True),
+                                             (2, True), (1, True)])
+    def test_matches_dense_blocks_with_explicit_zeros(self, system, n, periodic, request):
+        fixture = request.getfixturevalue(system)
+        map = fixture.as_automorphism() if system == "crovisier" else fixture
+        d = map.dim
+        J = _newton_jacobian(map, n, periodic)
+        assert np.array_equal(J.toarray(), self._dense_reference(map, n, periodic))
+        if periodic:
+            expected_nnz = d * d if n == 1 else 2 * n * d * d
+        else:
+            expected_nnz = 2 * (n - 1) * d * d + d * d
+        assert J.nnz == expected_nnz
+
+
+class TestShadowResult:
+    def test_inconsistent_sup_distance_rejected(self):
+        with pytest.raises(ValueError, match="sup_distance"):
+            ShadowResult(point=TorusPoint((0.0, 0.0)), sup_distance=0.5,
+                         per_index=np.array([0.1, 0.2]), start_index=0,
+                         converged=True, iterations=0, orbit=np.zeros((2, 2)))
 
 
 class TestShiftEquivariance:
