@@ -12,7 +12,8 @@ held along the way.
 
 Torus nearest-neighbor machinery is scipy's periodic cKDTree (boxsize=1),
 which realizes exactly the min-over-translates metric of `torus_distance`;
-tests cross-check it against the brute-force definition.
+graph edges, Hausdorff distances and the keep-first coarsening of nets all
+query it, and tests cross-check it against the brute-force definition.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ def _torus_tree(points: np.ndarray) -> cKDTree:
     return cKDTree(wrap(points), boxsize=1.0)
 
 
+def _torus_gap(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Rowwise torus distance of wrapped points, rounded as the periodic
+    KD-tree rounds it, so its hits can be re-checked with a strict `<`."""
+    delta = np.abs(P - Q)
+    delta = np.minimum(delta, 1.0 - delta)
+    return np.sqrt(np.sum(delta * delta, axis=-1))
+
+
 class SetApprox:
     """Finite r-net approximating a compact subset of T^d.
 
@@ -65,7 +74,7 @@ class SetApprox:
         pts = wrap(np.atleast_2d(np.asarray(points, dtype=float)))
         if pts.size == 0:
             raise ValueError("set approximation must be nonempty")
-        if resolution <= 0:
+        if not resolution > 0:  # NaN included
             raise ValueError("resolution must be positive")
         pts.flags.writeable = False
         self.points = pts
@@ -74,6 +83,7 @@ class SetApprox:
         self._tree: cKDTree | None = None
         if _validate and len(pts) > 1:
             pairs = self.tree.query_pairs(r=resolution / 2.0, output_type="ndarray")
+            pairs = pairs[_torus_gap(pts[pairs[:, 0]], pts[pairs[:, 1]]) < resolution / 2.0]
             if len(pairs):
                 i, j = pairs[0]
                 raise ValueError(
@@ -83,7 +93,7 @@ class SetApprox:
     @classmethod
     def build(cls, points: Iterable, resolution: float, label: str = "") -> "SetApprox":
         pts = wrap(np.atleast_2d(np.asarray(list(points), dtype=float)))
-        kept = _greedy_net(pts, resolution / 2.0)
+        kept = _greedy_net(pts, resolution / 2.0) if pts.size else pts
         return cls(kept, resolution, label, _validate=False)
 
     @property
@@ -114,15 +124,12 @@ class SetApprox:
         """
         cand = wrap(np.atleast_2d(np.asarray(new_points, dtype=float)))
         threshold = self.resolution / 2.0
-        kept = cand[:0]
+        kept = self.points[:0]
         if cand.size:
-            far = cand[self.distance_to(cand) >= threshold]
-            kept = _greedy_net(far, threshold, against=self.points)
-        if len(kept) == 0:
-            return (self if label is None else SetApprox(self.points, self.resolution,
-                                                         label, _validate=False)), 0
-        merged = np.vstack([self.points, kept])
-        return SetApprox(merged, self.resolution,
+            # the net is already valid: once candidates within r/2 of it are
+            # dropped, the rest only need coarsening among themselves
+            kept = _greedy_net(cand[self.distance_to(cand) >= threshold], threshold)
+        return SetApprox(np.vstack([self.points, kept]), self.resolution,
                          self.label if label is None else label, _validate=False), len(kept)
 
     def to_csv(self, path: str | Path) -> None:
@@ -148,38 +155,19 @@ class SetApprox:
         return cls.build(np.array(pts), resolution, label)
 
 
-def _greedy_net(points: np.ndarray, threshold: float,
-                against: np.ndarray | None = None) -> np.ndarray:
-    """Keep-first filter: drop any point within `threshold` of an earlier
-    kept point (and of `against`, assumed already a valid net)."""
-    d = points.shape[1]
-    n_b = max(1, int(np.floor(1.0 / max(threshold, 1e-9))))
-    cell = 1.0 / n_b
-    buckets: dict[tuple, list[np.ndarray]] = {}
-
-    def bucket_of(p) -> tuple:
-        return tuple((p // cell).astype(int) % n_b)
-
-    def near(p) -> bool:
-        base = (p // cell).astype(int)
-        for off in product((-1, 0, 1), repeat=d):
-            key = tuple((base + np.array(off)) % n_b)
-            for q in buckets.get(key, ()):
-                delta = np.abs(p - q)
-                delta = np.minimum(delta, 1.0 - delta)
-                if float(np.sqrt(np.sum(delta * delta))) < threshold:
-                    return True
-        return False
-
-    if against is not None:
-        for q in against:
-            buckets.setdefault(bucket_of(q), []).append(q)
+def _greedy_net(points: np.ndarray, threshold: float) -> np.ndarray:
+    """Keep-first filter: drop any point within `threshold` (strictly) of an
+    earlier kept point."""
+    tree = _torus_tree(points)
+    covered = np.zeros(len(points), dtype=bool)
     kept = []
-    for p in points:
-        if not near(p):
-            kept.append(p)
-            buckets.setdefault(bucket_of(p), []).append(p)
-    return np.array(kept) if kept else np.empty((0, d))
+    for i in range(len(points)):
+        if not covered[i]:
+            kept.append(i)
+            # the query ball is closed: keep only hits strictly inside
+            near = np.asarray(tree.query_ball_point(points[i], r=threshold), dtype=int)
+            covered[near[_torus_gap(points[near], points[i]) < threshold]] = True
+    return points[kept]
 
 
 def directed_hausdorff(A: SetApprox | np.ndarray, B: SetApprox | np.ndarray) -> float:
@@ -416,10 +404,7 @@ def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
     if sampled.orbits and refused == len(sampled.orbits):
         raise ShadowingRefusal(delta, map.splitting.max_shadow_defect
                                if max_defect is None else max_defect)
-    if windows:
-        merged, added = sa.merge(np.vstack(windows), label=label)
-    else:
-        merged, added = SetApprox(sa.points, sa.resolution, label, _validate=False), 0
+    merged, added = sa.merge(np.vstack([sa.points[:0], *windows]), label=label)
     return merged, ClosureStepStats(len(sampled.orbits), refused, added, sampled.partial)
 
 

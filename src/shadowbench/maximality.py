@@ -384,9 +384,6 @@ class NonPremaxWitness:
     def zero_row(self) -> int:
         return -self.n_start
 
-    def t_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.a, self.xi.shape[1])
-
 
 @dataclass(frozen=True)
 class WitnessReport:

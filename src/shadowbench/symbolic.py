@@ -241,9 +241,6 @@ class SubshiftPresentation:
             out |= g.limit_cycles()
         return out
 
-    def contains_cycle(self, cycle: Sequence[int]) -> bool:
-        return canonical_cycle(cycle) in self.periodic_cycles()
-
 
 def language(s: SubshiftPresentation, k: int) -> tuple[tuple[int, ...], ...]:
     """All length-k words occurring in the presented set, sorted.

@@ -296,10 +296,6 @@ class ToralAutomorphism:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def determinant(self) -> int:
-        return round(float(np.linalg.det(self.matrix.astype(float))))
-
     def _apply_matrix(self, M: np.ndarray, p: TorusPoint) -> TorusPoint:
         if p.dim != self.dim:
             raise ValueError(f"dimension mismatch: map is {self.dim}-d, point is {p.dim}-d")

@@ -1,7 +1,10 @@
-"""The public surface: every advertised name resolves and star-imports work."""
+"""The public surface: every advertised name resolves and star-imports work;
+no check in the library relies on `assert`, which `python -O` strips."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +31,12 @@ def test_package_names_resolve():
     public = [attr for attr in vars(shadowbench)
               if not attr.startswith("_") and attr not in MODULES]
     assert public and all(attr in namespace for attr in public)
+
+
+def test_no_assert_statements():
+    found = []
+    for path in sorted(Path(shadowbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the library: {found}"

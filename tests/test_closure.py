@@ -8,6 +8,7 @@ from shadowbench.closure import (
     SamplingParams,
     SetApprox,
     Verdict,
+    _greedy_net,
     build_graph,
     directed_hausdorff,
     gamma_for,
@@ -34,6 +35,55 @@ def brute_hausdorff(P, Q):
         return worst
 
     return max(one_way(P, Q), one_way(Q, P))
+
+
+def brute_keep_first(points, threshold):
+    """Oracle: O(n^2) keep-first scan.  A point survives unless its torus
+    distance to an earlier survivor is strictly below `threshold`."""
+    d = points.shape[1]
+    kept = np.empty((0, d))
+    for p in points:
+        delta = np.abs(kept - p)
+        delta = np.minimum(delta, 1.0 - delta)
+        if not np.any(np.sqrt(np.sum(delta * delta, axis=1)) < threshold):
+            kept = np.vstack([kept, p])
+    return kept
+
+
+def lattice(k, spacing, d, offset=0.0):
+    """k^d grid points `spacing` apart per axis, shifted by `offset`."""
+    axes = np.meshgrid(*[np.arange(k) * spacing] * d, indexing="ij")
+    return wrap(np.stack(axes, axis=-1).reshape(-1, d) + offset)
+
+
+def net_inputs(kind, d, rng):
+    """Seeded candidate sets for coarsening, with their threshold."""
+    threshold = 0.1
+    if kind == "uniform":
+        pts = rng.random((150, d))
+    elif kind == "clusters":
+        centers = rng.random((6, d))
+        pts = centers[rng.integers(0, 6, 150)] + rng.normal(0.0, threshold, (150, d))
+    elif kind == "duplicates":
+        base = rng.random((60, d))
+        pts = base[rng.integers(0, 60, 150)]
+    elif kind == "wrap":
+        pts = rng.random((150, d)) * 0.3 - 0.15  # straddles every face
+    elif kind == "lattice_binary":
+        threshold = 0.125  # exact in binary: neighbors sit exactly at it
+        pts = lattice(8 if d < 4 else 5, threshold, d)
+    elif kind == "lattice_decimal":
+        # 0.1 steps in floating point land a hair either side of 0.1
+        pts = lattice(10 if d < 4 else 5, threshold, d)
+    elif kind == "lattice_wrap":
+        # diagonal neighbors round to one ulp below 0.3 across the wrap
+        threshold = 0.3
+        pts = lattice(8 if d < 4 else 5, threshold, d, offset=0.95)
+    return wrap(pts[rng.permutation(len(pts))]), threshold
+
+
+NET_KINDS = ["uniform", "clusters", "duplicates", "wrap",
+             "lattice_binary", "lattice_decimal", "lattice_wrap"]
 
 
 def homoclinic_points(cat, lattice_vec=(1, 0), n_window=4):
@@ -68,6 +118,51 @@ class TestSetApprox:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SetApprox(np.empty((0, 2)), resolution=0.1)
+        with pytest.raises(ValueError, match="nonempty"):
+            SetApprox.build([], resolution=0.1)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, np.nan])
+    def test_bad_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            SetApprox.build(np.array([[0.1, 0.2]]), resolution)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", NET_KINDS)
+    def test_build_matches_brute_keep_first(self, kind, d):
+        pts, threshold = net_inputs(kind, d, np.random.default_rng(d))
+        expected = brute_keep_first(pts, threshold)
+        assert np.array_equal(_greedy_net(pts, threshold), expected)
+        assert np.array_equal(SetApprox.build(pts, 2 * threshold).points, expected)
+        SetApprox(expected, 2 * threshold)  # validates the r/2 net condition
+
+    def test_lattice_at_threshold_keeps_every_point(self):
+        # neighbors exactly r/2 apart are not closer than r/2
+        pts = lattice(8, 0.125, 2)
+        assert len(SetApprox.build(pts, 0.25)) == len(pts)
+        assert len(SetApprox(pts, 0.25)) == len(pts)
+        assert len(SetApprox.build(pts, np.nextafter(0.25, 1.0))) < len(pts)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", NET_KINDS)
+    def test_merge_keeps_net_and_coarsens(self, kind, d):
+        rng = np.random.default_rng(10 + d)
+        cand, threshold = net_inputs(kind, d, rng)
+        sa = SetApprox.build(rng.random((40, d)), 2 * threshold, label="net")
+        # resampled net points and points next to them must not be added
+        cand = np.vstack([cand, sa.points[::3], wrap(sa.points[::5] + 1e-3)])
+        merged, added = sa.merge(cand)
+        assert np.array_equal(merged.points[: len(sa)], sa.points)
+        assert added == len(merged) - len(sa)
+        assert merged.label == "net"
+        SetApprox(merged.points, merged.resolution)  # validates the r/2 net condition
+        assert np.array_equal(merged.points, brute_keep_first(np.vstack([sa.points, cand]),
+                                                              threshold))
+
+    def test_merge_of_nothing_relabels(self):
+        sa = SetApprox(np.array([[0.1, 0.2]]), 0.1, label="a")
+        merged, added = sa.merge(np.empty((0, 2)), label="b")
+        assert added == 0 and merged.label == "b"
+        assert np.array_equal(merged.points, sa.points)
 
 
 class TestHausdorff:
@@ -263,6 +358,15 @@ class TestIterateClosure:
         # the confirmation window means the recorded tail increments are quiet
         j = trace.verdict.index
         assert all(nu <= trace.stab_tol for nu in trace.nus[j:])
+
+    def test_step_without_samples_keeps_net(self, cat):
+        # f(0.1, 0.3) = (0.5, 0.4): no edge, no cycle, and no walks requested
+        sa = SetApprox(np.array([[0.1, 0.3]]), 0.01, label="lone")
+        trace = iterate_closure(cat, sa, delta=0.05, u_radius=0.2, max_iter=4,
+                                params=SamplingParams(n_paths=0))
+        assert [s.n_sampled for s in trace.step_stats] == [0] * 4
+        assert [s.label for s in trace.iterates] == [f"Lambda_{i}" for i in range(5)]
+        assert all(np.array_equal(s.points, sa.points) for s in trace.iterates)
 
     def test_budget_exhausted_is_verdict_not_error(self, cat):
         window = homoclinic_points(cat, n_window=4)

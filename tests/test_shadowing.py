@@ -75,6 +75,14 @@ class TestExactShadow:
         assert res.sup_distance < 1e-12
         assert torus_distance(res.point, TorusPoint((0.3, 0.55))) < 1e-12
 
+    @pytest.mark.parametrize("shadow", [exact_shadow_linear, newton_shadow])
+    def test_one_point_segment_is_its_own_shadow(self, product, shadow):
+        po = PseudoOrbit(np.array([[0.3, 0.7, 0.1, 0.9]]), 0.0)
+        res = shadow(product.as_automorphism(), po)
+        assert np.array_equal(res.orbit, po.points)
+        assert res.sup_distance == 0.0 and res.residual == 0.0
+        assert res.converged and res.iterations == (shadow is newton_shadow)
+
     def test_single_error_k_bound_and_newton_cross_check(self, cat, rng):
         # length 41 centered at index 0, one injected error of 1e-4 at index 0
         eps = 1e-4
@@ -310,6 +318,16 @@ class TestFlowShadowing:
         traj = FlowPseudoTrajectory(np.array([[0.1, 0.2]]), np.array([0.0]), h=1.0)
         with pytest.raises(ValueError, match="insufficient samples"):
             flow_shadow(flow, traj, delta=0.1)
+
+    def test_distortion_violation_raises(self, cat, monkeypatch):
+        stretched = classmethod(lambda cls, knots: cls(tuple((t, 2.0 * t) for t in knots), 0.0))
+        monkeypatch.setattr(Reparameterization, "identity", stretched)
+        flow = SuspensionFlow.over(cat)
+        po = PseudoOrbit.from_map(cat, cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 5))
+        traj = suspend_pseudo_orbit(flow, po, h=0.5)
+        with pytest.raises(ValueError, match="distortion bound") as info:
+            flow_shadow(flow, traj, delta=1e-6)
+        assert not isinstance(info.value, ShadowingRefusal)
 
     def test_flow_defect_matches_base_defect_scale(self, cat, rng):
         flow = SuspensionFlow.over(cat)
