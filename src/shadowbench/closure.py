@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from itertools import islice, product
+from itertools import chain, islice, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,6 +45,10 @@ __all__ = [
     "gamma_for",
     "iterate_closure",
 ]
+
+
+# query points per step of the bounded edge count in `build_graph`
+_COUNT_CHUNK = 1024
 
 
 def _torus_tree(points: np.ndarray) -> cKDTree:
@@ -193,7 +197,9 @@ class TransitionGraph:
     presentation of the delta-pseudo-orbit space.
 
     Dense graphs beyond `edge_cap` stay lazy: `edges` is None and neighbor
-    queries go through the KD-tree on demand.
+    queries go through the KD-tree on demand.  `n_edges` is the exact edge
+    count of a materialized graph; on a lazy graph it is a lower bound above
+    `edge_cap`, since counting stops once the cap is passed.
     """
 
     set: SetApprox
@@ -237,14 +243,20 @@ def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
     if delta <= 0:
         raise ValueError("positive delta required")
     images = map.apply_array(sa.points)
-    counts = sa.tree.query_ball_point(images, r=delta, return_length=True)
-    total = int(np.sum(counts))
-    if total > edge_cap:
-        return TransitionGraph(sa, delta, images, None, total)
-    neighbor_lists = sa.tree.query_ball_point(images, r=delta)
-    edges = [(i, j) for i, lst in enumerate(neighbor_lists) for j in sorted(lst)]
-    arr = np.array(edges, dtype=int) if edges else np.empty((0, 2), dtype=int)
-    return TransitionGraph(sa, delta, images, arr, total)
+    # edges are counted chunk by chunk: once the running total passes the cap
+    # the full total does too, so the graph is lazy and the count stops there
+    counts = []
+    total = 0
+    for start in range(0, len(images), _COUNT_CHUNK):
+        counts.append(sa.tree.query_ball_point(images[start:start + _COUNT_CHUNK], r=delta,
+                                               return_length=True))
+        total += int(np.sum(counts[-1]))
+        if total > edge_cap:
+            return TransitionGraph(sa, delta, images, None, total)
+    neighbor_lists = sa.tree.query_ball_point(images, r=delta, return_sorted=True)
+    sources = np.repeat(np.arange(len(images)), np.concatenate(counts))
+    targets = np.fromiter(chain.from_iterable(neighbor_lists), dtype=int, count=total)
+    return TransitionGraph(sa, delta, images, np.column_stack([sources, targets]), total)
 
 
 @dataclass(frozen=True)

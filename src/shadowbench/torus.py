@@ -215,7 +215,7 @@ def compute_splitting(matrix: np.ndarray | Sequence[Sequence[int]]) -> Hyperboli
     M = np.array(matrix, dtype=np.int64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    det = round(float(np.linalg.det(M)))
+    det = _fraction_det(_fractions(M))
     if abs(det) != 1:
         raise ValueError(f"|det| must be 1, got {det}")
     vals, vecs = np.linalg.eig(M.astype(float))
@@ -270,10 +270,11 @@ def compute_splitting(matrix: np.ndarray | Sequence[Sequence[int]]) -> Hyperboli
 
 
 def _integer_inverse(M: np.ndarray) -> np.ndarray:
-    inv = np.rint(np.linalg.inv(M.astype(float))).astype(np.int64)
-    if not np.array_equal(M @ inv, np.eye(M.shape[0], dtype=np.int64)):
+    """Exact inverse of an invertible integer matrix, refused unless integral."""
+    inv = _fraction_inverse(_fractions(M))
+    if any(v.denominator != 1 for row in inv for v in row):
         raise ValueError("matrix is not invertible over the integers")
-    return inv
+    return np.array([[int(v) for v in row] for row in inv], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -358,7 +359,7 @@ class ToralAutomorphism:
         """
         Mp = np.linalg.matrix_power(self.matrix.astype(object), period)
         D = Mp - np.eye(self.dim, dtype=object)
-        Dfrac = [[Fraction(int(D[i, j])) for j in range(self.dim)] for i in range(self.dim)]
+        Dfrac = _fractions(D)
         detD = _fraction_det(Dfrac)
         if detD == 0:
             raise ValueError("matrix^period - I is singular; fixed points not isolated")
@@ -376,6 +377,10 @@ class ToralAutomorphism:
         if len(result) != expected:  # pragma: no cover - guards the lattice sweep
             raise RuntimeError(f"fixed-point sweep found {len(result)}, expected {expected}")
         return [TorusPoint(p) for p in result]
+
+
+def _fractions(M: np.ndarray) -> list[list[Fraction]]:
+    return [[Fraction(int(v)) for v in row] for row in M]
 
 
 def _fraction_det(M: list[list[Fraction]]) -> Fraction:

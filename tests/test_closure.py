@@ -2,7 +2,11 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from shadowbench import closure
 from shadowbench.closure import (
     ClosureTrace,
     SamplingParams,
@@ -48,6 +52,13 @@ def brute_keep_first(points, threshold):
         if not np.any(np.sqrt(np.sum(delta * delta, axis=1)) < threshold):
             kept = np.vstack([kept, p])
     return kept
+
+
+def comprehension_edges(sa, images, delta):
+    """Reference: the per-edge comprehension `build_graph` used to run."""
+    neighbor_lists = sa.tree.query_ball_point(images, r=delta)
+    edges = [(i, j) for i, lst in enumerate(neighbor_lists) for j in sorted(lst)]
+    return np.array(edges, dtype=int) if edges else np.empty((0, 2), dtype=int)
 
 
 def lattice(k, spacing, d, offset=0.0):
@@ -222,6 +233,55 @@ class TestBuildGraph:
         g = build_graph(cat, sa, delta=0.8, edge_cap=10)
         assert not g.materialized and g.n_edges == 1600
         assert len(g.out_neighbors(0)) == 40
+
+    @pytest.mark.parametrize("case", ["small", "saturated", "empty_rows", "edgeless", "chunks"])
+    def test_edges_match_comprehension(self, cat, rng, case):
+        points, delta = {
+            "small": (rng.random((12, 2)), 0.3),
+            "saturated": (rng.random((5, 2)), 0.8),
+            # node 0 is fixed; the images of nodes 1 and 2 are far from the net
+            "empty_rows": (np.array([[0.0, 0.0], [0.1, 0.1], [0.5, 0.5]]), 0.05),
+            "edgeless": (np.array([[0.1, 0.1]]), 0.05),
+            "chunks": (lattice(48, 1 / 48, 2), 0.05),
+        }[case]
+        sa = SetApprox.build(points, 0.01)
+        g = build_graph(cat, sa, delta=delta)
+        expected = comprehension_edges(sa, g.images, delta)
+        assert g.edges.dtype == expected.dtype and g.edges.shape == expected.shape
+        assert g.edges.tobytes() == expected.tobytes()
+        assert g.n_edges == len(expected)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 3 * closure._COUNT_CHUNK + 7), seed=st.integers(0, 2**32 - 1),
+           delta=st.floats(0.005, 0.08), data=st.data())
+    def test_bounded_count_agrees_with_exact_count(self, cat, n, seed, delta, data):
+        sa = SetApprox.build(np.random.default_rng(seed).random((n, 2)), 1e-4)
+        exact = int(np.sum(sa.tree.query_ball_point(cat.apply_array(sa.points), r=delta,
+                                                    return_length=True)))
+        edge_cap = data.draw(st.one_of(st.sampled_from([max(exact - 1, 0), exact, exact + 1]),
+                                       st.integers(0, exact + 1)), label="edge_cap")
+        g = build_graph(cat, sa, delta=delta, edge_cap=edge_cap)
+        assert g.materialized == (exact <= edge_cap)
+        if g.materialized:
+            assert g.n_edges == exact == len(g.edges)
+        else:
+            assert edge_cap < g.n_edges <= exact
+
+    def test_lazy_count_stops_after_first_chunk(self, cat, monkeypatch):
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query_ball_point(self, x, *args, **kwargs):
+                queried.append(len(np.atleast_2d(x)))
+                return super().query_ball_point(x, *args, **kwargs)
+
+        monkeypatch.setattr(closure, "_torus_tree",
+                            lambda points: CountingTree(wrap(points), boxsize=1.0))
+        sa = SetApprox(lattice(64, 1 / 64, 2), 0.01)  # four chunks of query points
+        queried.clear()
+        g = build_graph(cat, sa, delta=0.05, edge_cap=100)
+        assert not g.materialized and g.n_edges > 100
+        assert 0 < sum(queried) <= closure._COUNT_CHUNK
 
 
 class TestSamplePseudoOrbits:

@@ -104,6 +104,17 @@ class TestSplitting:
         with pytest.raises(NotHyperbolicError):
             compute_splitting([[1, 1], [0, 1]])
 
+    @pytest.mark.parametrize("k", [10**8, 2**26])
+    def test_large_unimodular_accepted_with_exact_inverse(self, k):
+        # det = (k+1)(k-1) - k^2 = -1, but a float det or inverse loses it
+        f = ToralAutomorphism([[k + 1, k], [k, k - 1]])
+        assert np.array_equal(f.inverse_matrix, [[-(k - 1), k], [k, -(k + 1)]])
+        assert np.array_equal(f.matrix @ f.inverse_matrix, np.eye(2, dtype=np.int64))
+
+    def test_det_two_rejected(self):
+        with pytest.raises(ValueError, match=r"\|det\| must be 1, got 2"):
+            ToralAutomorphism([[3, 1], [1, 1]])
+
     def test_stable_contraction_in_adapted_norm(self, cat):
         s = cat.splitting
         for col in s.stable_basis.T:
