@@ -22,9 +22,8 @@ import csv
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice, product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -267,10 +266,13 @@ class SamplingParams:
     n_paths: int = 32
     path_len: int = 40
     seed: int = 0
-    cycle_cap: int = 2000          # hard cap on enumerated cycles
-    connector_budget: int = 200    # total cycle-to-cycle connecting paths
-    connectors_per_pair: int = 5
-    pad: int = 15                  # points of cycle padding on each connector side
+
+
+# fixed caps of `sample_pseudo_orbits`; hitting the first two flags a sample partial
+_CYCLE_CAP = 2000          # enumerated cycles kept, in `_simple_cycles` order
+_CONNECTOR_BUDGET = 200    # cycle-to-cycle connecting paths per call
+_CONNECTORS_PER_PAIR = 5
+_PAD = 15                  # points of cycle padding on each connector side
 
 
 @dataclass(frozen=True)
@@ -282,6 +284,74 @@ class SampledOrbits:
 def _rotate_cycle(cycle: list[int]) -> tuple[int, ...]:
     k = cycle.index(min(cycle))
     return tuple(cycle[k:] + cycle[:k])
+
+
+def _successors(edges: np.ndarray, n_nodes: int) -> list[list[int]]:
+    """Successor lists of nodes 0..n_nodes-1, each in the edge array's order."""
+    heads = edges[np.argsort(edges[:, 0], kind="stable"), 1].tolist()
+    ends = np.cumsum(np.bincount(edges[:, 0], minlength=n_nodes)).tolist()
+    return [heads[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _simple_cycles(succ: list[list[int]], bound: int) -> Iterator[tuple[int, ...]]:
+    """Each simple cycle of at most `bound` nodes once, starting at its
+    smallest node.  Roots ascend; from each root the search is depth-first
+    in successor order through larger nodes, pruned by their BFS distance
+    back to the root."""
+    if bound < 0:
+        raise ValueError("length bound must be non-negative")
+    if bound == 0:
+        return
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, heads in enumerate(succ):
+        for v in heads:
+            pred[v].append(u)
+    for root in range(len(succ)):
+        dist = {root: 0}
+        frontier = [root]
+        for d in range(1, bound):
+            reached = []
+            for v in frontier:
+                for u in pred[v]:
+                    if u > root and u not in dist:
+                        dist[u] = d
+                        reached.append(u)
+            frontier = reached
+        path = [root]
+        stack = [iter(succ[root])]
+        while stack:
+            w = next(stack[-1], None)
+            if w is None:
+                stack.pop()
+                path.pop()
+            elif w == root:
+                yield tuple(path)
+            elif w in dist and w not in path and len(path) + dist[w] <= bound:
+                path.append(w)
+                stack.append(iter(succ[w]))
+
+
+def _simple_paths(succ: list[list[int]], s: int, t: int, cutoff: int) -> Iterator[list[int]]:
+    """Simple paths from s to t of at most `cutoff` edges, depth-first in
+    successor order; s == t gives the one-node path [s]."""
+    if s == t:
+        if cutoff >= 0:
+            yield [s]
+        return
+    if cutoff < 1:
+        return
+    path = [s]
+    stack = [iter(succ[s])]
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            path.pop()
+        elif w == t:
+            yield path + [t]
+        elif w not in path and len(path) < cutoff:
+            path.append(w)
+            stack.append(iter(succ[w]))
 
 
 def _pad_with_cycle(cycle: tuple[int, ...], reps: int, end_at: int | None = None,
@@ -324,32 +394,27 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
     partial = False
 
     if graph.materialized:
-        G = nx.DiGraph()
-        G.add_nodes_from(range(graph.n_nodes))
-        G.add_edges_from(map(tuple, graph.edges))
-        cycles = []
-        gen = nx.simple_cycles(G, length_bound=p.max_cycle_len)
-        for cyc in islice(gen, p.cycle_cap + 1):
-            cycles.append(_rotate_cycle(cyc))
-        if len(cycles) > p.cycle_cap:
-            cycles = cycles[: p.cycle_cap]
+        succ = _successors(graph.edges, graph.n_nodes)
+        cycles = list(islice(_simple_cycles(succ, p.max_cycle_len), _CYCLE_CAP + 1))
+        if len(cycles) > _CYCLE_CAP:
+            cycles = cycles[:_CYCLE_CAP]
             partial = True
         cycles.sort()
         for cyc in cycles:
             orbits.append(PseudoOrbit(pts[list(cyc)], delta, periodic=True))
 
-        reps = lambda c: max(1, -(-p.pad // len(c)))
-        budget = p.connector_budget
+        reps = lambda c: max(1, -(-_PAD // len(c)))
+        budget = _CONNECTOR_BUDGET
         for c1, c2 in product(cycles, repeat=2):
-            if c1 == c2 or budget <= 0:
+            if budget <= 0:
+                break
+            if c1 == c2:
                 continue
-            pair_left = p.connectors_per_pair
+            pair_left = _CONNECTORS_PER_PAIR
             for s, t in product(c1, c2):
                 if pair_left <= 0 or budget <= 0:
                     break
-                for path in islice(
-                    nx.all_simple_paths(G, s, t, cutoff=p.path_len), pair_left
-                ):
+                for path in islice(_simple_paths(succ, s, t, p.path_len), pair_left):
                     head = _pad_with_cycle(c1, reps(c1), end_at=s)
                     tail = _pad_with_cycle(c2, reps(c2), start_at=t)
                     orbits.append(_segment_pseudo(pts, head[:-1] + path + tail[1:], delta))
@@ -359,14 +424,11 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
                         break
         if budget <= 0:
             partial = True
-
-        adjacency = {i: np.sort(np.array(list(G.successors(i)), dtype=int))
-                     for i in G.nodes}
-        neighbor = lambda i: adjacency[i]
+        neighbor = succ.__getitem__
     else:
         partial = True
         loops = graph.self_loop_nodes()
-        for i in loops[: p.cycle_cap]:
+        for i in loops[:_CYCLE_CAP]:
             orbits.append(PseudoOrbit(pts[[i]], delta, periodic=True))
         neighbor = graph.out_neighbors
 
@@ -381,7 +443,7 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
             nxt = int(nbrs[rng.integers(len(nbrs))])
             if nxt in walk and not graph.materialized:
                 cyc = _rotate_cycle(walk[walk.index(nxt):])
-                if cyc not in walk_cycles and len(walk_cycles) < p.cycle_cap:
+                if cyc not in walk_cycles and len(walk_cycles) < _CYCLE_CAP:
                     walk_cycles.add(cyc)
                     orbits.append(PseudoOrbit(pts[list(cyc)], delta, periodic=True))
             walk.append(nxt)

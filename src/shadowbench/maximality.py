@@ -411,9 +411,12 @@ class WitnessReport:
         }
 
 
-def _side_decays(vals: np.ndarray, floor: float, margin: float) -> bool:
+_DECAY_MARGIN = 0.05  # least fitted exponential rate that counts as decay
+
+
+def _side_decays(vals: np.ndarray, floor: float) -> bool:
     """Decreasing-envelope test for one time direction: the outer half sits
-    at the floor, or the fitted exponential rate is at least `margin`."""
+    at the floor, or the fitted exponential rate is at least `_DECAY_MARGIN`."""
     vals = np.asarray(vals, dtype=float)
     if len(vals) < 3:
         return bool(vals[-1] <= floor)
@@ -423,24 +426,21 @@ def _side_decays(vals: np.ndarray, floor: float, margin: float) -> bool:
     env = np.maximum.accumulate(vals[::-1])[::-1]  # envelope from the edge
     y = np.log(np.maximum(env, floor * 1e-2))
     slope = float(np.polyfit(np.arange(len(env)), y, 1)[0])
-    return slope <= -margin
+    return slope <= -_DECAY_MARGIN
 
 
 def verify_nonpremax_witness(map: ToralAutomorphism, lam: SetApprox,
-                             witness: NonPremaxWitness, tol: float, *,
-                             decay_margin: float = 0.05,
-                             decay_floor: float | None = None) -> WitnessReport:
+                             witness: NonPremaxWitness, tol: float) -> WitnessReport:
     """Check the four witness conditions numerically.
 
     (1) each t-slice is an exact orbit up to tol; (2) xi(0,0) lies within
     tol of the set; (3) sup_t dist(xi(n,t), set) decays as a two-sided
-    envelope down to the floor (limits are not observable at desk scale, so
+    envelope down to the floor tol (limits are not observable at desk scale, so
     a fitted rate or reaching the floor counts); (4) some xi(0, t1) sits
     farther than 2 tol from the set.  Failures are reported, not raised.
     """
     xi = witness.xi
     n_times, n_params, d = xi.shape
-    floor = tol if decay_floor is None else decay_floor
 
     defect = 0.0
     for k in range(n_times - 1):
@@ -455,7 +455,7 @@ def verify_nonpremax_witness(map: ToralAutomorphism, lam: SetApprox,
     m = dists.max(axis=1)
     fwd = m[z:]
     bwd = m[: z + 1][::-1]
-    cond3 = _side_decays(fwd, floor, decay_margin) and _side_decays(bwd, floor, decay_margin)
+    cond3 = _side_decays(fwd, tol) and _side_decays(bwd, tol)
 
     off = float(np.max(dists[z]))
     cond4 = bool(off > 2 * tol)

@@ -445,5 +445,5 @@ def symbolic_shadow(t: SFT, pseudo: Sequence[PeriodicWord], delta: float,
     result = PeriodicWord(left, core, right, t.alphabet_size, offset=-lo)
 
     if not is_member(t, result):
-        raise AssertionError("spliced shadow left the SFT; pseudo-orbit gate failed")
+        raise ValueError("spliced shadow left the SFT: the pseudo-orbit words are not in it")
     return result

@@ -1,9 +1,13 @@
 """The public surface: every advertised name resolves and star-imports work;
-no check in the library relies on `assert`, which `python -O` strips."""
+no check in the library relies on `assert`, which `python -O` strips; the
+CLI starts without importing networkx."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,10 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    code = "import sys, shadowbench.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

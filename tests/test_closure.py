@@ -1,3 +1,4 @@
+from itertools import permutations
 from itertools import product as iproduct
 
 import numpy as np
@@ -13,6 +14,9 @@ from shadowbench.closure import (
     SetApprox,
     Verdict,
     _greedy_net,
+    _simple_cycles,
+    _simple_paths,
+    _successors,
     build_graph,
     directed_hausdorff,
     gamma_for,
@@ -59,6 +63,56 @@ def comprehension_edges(sa, images, delta):
     neighbor_lists = sa.tree.query_ball_point(images, r=delta)
     edges = [(i, j) for i, lst in enumerate(neighbor_lists) for j in sorted(lst)]
     return np.array(edges, dtype=int) if edges else np.empty((0, 2), dtype=int)
+
+
+def edge_ranks(edges):
+    """Position of each edge (u, v) among u's edges, in edge-array order."""
+    ranks, seen = {}, {}
+    for u, v in edges.tolist():
+        ranks[u, v] = seen.get(u, 0)
+        seen[u] = ranks[u, v] + 1
+    return ranks
+
+
+def brute_cycles(edges, n, bound):
+    """Reference: every node sequence of at most `bound` distinct nodes that
+    starts at its smallest node and closes along edges, in the search order
+    of `_simple_cycles` (root, then edge ranks along the closed cycle)."""
+    ranks = edge_ranks(edges)
+    found = []
+    for length in range(1, bound + 1):
+        for seq in permutations(range(n), length):
+            steps = list(zip(seq, seq[1:] + seq[:1]))
+            if seq[0] == min(seq) and all(e in ranks for e in steps):
+                found.append((seq[0], [ranks[e] for e in steps], seq))
+    return [seq for _, _, seq in sorted(found)]
+
+
+def brute_paths(edges, n, s, t, cutoff):
+    """Reference: every simple path s -> t of at most `cutoff` edges, in
+    depth-first successor order (lexicographic in edge ranks)."""
+    if s == t:
+        return [[s]] if cutoff >= 0 else []
+    ranks = edge_ranks(edges)
+    inner = [v for v in range(n) if v not in (s, t)]
+    found = []
+    for length in range(min(cutoff, n - 1)):
+        for mid in permutations(inner, length):
+            path = [s, *mid, t]
+            steps = list(zip(path, path[1:]))
+            if all(e in ranks for e in steps):
+                found.append(([ranks[e] for e in steps], path))
+    return [path for _, path in sorted(found)]
+
+
+def random_edges(seed, shuffled):
+    """Seeded small digraph: its node count and edge array, sorted by (i, j)
+    unless shuffled."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    adj = rng.random((n, n)) < rng.choice([0.15, 0.35, 0.6])
+    edges = np.argwhere(adj).reshape(-1, 2)
+    return n, rng.permutation(edges) if shuffled else edges
 
 
 def lattice(k, spacing, d, offset=0.0):
@@ -316,7 +370,7 @@ class TestSamplePseudoOrbits:
         images = cat.apply_array(sa.points)
         edges = np.array([(0, 0), (2, 2), (0, 1), (1, 2)])
         g = TransitionGraph(sa, 0.9, images, edges, 4)
-        sampled = sample_pseudo_orbits(g, params=SamplingParams(n_paths=0, pad=3))
+        sampled = sample_pseudo_orbits(g, params=SamplingParams(n_paths=0))
         segments = [o for o in sampled.orbits if not o.periodic]
         assert segments, "expected a connecting pseudo-orbit"
         seq = [tuple(row) for row in segments[0].points]
@@ -333,6 +387,64 @@ class TestSamplePseudoOrbits:
         assert len(s1.orbits) == len(s2.orbits)
         for a, b in zip(s1.orbits, s2.orbits):
             assert np.array_equal(a.points, b.points) and a.periodic == b.periodic
+
+
+class TestGraphSearch:
+    """`_simple_cycles` and `_simple_paths` against brute-force enumeration."""
+
+    SHUFFLED = pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+
+    @SHUFFLED
+    def test_successors_keep_edge_order(self, shuffled):
+        for seed in range(40):
+            n, edges = random_edges(seed, shuffled)
+            succ = _successors(edges, n)
+            assert succ == [[v for u, v in edges.tolist() if u == i] for i in range(n)]
+
+    @SHUFFLED
+    def test_cycles_match_brute_force_in_order(self, shuffled):
+        for seed, bound in iproduct(range(40), (0, 1, 2, 3, 5)):
+            n, edges = random_edges(seed, shuffled)
+            assert list(_simple_cycles(_successors(edges, n), bound)) == \
+                brute_cycles(edges, n, bound), (seed, bound)
+
+    @SHUFFLED
+    def test_paths_match_brute_force_in_order(self, shuffled):
+        for seed in range(40):
+            n, edges = random_edges(seed, shuffled)
+            succ = _successors(edges, n)
+            for cutoff, s, t in iproduct((0, 1, 2, 6), range(n), range(n)):
+                assert list(_simple_paths(succ, s, t, cutoff)) == \
+                    brute_paths(edges, n, s, t, cutoff), (seed, cutoff, s, t)
+
+    def test_negative_cycle_bound_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(_simple_cycles([[0]], -1))
+
+    @staticmethod
+    def _complete_graph(cat):
+        # complete digraph with loops on 5 nodes: 89 cycles, 65 through node 0
+        sa = SetApprox(lattice(3, 0.3, 2)[:5], 0.01)
+        edges = np.array([(i, j) for i in range(5) for j in range(5)])
+        return closure.TransitionGraph(sa, 0.9, cat.apply_array(sa.points), edges, len(edges))
+
+    def test_capped_cycles_come_from_smallest_roots(self, cat, monkeypatch):
+        g = self._complete_graph(cat)
+        sa = g.set
+        every = brute_cycles(g.edges, 5, 5)
+        monkeypatch.setattr(closure, "_CYCLE_CAP", 70)
+        sampled = sample_pseudo_orbits(g, params=SamplingParams(max_cycle_len=5, n_paths=0))
+        kept = [o.points for o in sampled.orbits if o.periodic]
+        assert sampled.partial and len(every) == 89
+        assert [c[0] for c in every[:70]] == [0] * 65 + [1] * 5
+        assert [p.tobytes() for p in kept] == [sa.points[list(c)].tobytes()
+                                               for c in sorted(every[:70])]
+
+    def test_connector_budget_caps_segments(self, cat):
+        g = self._complete_graph(cat)
+        sampled = sample_pseudo_orbits(g, params=SamplingParams(max_cycle_len=5, n_paths=0))
+        segments = [o for o in sampled.orbits if not o.periodic]
+        assert sampled.partial and len(segments) == closure._CONNECTOR_BUDGET
 
 
 class TestShadowingClosure:

@@ -284,6 +284,12 @@ class TestSymbolicShadow:
         with pytest.raises(ValueError, match="index 3"):
             symbolic_shadow(t, pseudo, delta=0.2, start_index=3)
 
+    def test_words_outside_the_sft_rejected(self):
+        # constant 1 has no gaps but contains the forbidden block 11
+        t = sft_closure(W((0,), (0, 1)), 2)
+        with pytest.raises(ValueError, match="left the SFT"):
+            symbolic_shadow(t, [PeriodicWord.constant(1, 2)] * 3, delta=0.1)
+
     def test_equivariance_exact(self, rng):
         for _ in range(50):
             s = random_presentation(rng)
