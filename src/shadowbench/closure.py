@@ -4,11 +4,11 @@ iteration Lambda_{j+1} = sh(Lambda_j, delta).
 A compact invariant set is represented by an r-net of points (`SetApprox`).
 One closure step discretizes the delta-pseudo-orbit space as a transition
 graph on the net, samples generating pseudo-orbits (cycles, cycle-to-cycle
-connectors, random walks), shadows each sample, and merges the full shadow
-orbit windows back into the net.  The iteration records the Hausdorff
-increments nu_j, detects stabilization and neighborhood escape, and reports
-whether the gamma-dichotomy (consecutive increments cannot both be small)
-held along the way.
+connectors, random walks), shadows the samples of each length and kind
+together, and merges the full shadow orbit windows back into the net.  The
+iteration records the Hausdorff increments nu_j, detects stabilization and
+neighborhood escape, and reports whether the gamma-dichotomy (consecutive
+increments cannot both be small) held along the way.
 
 Torus nearest-neighbor machinery is scipy's periodic cKDTree (boxsize=1),
 which realizes exactly the min-over-translates metric of `torus_distance`;
@@ -20,15 +20,21 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .shadowing import PseudoOrbit, ShadowingRefusal, exact_shadow_linear
-from .torus import ToralAutomorphism, torus_distance_array, wrap
+from .shadowing import (
+    PseudoOrbit,
+    ShadowingRefusal,
+    _defect_limit,
+    _series_corrections,
+    _step_pairs,
+)
+from .torus import ToralAutomorphism, minimal_lift, torus_distance_array, wrap
 
 __all__ = [
     "SetApprox",
@@ -267,6 +273,13 @@ class SamplingParams:
     path_len: int = 40
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("max_cycle_len", "path_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_paths < 0:
+            raise ValueError(f"n_paths must be >= 0, got {self.n_paths}")
+
 
 # fixed caps of `sample_pseudo_orbits`; hitting the first two flags a sample partial
 _CYCLE_CAP = 2000          # enumerated cycles kept, in `_simple_cycles` order
@@ -461,24 +474,42 @@ class ClosureStepStats:
     partial_sampling: bool
 
 
+def _shadow_windows(map: ToralAutomorphism, X: np.ndarray, periodic: bool,
+                    limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shadow windows of the stacked pseudo-orbits X (m, n, d) whose measured
+    defect passes the gate, and the mask of those admitted."""
+    images, successors = _step_pairs(map, X, periodic)
+    # a one-point segment has no pair and defect 0
+    defects = np.max(torus_distance_array(images, successors), axis=1, initial=0.0)
+    admitted = ~(defects >= limit)
+    errors = minimal_lift(successors[admitted] - images[admitted])
+    corrections = _series_corrections(map, errors, X.shape[1], periodic)
+    return wrap(X[admitted] + corrections), admitted
+
+
 def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
                   params: SamplingParams, *, max_defect: float | None,
                   label: str) -> tuple[SetApprox, ClosureStepStats]:
     graph = build_graph(map, sa, delta)
     sampled = sample_pseudo_orbits(graph, params=params)
+    limit = _defect_limit(map.splitting, max_defect)
 
-    windows, refused = [], 0
-    for po in sampled.orbits:
-        measured = PseudoOrbit.from_map(map, po.points, periodic=po.periodic,
-                                        start_index=po.start_index)
-        try:
-            windows.append(exact_shadow_linear(map, measured, max_defect=max_defect).orbit)
-        except ShadowingRefusal:
-            refused += 1
-    if sampled.orbits and refused == len(sampled.orbits):
-        raise ShadowingRefusal(delta, map.splitting.max_shadow_defect
-                               if max_defect is None else max_defect)
-    merged, added = sa.merge(np.vstack([sa.points[:0], *windows]), label=label)
+    # orbits of one length and kind are shadowed together; the windows go
+    # back in sample order, since the merge keeps the first point of a cluster
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, po in enumerate(sampled.orbits):
+        groups.setdefault((len(po), po.periodic), []).append(i)
+    windows: list[np.ndarray | None] = [None] * len(sampled.orbits)
+    for (_, periodic), members in groups.items():
+        found, admitted = _shadow_windows(
+            map, np.stack([sampled.orbits[i].points for i in members]), periodic, limit)
+        for i, window in zip(compress(members, admitted), found):
+            windows[i] = window
+    shadowed = [w for w in windows if w is not None]
+    refused = len(windows) - len(shadowed)
+    if sampled.orbits and not shadowed:
+        raise ShadowingRefusal(delta, limit)
+    merged, added = sa.merge(np.vstack([sa.points[:0], *shadowed]), label=label)
     return merged, ClosureStepStats(len(sampled.orbits), refused, added, sampled.partial)
 
 

@@ -142,11 +142,21 @@ def _defect(map: ToralAutomorphism, pts: np.ndarray, periodic: bool) -> float:
         if len(pts) < 1:
             raise ValueError("need at least one point")
         return 0.0
-    images = map.apply_array(pts)
+    return float(np.max(torus_distance_array(*_step_pairs(map, pts, periodic))))
+
+
+def _step_pairs(map: ToralAutomorphism, X: np.ndarray,
+                periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Images f(x_j) and successors x_{j+1} over the consecutive pairs of the
+    orbits stacked in X (..., n, d), the wrap pair included when periodic.
+
+    A stack of orbits goes through the same per-orbit matrix products as one
+    orbit, so each slice is rounded as that orbit alone would be.
+    """
+    images = map.apply_array(X)
     if periodic:
-        successors = np.roll(pts, -1, axis=0)
-        return float(np.max(torus_distance_array(images, successors)))
-    return float(np.max(torus_distance_array(images[:-1], pts[1:])))
+        return images, np.roll(X, -1, axis=-2)
+    return images[..., :-1, :], X[..., 1:, :]
 
 
 @dataclass(frozen=True)
@@ -198,16 +208,16 @@ def _lifted_errors(map: ToralAutomorphism, po: PseudoOrbit) -> np.ndarray:
 
     Defects below delta_0 < 1/2 make the minimal lift unambiguous.
     """
-    pts = po.points
-    images = map.apply_array(pts)
-    if po.periodic:
-        successors = np.roll(pts, -1, axis=0)
-        return minimal_lift(successors - images)
-    return minimal_lift(pts[1:] - images[:-1])
+    images, successors = _step_pairs(map, po.points, po.periodic)
+    return minimal_lift(successors - images)
+
+
+def _defect_limit(splitting, max_defect: float | None) -> float:
+    return splitting.max_shadow_defect if max_defect is None else max_defect
 
 
 def _check_gate(defect: float, splitting, max_defect: float | None) -> None:
-    limit = splitting.max_shadow_defect if max_defect is None else max_defect
+    limit = _defect_limit(splitting, max_defect)
     if defect >= limit:
         raise ShadowingRefusal(defect, limit)
 
@@ -252,47 +262,94 @@ def exact_shadow_linear(map: ToralAutomorphism, po: PseudoOrbit, *,
     result satisfies sup distance <= K * defect with
     K = C * (1/(1-lambda_s) + 1/(lambda_u-1)).
     """
+    _check_gate(po.defect, map.splitting, max_defect)
+    corrections = _series_corrections(map, _lifted_errors(map, po)[None], len(po),
+                                      po.periodic)[0]
+    return _result_from_orbit(map, po, corrections, iterations=0, converged=True,
+                              method="exact")
+
+
+def _block_step(B: np.ndarray):
+    """out <- B v for each row v of V (m, k), rounded as the per-vector
+    product `B @ v` is: a 1x1 block is one multiplication, a larger block one
+    matrix-vector product per row (one row of a matrix-matrix product can
+    round differently)."""
+    if B.shape == (1, 1):
+        b = B[0, 0]  # a numpy scalar: a Python float costs more per call
+        return lambda V, out: np.multiply(V, b, out=out)
+    return lambda V, out: np.matmul(B, V[..., None], out=out[..., None])
+
+
+def _power(B: np.ndarray, n: int) -> np.ndarray:
+    """B^n by n left multiplications; `np.linalg.matrix_power` squares,
+    which rounds differently."""
+    M = np.eye(len(B))
+    for _ in range(n):
+        M = B @ M
+    return M
+
+
+def _solve_each(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = r for every row r of rhs (m, k), one right-hand side per
+    solve (M is broadcast over the stack): a single solve with m columns
+    rounds differently."""
+    return np.linalg.solve(M, rhs[..., None])[..., 0]
+
+
+def _series_corrections(map: ToralAutomorphism, errors: np.ndarray, n: int,
+                        periodic: bool) -> np.ndarray:
+    """Exact-series corrections (m, n, d) of m pseudo-orbits of n points each
+    from their lifted errors (m, n_err, d), n_err = n if periodic else n - 1.
+
+    The time loop runs over the orbit index with every step vectorized over
+    the m orbits; each orbit's corrections are bit for bit those of the same
+    series run on that orbit alone.
+    """
     s = map.splitting
-    _check_gate(po.defect, s, max_defect)
-    n, d = po.points.shape
+    m, n_err, d = errors.shape
     ds = s.stable_dim
     A_ad = s.basis_inv @ map.matrix.astype(float) @ s.basis
     As, Au = A_ad[:ds, :ds], A_ad[ds:, ds:]
     Au_inv = np.linalg.inv(Au)
-    eta = _lifted_errors(map, po) @ s.basis_inv.T   # (n_err, d) adapted error coords
-    eta_s, eta_u = eta[:, :ds], eta[:, ds:]
+    stable_step, unstable_step = _block_step(As), _block_step(Au_inv)
+    # adapted error coordinates, time-major (n_err, m, d) so that each step
+    # reads one contiguous row
+    eta = (errors @ s.basis_inv.T).transpose(1, 0, 2).copy()
+    eta_s, eta_u = list(eta[:, :, :ds]), list(eta[:, :, ds:])
+    # one row past the orbit: the stable pass over a whole period ends in
+    # zeta_s[n], and a periodic unstable sweep starts from zeta_u[n] = zeta_u[0]
+    zeta_s = np.zeros((n + 1, m, ds))
+    zeta_u = np.zeros((n + 1, m, d - ds))
+    rows_s, rows_u = list(zeta_s), list(zeta_u)
+    scratch = np.empty((m, d - ds))
 
-    zeta_s = np.zeros((n, ds))
-    zeta_u = np.zeros((n, d - ds))
-    if po.periodic:
-        # One affine pass determines the unique cyclic fixed point per block;
-        # both passes only ever apply contracting matrices.
-        run = np.zeros(ds)
-        Ms = np.eye(ds)
-        for j in range(n):
-            run = As @ run - eta_s[j]
-            Ms = As @ Ms
-        zeta_s[0] = np.linalg.solve(np.eye(ds) - Ms, run)
+    def forward(stop):  # zeta_s[j+1] = As zeta_s[j] - eta_s[j] for j < stop
+        for j in range(stop):
+            z = rows_s[j + 1]
+            stable_step(rows_s[j], z)
+            np.subtract(z, eta_s[j], out=z)
 
-        du = d - ds
-        run = np.zeros(du)
-        Mu = np.eye(du)
-        for j in range(n - 1, -1, -1):
-            run = Au_inv @ (run + eta_u[j])
-            Mu = Au_inv @ Mu
-        zeta_u[0] = np.linalg.solve(np.eye(du) - Mu, run)
+    def backward(stop):  # zeta_u[j] = Au^-1 (zeta_u[j+1] + eta_u[j]) for j >= stop
+        for j in range(n_err - 1, stop - 1, -1):
+            np.add(rows_u[j + 1], eta_u[j], out=scratch)
+            unstable_step(scratch, rows_u[j])
 
-    # stable block forward from index 0; unstable block backward from the
-    # right end (zero for a segment, the wrap index n == 0 when periodic),
-    # so every factor applied is contracting
-    for j in range(n - 1):
-        zeta_s[j + 1] = As @ zeta_s[j] - eta_s[j]
-    for j in reversed(range(int(po.periodic), len(eta))):
-        zeta_u[j] = Au_inv @ (zeta_u[(j + 1) % n] + eta_u[j])
+    if periodic:
+        # One pass from zero over the period gives the affine map whose
+        # unique fixed point is the cyclic start of each block; both passes
+        # only ever apply contracting matrices.
+        forward(n)
+        backward(0)
+        zeta_s[0] = _solve_each(np.eye(ds) - _power(As, n), zeta_s[n])
+        zeta_u[0] = zeta_u[n] = _solve_each(np.eye(d - ds) - _power(Au_inv, n), zeta_u[0])
 
-    corrections = np.hstack([zeta_s, zeta_u]) @ s.basis.T
-    return _result_from_orbit(map, po, corrections, iterations=0, converged=True,
-                              method="exact")
+    # stable block forward from index 0, unstable block backward from the
+    # right end, so every factor applied is contracting
+    forward(n - 1)
+    backward(int(periodic))
+    # per-orbit (n, d) @ (d, d) products, as one orbit alone is transformed
+    zeta = np.concatenate([zeta_s[:n], zeta_u[:n]], axis=2).transpose(1, 0, 2)
+    return np.ascontiguousarray(zeta) @ s.basis.T
 
 
 def _newton_jacobian(map: ToralAutomorphism, n: int, periodic: bool) -> sp.csr_matrix:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from shadowbench import closure
+from shadowbench import closure, shadowing
 from shadowbench.closure import (
     ClosureTrace,
     SamplingParams,
@@ -25,7 +25,7 @@ from shadowbench.closure import (
     sample_pseudo_orbits,
     shadowing_closure,
 )
-from shadowbench.shadowing import PseudoOrbit, newton_shadow
+from shadowbench.shadowing import PseudoOrbit, exact_shadow_linear, newton_shadow
 from shadowbench.torus import ToralAutomorphism, TorusPoint, torus_distance, wrap
 
 
@@ -379,6 +379,15 @@ class TestSamplePseudoOrbits:
         assert all(v == (0.0, 0.0) for v in seq[:k])
         assert all(v == (0.8, 0.6) for v in seq[k + 1:])
 
+    @pytest.mark.parametrize("field, value", [("max_cycle_len", -1), ("max_cycle_len", 0),
+                                              ("path_len", 0), ("n_paths", -1)])
+    def test_invalid_params_rejected_on_lazy_graph(self, cat, rng, field, value):
+        # a lazy graph never enumerates cycles, so only the params can refuse
+        g = build_graph(cat, SetApprox.build(rng.random((40, 2)), 0.02), 0.3, edge_cap=0)
+        assert not g.materialized
+        with pytest.raises(ValueError, match=field):
+            sample_pseudo_orbits(g, params=SamplingParams(**{field: value}))
+
     def test_determinism(self, cat, rng):
         sa = SetApprox.build(rng.random((12, 2)), 0.02)
         g = build_graph(cat, sa, delta=0.3)
@@ -485,6 +494,31 @@ class TestShadowingClosure:
         res = newton_shadow(cat, po)
         dists = out.distance_to(res.orbit)
         assert np.max(dists) <= out.resolution / 2 + 1e-9
+
+    def test_step_builds_no_per_orbit_pseudo_orbit_or_result(self, cat, monkeypatch):
+        calls = {"from_map": 0, "result": 0}
+        from_map = PseudoOrbit.from_map.__func__
+        result_from_orbit = shadowing._result_from_orbit
+
+        def counted_from_map(cls, *args, **kwargs):
+            calls["from_map"] += 1
+            return from_map(cls, *args, **kwargs)
+
+        def counted_result(*args, **kwargs):
+            calls["result"] += 1
+            return result_from_orbit(*args, **kwargs)
+
+        monkeypatch.setattr(PseudoOrbit, "from_map", classmethod(counted_from_map))
+        monkeypatch.setattr(shadowing, "_result_from_orbit", counted_result)
+        sa = SetApprox.build(np.vstack([[[0.0, 0.0]], homoclinic_points(cat, n_window=3)]), 0.02)
+        out = shadowing_closure(cat, sa, delta=0.05,
+                                params=SamplingParams(seed=5, n_paths=8, max_cycle_len=10))
+        assert len(out) > len(sa)
+        assert calls == {"from_map": 0, "result": 0}
+        # the counters see the per-orbit path when it runs
+        exact_shadow_linear(cat, PseudoOrbit.from_map(cat, out.points[:1], periodic=True),
+                            max_defect=np.inf)
+        assert calls == {"from_map": 1, "result": 1}
 
 
 class TestGamma:

@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
 
+from shadowbench.closure import (
+    SamplingParams,
+    SetApprox,
+    _shadow_windows,
+    build_graph,
+    sample_pseudo_orbits,
+)
 from shadowbench.shadowing import (
     FlowPseudoTrajectory,
     PseudoOrbit,
     Reparameterization,
     ShadowResult,
     ShadowingRefusal,
+    _lifted_errors,
     _newton_jacobian,
+    _result_from_orbit,
+    _series_corrections,
+    _step_pairs,
     exact_shadow_linear,
     expansivity_test,
     flow_defect,
@@ -22,6 +33,7 @@ from shadowbench.shadowing import (
 )
 from shadowbench.torus import (
     SuspensionFlow,
+    ToralAutomorphism,
     TorusPoint,
     minimal_lift,
     torus_distance,
@@ -32,10 +44,10 @@ from shadowbench.torus import (
 
 def noisy_orbit(map, rng, length, eps, start=None):
     """Pseudo-orbit with each step perturbed by a vector of norm < eps."""
-    x = rng.random(2) if start is None else np.asarray(start, float)
+    x = rng.random(map.dim) if start is None else np.asarray(start, float)
     pts = [x]
     for _ in range(length - 1):
-        direction = rng.standard_normal(2)
+        direction = rng.standard_normal(map.dim)
         direction *= rng.uniform(0, eps) / np.linalg.norm(direction)
         x = wrap(map.matrix.astype(float) @ x + direction)
         pts.append(x)
@@ -193,6 +205,145 @@ class TestNewtonShadow:
         newton = newton_shadow(F, po)
         assert newton.converged
         assert torus_distance(exact.point, newton.point) < 1e-10
+
+
+def series_loop(map, errors, n, periodic):
+    """Reference: the per-orbit time loop of `exact_shadow_linear` before the
+    batched kernel; corrections (n, d) from one orbit's lifted errors."""
+    s = map.splitting
+    d = map.dim
+    ds = s.stable_dim
+    A_ad = s.basis_inv @ map.matrix.astype(float) @ s.basis
+    As, Au = A_ad[:ds, :ds], A_ad[ds:, ds:]
+    Au_inv = np.linalg.inv(Au)
+    eta = errors @ s.basis_inv.T
+    eta_s, eta_u = eta[:, :ds], eta[:, ds:]
+
+    zeta_s = np.zeros((n, ds))
+    zeta_u = np.zeros((n, d - ds))
+    if periodic:
+        run = np.zeros(ds)
+        Ms = np.eye(ds)
+        for j in range(n):
+            run = As @ run - eta_s[j]
+            Ms = As @ Ms
+        zeta_s[0] = np.linalg.solve(np.eye(ds) - Ms, run)
+
+        du = d - ds
+        run = np.zeros(du)
+        Mu = np.eye(du)
+        for j in range(n - 1, -1, -1):
+            run = Au_inv @ (run + eta_u[j])
+            Mu = Au_inv @ Mu
+        zeta_u[0] = np.linalg.solve(np.eye(du) - Mu, run)
+
+    for j in range(n - 1):
+        zeta_s[j + 1] = As @ zeta_s[j] - eta_s[j]
+    for j in reversed(range(int(periodic), len(eta))):
+        zeta_u[j] = Au_inv @ (zeta_u[(j + 1) % n] + eta_u[j])
+    return np.hstack([zeta_s, zeta_u]) @ s.basis.T
+
+
+# 3-D maps with a 1x1 stable and 2x2 unstable block, and the reverse
+THREE_D = {"3d_stable1": [[2, 1, 0], [1, 1, 1], [0, 1, 1]],
+           "3d_stable2": [[2, 1, 1], [1, 1, 0], [1, 0, 0]]}
+
+
+@pytest.fixture(params=["cat", "golden", "3d_stable1", "3d_stable2", "crovisier"])
+def series_map(request):
+    if request.param in THREE_D:
+        map = ToralAutomorphism(THREE_D[request.param])
+        assert map.splitting.stable_dim == int(request.param[-1])
+        return map
+    fixture = request.getfixturevalue(request.param)
+    return fixture.as_automorphism() if request.param == "crovisier" else fixture
+
+
+def assert_kernel_matches_loop(map, errors, n, periodic):
+    """The kernel on the whole stack (m > 1) and on each orbit alone
+    (m = 1) gives the reference loop's corrections bit for bit."""
+    stacked = _series_corrections(map, errors, n, periodic)
+    assert stacked.shape == (len(errors), n, map.dim)
+    for k, orbit_errors in enumerate(errors):
+        expected = series_loop(map, orbit_errors, n, periodic).tobytes()
+        assert stacked[k].tobytes() == expected
+        assert _series_corrections(map, orbit_errors[None], n, periodic)[0].tobytes() == expected
+
+
+def cat_closure_samples(cat):
+    """Pseudo-orbits sampled on a 7 x 7 net around the fixed point (0, 0),
+    grouped by (length, periodic) in sample order."""
+    axis = np.arange(-3, 4) * 0.011
+    sa = SetApprox(wrap(np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)), 0.02)
+    sampled = sample_pseudo_orbits(build_graph(cat, sa, 0.025),
+                                   params=SamplingParams(max_cycle_len=3, n_paths=12,
+                                                         path_len=6, seed=2))
+    groups: dict = {}
+    for po in sampled.orbits:
+        groups.setdefault((len(po), po.periodic), []).append(po)
+    return groups
+
+
+class TestSeriesKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_matches_loop(self, series_map, n, periodic, rng):
+        # n = 1 periodic is a one-point cycle, n = 2 a single-step segment
+        orbits = [PseudoOrbit(noisy_orbit(series_map, rng, n, 1e-2), 0.0, periodic=periodic)
+                  for _ in range(6)]
+        errors = np.stack([_lifted_errors(series_map, po) for po in orbits])
+        assert_kernel_matches_loop(series_map, errors, n, periodic)
+
+    def test_true_orbits_and_empty_stack(self, series_map):
+        d = series_map.dim
+        assert_kernel_matches_loop(series_map, np.zeros((3, 4, d)), 4, True)
+        assert_kernel_matches_loop(series_map, np.zeros((3, 3, d)), 4, False)
+        assert _series_corrections(series_map, np.zeros((0, 4, d)), 4, True).shape == (0, 4, d)
+
+    def test_exact_shadow_is_the_loop_result(self, series_map, rng):
+        for periodic in (False, True):
+            po = PseudoOrbit.from_map(series_map, noisy_orbit(series_map, rng, 30, 1e-3),
+                                      periodic=periodic)
+            res = exact_shadow_linear(series_map, po, max_defect=np.inf)
+            ref = _result_from_orbit(series_map, po,
+                                     series_loop(series_map, _lifted_errors(series_map, po),
+                                                 len(po), periodic),
+                                     iterations=0, converged=True, method="exact")
+            assert res.orbit.tobytes() == ref.orbit.tobytes()
+            assert res.per_index.tobytes() == ref.per_index.tobytes()
+            assert res.sup_distance_adapted == ref.sup_distance_adapted
+
+    def test_cat_closure_samples(self, cat):
+        groups = cat_closure_samples(cat)
+        assert any(p and len(g) > 1 for (_, p), g in groups.items())
+        assert any(not p and len(g) > 1 for (_, p), g in groups.items())
+        for (n, periodic), orbits in groups.items():
+            X = np.stack([po.points for po in orbits])
+            images, successors = _step_pairs(cat, X, periodic)
+            errors = minimal_lift(successors - images)
+            for po, orbit_errors in zip(orbits, errors):
+                assert orbit_errors.tobytes() == _lifted_errors(cat, po).tobytes()
+            assert_kernel_matches_loop(cat, errors, n, periodic)
+
+    def test_closure_windows_match_per_orbit_gate_and_loop(self, cat):
+        groups = cat_closure_samples(cat)
+        defects = {id(po): PseudoOrbit.from_map(cat, po.points, periodic=po.periodic).defect
+                   for orbits in groups.values() for po in orbits}
+        # the gate admits every sample, about half of them, then none
+        for limit in (np.inf, float(np.median(list(defects.values()))), 0.0):
+            admitted_any = refused_any = False
+            for (n, periodic), orbits in groups.items():
+                windows, admitted = _shadow_windows(
+                    cat, np.stack([po.points for po in orbits]), periodic, limit)
+                assert admitted.tolist() == [defects[id(po)] < limit for po in orbits]
+                expected = [wrap(po.points + series_loop(cat, _lifted_errors(cat, po),
+                                                         n, periodic))
+                            for po, ok in zip(orbits, admitted) if ok]
+                assert windows.shape == (len(expected), n, 2)
+                assert [w.tobytes() for w in windows] == [w.tobytes() for w in expected]
+                admitted_any |= bool(admitted.any())
+                refused_any |= not admitted.all()
+            assert (admitted_any, refused_any) == (limit > 0, limit < np.inf)
 
 
 class TestNewtonJacobian:
