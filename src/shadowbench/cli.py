@@ -71,15 +71,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def violations(self) -> list[str]:
-        out = []
-        for name in ("delta", "resolution", "u_radius"):
-            if getattr(self, name) <= 0:
-                out.append(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("max_iter", "max_cycle_len", "path_len"):
-            if getattr(self, name) < 1:
-                out.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_paths < 0:
-            out.append(f"n_paths must be >= 0, got {self.n_paths}")
+        out = [f"{name} must be positive, got {getattr(self, name)}"
+               for name in ("delta", "resolution", "u_radius") if getattr(self, name) <= 0]
+        if self.max_iter < 1:
+            out.append(f"max_iter must be >= 1, got {self.max_iter}")
+        try:
+            self.sampling()
+        except ValueError as exc:  # SamplingParams owns the sampling rules
+            out.append(str(exc))
         return out
 
     def sampling(self) -> SamplingParams:
@@ -214,13 +213,8 @@ def cmd_sft(args) -> int:
     if args.maximal:
         k = is_locally_maximal(s, args.maximal)
         entry: dict = {"kmax": args.maximal, "k": k}
-        if k is None:
-            w = None
-            for kk in range(1, args.maximal + 1):
-                w = equality_witness(s, kk)
-                if w is not None:
-                    break
-            entry["witness"] = w.to_text() if w is not None else None
+        if k is None:  # every window has a witness, so the first one does
+            entry["witness"] = equality_witness(s, 1).to_text()
         payload["locally_maximal"] = entry
     if args.member:
         if not args.window:

@@ -60,14 +60,6 @@ def _torus_tree(points: np.ndarray) -> cKDTree:
     return cKDTree(wrap(points), boxsize=1.0)
 
 
-def _torus_gap(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Rowwise torus distance of wrapped points, rounded as the periodic
-    KD-tree rounds it, so its hits can be re-checked with a strict `<`."""
-    delta = np.abs(P - Q)
-    delta = np.minimum(delta, 1.0 - delta)
-    return np.sqrt(np.sum(delta * delta, axis=-1))
-
-
 class SetApprox:
     """Finite r-net approximating a compact subset of T^d.
 
@@ -92,7 +84,8 @@ class SetApprox:
         self._tree: cKDTree | None = None
         if _validate and len(pts) > 1:
             pairs = self.tree.query_pairs(r=resolution / 2.0, output_type="ndarray")
-            pairs = pairs[_torus_gap(pts[pairs[:, 0]], pts[pairs[:, 1]]) < resolution / 2.0]
+            gaps = torus_distance_array(pts[pairs[:, 0]], pts[pairs[:, 1]])
+            pairs = pairs[gaps < resolution / 2.0]
             if len(pairs):
                 i, j = pairs[0]
                 raise ValueError(
@@ -175,7 +168,7 @@ def _greedy_net(points: np.ndarray, threshold: float) -> np.ndarray:
             kept.append(i)
             # the query ball is closed: keep only hits strictly inside
             near = np.asarray(tree.query_ball_point(points[i], r=threshold), dtype=int)
-            covered[near[_torus_gap(points[near], points[i]) < threshold]] = True
+            covered[near[torus_distance_array(points[near], points[i]) < threshold]] = True
     return points[kept]
 
 

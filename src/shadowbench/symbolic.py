@@ -40,6 +40,17 @@ __all__ = [
 
 _WORD_RE = re.compile(r"^\(([0-9a-z]+)\)([0-9a-z]*)\(([0-9a-z]+)\)$")
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_ENUMERATION_CAP = 10_000_000  # words over the alphabet a periodic-point search may try
+
+
+def _cyclic(cycle: tuple[int, ...], start: int, stop: int) -> tuple[int, ...]:
+    """Positions [start, stop) of the cycle repeated forever both ways,
+    position 0 being cycle[0]; empty when stop <= start."""
+    if stop <= start:
+        return ()
+    n = len(cycle)
+    first = start % n
+    return (cycle * -(-(first + stop - start) // n))[first:first + stop - start]
 
 
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -99,16 +110,18 @@ class PeriodicWord:
     def core_hi(self) -> int:
         return len(self.core) - self.offset
 
-    def symbol_at(self, i: int) -> int:
-        j = i + self.offset
-        if j < 0:
-            return self.left_cycle[j % len(self.left_cycle)]
-        if j >= len(self.core):
-            return self.right_cycle[(j - len(self.core)) % len(self.right_cycle)]
-        return self.core[j]
-
     def window(self, start: int, length: int) -> tuple[int, ...]:
-        return tuple(self.symbol_at(start + i) for i in range(length))
+        """Symbols at indices [start, start + length): the repeated left
+        cycle, the core and the repeated right cycle, one slice each."""
+        lo = start + self.offset
+        hi = lo + length
+        n = len(self.core)
+        return (_cyclic(self.left_cycle, lo, min(hi, 0))
+                + self.core[max(lo, 0):max(min(hi, n), 0)]
+                + _cyclic(self.right_cycle, max(lo, n) - n, hi - n))
+
+    def symbol_at(self, i: int) -> int:
+        return self.window(i, 1)[0]
 
     def shift(self, n: int) -> "PeriodicWord":
         """sigma^n: the word with w'(i) = w(i + n)."""
@@ -123,33 +136,31 @@ class PeriodicWord:
         right_period = math.lcm(len(self.right_cycle), len(other.right_cycle))
         lo = min(self.core_lo, other.core_lo) - left_period
         hi = max(self.core_hi, other.core_hi) + right_period
-        return all(self.symbol_at(i) == other.symbol_at(i) for i in range(lo, hi))
+        return self.window(lo, hi - lo) == other.window(lo, hi - lo)
 
     def periodic_root(self) -> tuple[int, ...] | None:
-        """Canonical cycle when the word is globally periodic, else None."""
-        bound = 2 * math.lcm(len(self.left_cycle), len(self.right_cycle)) + len(self.core)
-        for p in range(1, bound + 1):
-            if self.agrees_with(self.shift(p)):
-                return canonical_cycle(self.window(0, p))
-        return None
+        """Canonical cycle when the word is globally periodic, else None.
+        A globally periodic word also has the period of its right tail, so
+        one shift by len(right_cycle) decides periodicity."""
+        r = len(self.right_cycle)
+        if not self.agrees_with(self.shift(r)):
+            return None
+        return canonical_cycle(self.window(0, r))
 
     def limit_cycles(self) -> set[tuple[int, ...]]:
         """Canonical cycles of the periodic orbits in this word's orbit
-        closure: the two tail cycles, plus the word itself if periodic."""
-        out = {canonical_cycle(self.left_cycle), canonical_cycle(self.right_cycle)}
-        root = self.periodic_root()
-        if root is not None:
-            out.add(root)
-        return out
+        closure: the two tail cycles (a periodic word is its right tail's
+        orbit, so it adds no third)."""
+        return {canonical_cycle(self.left_cycle), canonical_cycle(self.right_cycle)}
 
     def canonical(self) -> "PeriodicWord":
         """Offset-free minimal-core representative of the same sequence."""
         L, R = len(self.left_cycle), len(self.right_cycle)
         lo = min(self.core_lo, 0)
         hi = max(self.core_hi, 0)
-        left = tuple(self.symbol_at(i) for i in range(lo - L, lo))
-        core = list(self.symbol_at(i) for i in range(lo, hi))
-        right = tuple(self.symbol_at(i) for i in range(hi, hi + R))
+        left = self.window(lo - L, L)
+        core = list(self.window(lo, hi - lo))
+        right = self.window(hi, R)
         while core and core[-1] == right[-1]:
             core.pop()
             right = (right[-1],) + right[:-1]
@@ -199,8 +210,10 @@ def shift_metric_with_bound(a: PeriodicWord, b: PeriodicWord,
     if precision > 50:
         raise ValueError("precision beyond 50 is not exactly representable")
     total = 0.0
-    for i in range(-precision, precision + 1):
-        if a.symbol_at(i) != b.symbol_at(i):
+    n = 2 * precision + 1
+    for i, (x, y) in enumerate(zip(a.window(-precision, n), b.window(-precision, n)),
+                               start=-precision):
+        if x != y:
             total += 2.0 ** -abs(i)
     if _tails_agree(a, b, precision):
         return total, 0.0
@@ -210,11 +223,11 @@ def shift_metric_with_bound(a: PeriodicWord, b: PeriodicWord,
 def _tails_agree(a: PeriodicWord, b: PeriodicWord, precision: int) -> bool:
     right_from = max(a.core_hi, b.core_hi, precision + 1)
     rp = math.lcm(len(a.right_cycle), len(b.right_cycle))
-    if any(a.symbol_at(i) != b.symbol_at(i) for i in range(right_from, right_from + rp)):
+    if a.window(right_from, rp) != b.window(right_from, rp):
         return False
     left_from = min(a.core_lo, b.core_lo, -precision - 1)
     lp = math.lcm(len(a.left_cycle), len(b.left_cycle))
-    return all(a.symbol_at(i) == b.symbol_at(i) for i in range(left_from - lp, left_from))
+    return a.window(left_from - lp, lp) == b.window(left_from - lp, lp)
 
 
 @dataclass(frozen=True)
@@ -236,25 +249,23 @@ class SubshiftPresentation:
         """Canonical cycles of every periodic orbit in the presented set:
         an orbit closure of eventually-periodic words contains exactly the
         generators' tail cycles and the periodic generators themselves."""
-        out: set[tuple[int, ...]] = set()
-        for g in self.generators:
-            out |= g.limit_cycles()
-        return out
+        return set().union(*(g.limit_cycles() for g in self.generators))
 
 
 def language(s: SubshiftPresentation, k: int) -> tuple[tuple[int, ...], ...]:
     """All length-k words occurring in the presented set, sorted.
 
     Unrolling each generator one tail period past its core on both sides
-    visits every window position class exactly.
+    visits every window position class; its k-blocks are slices of it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     words: set[tuple[int, ...]] = set()
     for g in s.generators:
-        L, R = len(g.left_cycle), len(g.right_cycle)
-        for p in range(g.core_lo - k - L + 1, g.core_hi + R):
-            words.add(g.window(p, k))
+        lo = g.core_lo - k - len(g.left_cycle) + 1
+        count = g.core_hi + len(g.right_cycle) - lo
+        unrolled = g.window(lo, count + k - 1)
+        words.update(unrolled[p:p + k] for p in range(count))
     return tuple(sorted(words))
 
 
@@ -280,23 +291,25 @@ class SFT:
     def admits_cycle(self, cycle: Sequence[int]) -> bool:
         """Does cycle^infinity belong to M_W?  Checks the cyclic windows."""
         c = tuple(cycle)
-        n = len(c)
-        reps = -(-self.k // n) + 1
-        unrolled = c * reps
-        return all(tuple(unrolled[i: i + self.k]) in self.words for i in range(n))
+        unrolled = _cyclic(c, 0, len(c) + self.k - 1)
+        return all(unrolled[i:i + self.k] in self.words for i in range(len(c)))
 
-    def periodic_cycles(self, max_period: int, *, cap: int = 10_000_000) -> set[tuple[int, ...]]:
+    def periodic_cycles(self, max_period: int) -> set[tuple[int, ...]]:
         """Canonical cycles of all periodic points with period <= max_period,
         by exhaustive enumeration over the alphabet."""
+        return set(self._cycles_in_order(max_period))
+
+    def _cycles_in_order(self, max_period: int):
+        """The canonical admissible cycles of period <= max_period, shortest
+        first and lexicographically within a length.  Refuses before the
+        first candidate when the enumeration would exceed the fixed cap."""
         total = sum(self.alphabet_size ** p for p in range(1, max_period + 1))
-        if total > cap:
+        if total > _ENUMERATION_CAP:
             raise ValueError(f"periodic-point enumeration of {total} words exceeds cap")
-        out: set[tuple[int, ...]] = set()
         for p in range(1, max_period + 1):
             for cand in iproduct(range(self.alphabet_size), repeat=p):
                 if canonical_cycle(cand) == cand and self.admits_cycle(cand):
-                    out.add(cand)
-        return out
+                    yield cand
 
 
 def sft_closure(s: SubshiftPresentation, k: int) -> SFT:
@@ -368,28 +381,27 @@ def as_presentation(t: SFT) -> SubshiftPresentation:
 def equality_witness(s: SubshiftPresentation, k: int,
                      period_bound: int | None = None) -> PeriodicWord | None:
     """A periodic point of the window-k closure that is not in the set, or
-    None if none exists up to the period bound (default 2k)."""
+    None if none exists up to the period bound (default 2k); the first
+    such cycle, shortest first and lexicographic within a length."""
+    if period_bound is not None and period_bound < 1:
+        raise ValueError(f"period_bound must be >= 1, got {period_bound}")
     t = sft_closure(s, k)
     bound = 2 * k if period_bound is None else period_bound
     have = s.periodic_cycles()
-    for cyc in sorted(t.periodic_cycles(bound), key=lambda c: (len(c), c)):
-        if cyc not in have:
-            return PeriodicWord.from_cycle(cyc, s.alphabet_size)
-    return None
+    cyc = next((c for c in t._cycles_in_order(bound) if c not in have), None)
+    return None if cyc is None else PeriodicWord.from_cycle(cyc, s.alphabet_size)
 
 
 def is_locally_maximal(s: SubshiftPresentation, kmax: int,
                        period_bound: int | None = None) -> int | None:
     """Smallest window k <= kmax at which the set equals the SFT over its
     own language, decided through periodic points up to the period bound
-    plus generator membership; None when every k fails."""
-    for k in range(1, kmax + 1):
-        t = sft_closure(s, k)
-        if not all(is_member(t, g) for g in s.generators):
-            continue  # cannot happen for the set's own language; kept as a guard
-        if equality_witness(s, k, period_bound) is None:
-            return k
-    return None
+    (the generators always lie in the SFT over their own language); None
+    when every k fails."""
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    return next((k for k in range(1, kmax + 1)
+                 if equality_witness(s, k, period_bound) is None), None)
 
 
 def stabilization_check(s: SubshiftPresentation, k: int) -> bool:
@@ -425,24 +437,18 @@ def symbolic_shadow(t: SFT, pseudo: Sequence[PeriodicWord], delta: float,
             raise ValueError(f"pseudo-orbit gap at index {start_index + i}: "
                              f"dist(sigma w_i, w_i+1) = {val} >= {delta}")
 
+    # global index i reads the first word's past before start_index, entry
+    # i - start_index's symbol 0 up to end_index, the last word's future after
     first, last = pseudo[0], pseudo[-1]
     end_index = start_index + len(pseudo) - 1
     lo = min(start_index + first.core_lo, start_index)
     hi = max(end_index + last.core_hi, end_index + 1)
-
-    def global_symbol(i: int) -> int:
-        if i < start_index:
-            return first.symbol_at(i - start_index)
-        if i > end_index:
-            return last.symbol_at(i - end_index)
-        return pseudo[i - start_index].symbol_at(0)
-
     L = len(first.left_cycle)
     R = len(last.right_cycle)
-    left = tuple(global_symbol(i) for i in range(lo - L, lo))
-    core = tuple(global_symbol(i) for i in range(lo, hi))
-    right = tuple(global_symbol(i) for i in range(hi, hi + R))
-    result = PeriodicWord(left, core, right, t.alphabet_size, offset=-lo)
+    past = first.window(lo - L - start_index, start_index - lo + L)
+    future = last.window(1, hi - end_index - 1 + R)
+    core = past[L:] + tuple(w.window(0, 1)[0] for w in pseudo) + future[:-R]
+    result = PeriodicWord(past[:L], core, future[-R:], t.alphabet_size, offset=-lo)
 
     if not is_member(t, result):
         raise ValueError("spliced shadow left the SFT: the pseudo-orbit words are not in it")

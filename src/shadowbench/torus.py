@@ -123,8 +123,12 @@ def torus_distance(p: TorusPoint | np.ndarray, q: TorusPoint | np.ndarray) -> fl
 
 
 def torus_distance_array(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Rowwise torus distance between two (n, d) coordinate arrays."""
-    return np.linalg.norm(minimal_lift(np.asarray(P) - np.asarray(Q)), axis=-1)
+    """Rowwise torus distance between two (n, d) coordinate arrays, from
+    min(|Δ| mod 1, 1 − |Δ| mod 1) per coordinate: symmetric in P and Q, and
+    rounded as the periodic KD-tree rounds it."""
+    delta = np.abs(np.asarray(P, dtype=float) - np.asarray(Q, dtype=float)) % 1.0
+    delta = np.minimum(delta, 1.0 - delta)
+    return np.sqrt(np.sum(delta * delta, axis=-1))
 
 
 @dataclass(frozen=True)

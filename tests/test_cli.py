@@ -77,6 +77,14 @@ class TestClosureCommand:
         assert code == 1
         assert "delta must be positive" in payload["error"]["message"]
 
+    def test_sampling_rule_message_from_sampling_params(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x0,x1\n0.0,0.0\n")
+        code, payload = run(["closure", "--points", str(pts),
+                             "--max-cycle-len", "0"], capsys)
+        assert code == 1
+        assert "max_cycle_len must be >= 1, got 0" in payload["error"]["message"]
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         pts.write_text("x0,x1\n0.0,0.0\n")
@@ -117,6 +125,13 @@ class TestSftCommand:
         assert code == 0
         assert payload["locally_maximal"]["k"] is None
         assert payload["locally_maximal"]["witness"] is not None
+
+    def test_maximal_below_one_exit_one(self, tmp_path, capsys):
+        words = self._write(tmp_path, ["(0)(0)", "(01)(01)"])
+        code, payload = run(["sft", "--words", str(words), "--alphabet", "2",
+                             "--maximal", "-1"], capsys)
+        assert code == 1
+        assert "kmax must be >= 1, got -1" in payload["error"]["message"]
 
     def test_member_query(self, tmp_path, capsys):
         words = self._write(tmp_path, ["(0)(0)", "(01)(01)"])

@@ -1,3 +1,7 @@
+import math
+from dataclasses import replace
+from itertools import product as iproduct
+
 import numpy as np
 import pytest
 
@@ -341,3 +345,277 @@ def test_canonical_cycle_primitive_and_minimal():
     assert canonical_cycle((1, 0, 1, 0)) == (0, 1)
     assert canonical_cycle((2, 1, 0)) == (0, 2, 1)
     assert canonical_cycle((1, 1, 1)) == (1,)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-index code the module used before it
+# worked on whole windows.  The window code must give the same answers.
+
+
+def ref_symbol_at(w, i):
+    j = i + w.offset
+    if j < 0:
+        return w.left_cycle[j % len(w.left_cycle)]
+    if j >= len(w.core):
+        return w.right_cycle[(j - len(w.core)) % len(w.right_cycle)]
+    return w.core[j]
+
+
+def ref_window(w, start, length):
+    return tuple(ref_symbol_at(w, start + i) for i in range(length))
+
+
+def ref_agrees(a, b):
+    if a.alphabet_size != b.alphabet_size:
+        return False
+    lp = math.lcm(len(a.left_cycle), len(b.left_cycle))
+    rp = math.lcm(len(a.right_cycle), len(b.right_cycle))
+    lo = min(a.core_lo, b.core_lo) - lp
+    hi = max(a.core_hi, b.core_hi) + rp
+    return all(ref_symbol_at(a, i) == ref_symbol_at(b, i) for i in range(lo, hi))
+
+
+def ref_periodic_root(w):
+    bound = 2 * math.lcm(len(w.left_cycle), len(w.right_cycle)) + len(w.core)
+    for p in range(1, bound + 1):
+        if ref_agrees(w, w.shift(p)):
+            return canonical_cycle(ref_window(w, 0, p))
+    return None
+
+
+def ref_limit_cycles(w):
+    out = {canonical_cycle(w.left_cycle), canonical_cycle(w.right_cycle)}
+    root = ref_periodic_root(w)
+    if root is not None:
+        out.add(root)
+    return out
+
+
+def ref_canonical(w):
+    L, R = len(w.left_cycle), len(w.right_cycle)
+    lo = min(w.core_lo, 0)
+    hi = max(w.core_hi, 0)
+    left = tuple(ref_symbol_at(w, i) for i in range(lo - L, lo))
+    core = [ref_symbol_at(w, i) for i in range(lo, hi)]
+    right = tuple(ref_symbol_at(w, i) for i in range(hi, hi + R))
+    while core and core[-1] == right[-1]:
+        core.pop()
+        right = (right[-1],) + right[:-1]
+    while core and core[0] == left[0]:
+        core = core[1:]
+        left = left[1:] + (left[0],)
+        lo += 1
+    return PeriodicWord(left, tuple(core), right, w.alphabet_size, offset=-lo)
+
+
+def ref_metric(a, b, precision):
+    total = 0.0
+    for i in range(-precision, precision + 1):
+        if ref_symbol_at(a, i) != ref_symbol_at(b, i):
+            total += 2.0 ** -abs(i)
+    right_from = max(a.core_hi, b.core_hi, precision + 1)
+    rp = math.lcm(len(a.right_cycle), len(b.right_cycle))
+    left_from = min(a.core_lo, b.core_lo, -precision - 1)
+    lp = math.lcm(len(a.left_cycle), len(b.left_cycle))
+    tails = (all(ref_symbol_at(a, i) == ref_symbol_at(b, i)
+                 for i in range(right_from, right_from + rp))
+             and all(ref_symbol_at(a, i) == ref_symbol_at(b, i)
+                     for i in range(left_from - lp, left_from)))
+    return total, 0.0 if tails else 4.0 / 2 ** precision
+
+
+def ref_language(s, k):
+    words = set()
+    for g in s.generators:
+        L, R = len(g.left_cycle), len(g.right_cycle)
+        for p in range(g.core_lo - k - L + 1, g.core_hi + R):
+            words.add(ref_window(g, p, k))
+    return tuple(sorted(words))
+
+
+def ref_periodic_cycles(t, max_period):
+    out = set()
+    for p in range(1, max_period + 1):
+        for cand in iproduct(range(t.alphabet_size), repeat=p):
+            if canonical_cycle(cand) == cand and t.admits_cycle(cand):
+                out.add(cand)
+    return out
+
+
+def ref_witness(s, k, period_bound=None):
+    t = SFT(s.alphabet_size, k, frozenset(ref_language(s, k)))
+    bound = 2 * k if period_bound is None else period_bound
+    have = set().union(*(ref_limit_cycles(g) for g in s.generators))
+    for cyc in sorted(ref_periodic_cycles(t, bound), key=lambda c: (len(c), c)):
+        if cyc not in have:
+            return cyc
+    return None
+
+
+def ref_is_locally_maximal(s, kmax, period_bound=None):
+    for k in range(1, kmax + 1):
+        words = set(ref_language(s, k))
+        if not all(set(ref_language(SubshiftPresentation(s.alphabet_size, (g,)), k)) <= words
+                   for g in s.generators):
+            continue
+        if ref_witness(s, k, period_bound) is None:
+            return k
+    return None
+
+
+def ref_splice(pseudo, start_index, alphabet_size):
+    first, last = pseudo[0], pseudo[-1]
+    end_index = start_index + len(pseudo) - 1
+    lo = min(start_index + first.core_lo, start_index)
+    hi = max(end_index + last.core_hi, end_index + 1)
+
+    def global_symbol(i):
+        if i < start_index:
+            return ref_symbol_at(first, i - start_index)
+        if i > end_index:
+            return ref_symbol_at(last, i - end_index)
+        return ref_symbol_at(pseudo[i - start_index], 0)
+
+    L, R = len(first.left_cycle), len(last.right_cycle)
+    left = tuple(global_symbol(i) for i in range(lo - L, lo))
+    core = tuple(global_symbol(i) for i in range(lo, hi))
+    right = tuple(global_symbol(i) for i in range(hi, hi + R))
+    return PeriodicWord(left, core, right, alphabet_size, offset=-lo)
+
+
+def fields(w):
+    return (w.left_cycle, w.core, w.right_cycle, w.alphabet_size, w.offset)
+
+
+def random_test_word(rng):
+    """Alphabet of 2 or 3, offset in -6..6; one word in three is globally
+    periodic, written with a core and rotated tails."""
+    n = int(rng.integers(2, 4))
+    offset = int(rng.integers(-6, 7))
+    if rng.random() < 1 / 3:
+        c = tuple(int(v) for v in rng.integers(n, size=rng.integers(1, 5)))
+        j = int(rng.integers(len(c) + 1))
+        reps = int(rng.integers(0, 3))
+        core = c * reps + c[:j]
+        return PeriodicWord(c, core, c[j:] + c[:j], n, offset=offset)
+    w = random_word(rng, n)
+    return replace(w, offset=offset)
+
+
+def random_test_presentation(rng):
+    first = random_test_word(rng)
+    n = first.alphabet_size
+    more = []
+    for _ in range(int(rng.integers(0, 3))):
+        w = random_test_word(rng)
+        while w.alphabet_size != n:
+            w = random_test_word(rng)
+        more.append(w)
+    return SubshiftPresentation(n, (first, *more))
+
+
+class TestWindowCodeMatchesReference:
+    N_WORDS = 3000
+
+    def test_windows_roots_and_canonical_forms(self, rng):
+        periodic = 0
+        for _ in range(self.N_WORDS):
+            w = random_test_word(rng)
+            for start in range(-12, 13, 3):
+                for length in (0, 1, 2, 5, 11):
+                    assert w.window(start, length) == ref_window(w, start, length)
+            assert tuple(w.symbol_at(i) for i in range(-9, 10)) == ref_window(w, -9, 19)
+            root = w.periodic_root()
+            assert root == ref_periodic_root(w)
+            periodic += root is not None
+            assert w.limit_cycles() == ref_limit_cycles(w)
+            assert fields(w.canonical()) == fields(ref_canonical(w))
+            assert w.to_text() == w.canonical().to_text()
+            assert PeriodicWord.from_text(w.to_text(), w.alphabet_size).agrees_with(w)
+        assert periodic > self.N_WORDS // 4
+
+    def test_agreement_and_metric(self, rng):
+        for _ in range(self.N_WORDS):
+            a = random_test_word(rng)
+            other = random_test_word(rng)
+            while other.alphabet_size != a.alphabet_size:
+                other = random_test_word(rng)
+            b = [a.canonical(),          # the same sequence, another representation
+                 a.shift(int(rng.integers(-3, 4))),
+                 replace(a, left_cycle=other.left_cycle),    # differs in one tail at most
+                 replace(a, right_cycle=other.right_cycle),
+                 other][int(rng.integers(5))]
+            assert a.agrees_with(b) == ref_agrees(a, b)
+            for precision in (5, 20, 50):
+                assert shift_metric_with_bound(a, b, precision) == ref_metric(a, b, precision)
+
+    def test_language(self, rng):
+        for _ in range(1000):
+            s = random_test_presentation(rng)
+            for k in (1, 2, 3, 5):
+                assert language(s, k) == ref_language(s, k)
+
+    def test_witness_and_window_detection(self, rng):
+        for _ in range(150):
+            s = random_test_presentation(rng)
+            for k in (1, 2, 3):
+                w = equality_witness(s, k)
+                want = ref_witness(s, k)
+                assert (w.periodic_root() if w is not None else None) == want
+                if w is not None:
+                    assert fields(w) == fields(PeriodicWord.from_cycle(want, s.alphabet_size))
+            assert is_locally_maximal(s, 3) == ref_is_locally_maximal(s, 3)
+        s = even_shift_presentation()
+        for k in range(1, 5):
+            assert equality_witness(s, k, period_bound=10).periodic_root() == ref_witness(s, k, 10)
+
+    def test_periodic_cycles_set(self, rng):
+        for _ in range(100):
+            s = random_test_presentation(rng)
+            t = sft_closure(s, int(rng.integers(1, 4)))
+            bound = 6 if s.alphabet_size == 2 else 4
+            assert t.periodic_cycles(bound) == ref_periodic_cycles(t, bound)
+
+    def test_splice(self, rng):
+        checked = 0
+        for _ in range(600):
+            s = random_test_presentation(rng)
+            k = int(rng.integers(1, 4))
+            t = sft_closure(s, k)
+            g = s.generators[int(rng.integers(len(s.generators)))]
+            start = int(rng.integers(-6, 7))
+            pseudo = [g.shift(start + i) for i in range(int(rng.integers(1, 8)))]
+            index = int(rng.integers(-6, 7))
+            out = symbolic_shadow(t, pseudo, delta=2.0 ** -(k + 2), start_index=index)
+            assert fields(out) == fields(ref_splice(pseudo, index, s.alphabet_size))
+            checked += 1
+        h = PeriodicWord((0,), (), (1,), 2, offset=-8)
+        pseudo = [PeriodicWord.constant(0, 2)] * 4 + [h.shift(i) for i in range(4, 13)]
+        out = symbolic_shadow(SFT(2, 1, frozenset({(0,), (1,)})), pseudo, 0.2, start_index=-3)
+        assert fields(out) == fields(ref_splice(pseudo, -3, 2))
+        assert checked == 600
+
+
+class TestDecisionPreconditions:
+    def test_period_bound_below_one_refused(self):
+        s = even_shift_presentation()
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="period_bound must be >= 1"):
+                is_locally_maximal(s, 8, period_bound=bound)
+            with pytest.raises(ValueError, match="period_bound must be >= 1"):
+                equality_witness(s, 2, period_bound=bound)
+
+    def test_kmax_below_one_refused(self):
+        for kmax in (0, -1):
+            with pytest.raises(ValueError, match="kmax must be >= 1"):
+                is_locally_maximal(golden_mean_presentation(), kmax)
+
+    def test_enumeration_cap_refusal(self):
+        # 10 + 10^2 + ... + 10^7 = 11111110 words exceed the fixed cap of 10^7
+        t = SFT(10, 1, frozenset((s,) for s in range(10)))
+        message = "periodic-point enumeration of 11111110 words exceeds cap"
+        with pytest.raises(ValueError, match=message):
+            t.periodic_cycles(7)
+        s = SubshiftPresentation(10, (PeriodicWord.constant(0, 10),))
+        with pytest.raises(ValueError, match=message):
+            equality_witness(s, 1, period_bound=7)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from shadowbench.torus import (
     NotHyperbolicError,
@@ -18,6 +19,7 @@ from shadowbench.torus import (
     system_from_config,
     system_to_config,
     torus_distance,
+    torus_distance_array,
 )
 
 
@@ -56,6 +58,21 @@ class TestTorusDistance:
             assert torus_distance(p, r) <= dpq + torus_distance(q, r) + 1e-12
             assert torus_distance(p, p) == 0.0
             assert dpq <= np.sqrt(2) / 2 + 1e-12
+
+    def test_array_kernel_symmetric(self, rng):
+        a, b = np.array([[0.0, 0.0]]), np.array([[0.1, 0.0]])
+        assert torus_distance_array(a, b)[0] == torus_distance_array(b, a)[0] == 0.1
+        for d in (2, 3, 4):
+            # cubes crowd near 0, where coordinates carry finer bits than 1 + Δ
+            P, Q = rng.random((500, d)) ** 3, rng.random((500, d)) ** 3
+            assert np.array_equal(torus_distance_array(P, Q), torus_distance_array(Q, P))
+            for p, q, dist in zip(P[:50], Q[:50], torus_distance_array(P[:50], Q[:50])):
+                assert dist == pytest.approx(brute_force_distance(p, q), abs=1e-15)
+
+    def test_array_kernel_rounds_as_periodic_kd_tree(self, rng):
+        P, Q = rng.random((300, 2)) ** 3, rng.random((300, 2)) ** 3
+        for p, q, dist in zip(P, Q, torus_distance_array(P, Q)):
+            assert cKDTree(q[None, :], boxsize=1.0).query(p)[0] == dist
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=4))
     def test_bounded_by_half_diagonal(self, coords):
