@@ -200,24 +200,24 @@ def cmd_sft(args) -> int:
 
     payload: dict = {"alphabet": args.alphabet,
                      "generators": [g.to_text() for g in gens]}
-    if args.language:
+    if args.language is not None:
         k = args.language
         payload["language"] = {"k": k, "words": ["".join(map(str, w))
                                                  for w in language(s, k)]}
-    if args.closure:
+    if args.closure is not None:
         k = args.closure
         t = sft_closure(s, k)
         payload["closure"] = {"k": k, "admissible": ["".join(map(str, w))
                                                      for w in t.sorted_words()],
                               "stabilizes": stabilization_check(s, k)}
-    if args.maximal:
+    if args.maximal is not None:
         k = is_locally_maximal(s, args.maximal)
         entry: dict = {"kmax": args.maximal, "k": k}
         if k is None:  # every window has a witness, so the first one does
             entry["witness"] = equality_witness(s, 1).to_text()
         payload["locally_maximal"] = entry
-    if args.member:
-        if not args.window:
+    if args.member is not None:
+        if args.window is None:
             return _error("input", "--member needs --window", EXIT_INPUT)
         try:
             w = PeriodicWord.from_text(args.member, args.alphabet)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -269,6 +271,30 @@ def exact_shadow_linear(map: ToralAutomorphism, po: PseudoOrbit, *,
                               method="exact")
 
 
+def _memoized(map: ToralAutomorphism, key, build):
+    """`build()` for this map and key, computed on the first call and kept on
+    the map instance: the value depends on the map alone, and it dies with
+    the map."""
+    memo = map._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _adapted_blocks(map: ToralAutomorphism) -> tuple[np.ndarray, np.ndarray]:
+    """The stable block As and the inverse unstable block Au^-1 of the map's
+    matrix in its splitting basis."""
+    def build():
+        s = map.splitting
+        ds = s.stable_dim
+        A_ad = s.basis_inv @ map.matrix.astype(float) @ s.basis
+        blocks = A_ad[:ds, :ds], np.linalg.inv(A_ad[ds:, ds:])
+        for B in blocks:
+            B.flags.writeable = False  # shared by every later call
+        return blocks
+    return _memoized(map, "adapted_blocks", build)
+
+
 def _block_step(B: np.ndarray):
     """out <- B v for each row v of V (m, k), rounded as the per-vector
     product `B @ v` is: a 1x1 block is one multiplication, a larger block one
@@ -289,11 +315,11 @@ def _power(B: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
-def _solve_each(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = r for every row r of rhs (m, k), one right-hand side per
-    solve (M is broadcast over the stack): a single solve with m columns
-    rounds differently."""
-    return np.linalg.solve(M, rhs[..., None])[..., 0]
+def _cyclic_start(B: np.ndarray, n: int, end: np.ndarray) -> np.ndarray:
+    """Fixed point x = B^n x + end of one period's affine pass, for every row
+    of end (m, k), one right-hand side per solve (the matrix is broadcast
+    over the stack): a single solve with m columns rounds differently."""
+    return np.linalg.solve(np.eye(len(B)) - _power(B, n), end[..., None])[..., 0]
 
 
 def _series_corrections(map: ToralAutomorphism, errors: np.ndarray, n: int,
@@ -301,20 +327,69 @@ def _series_corrections(map: ToralAutomorphism, errors: np.ndarray, n: int,
     """Exact-series corrections (m, n, d) of m pseudo-orbits of n points each
     from their lifted errors (m, n_err, d), n_err = n if periodic else n - 1.
 
-    The time loop runs over the orbit index with every step vectorized over
-    the m orbits; each orbit's corrections are bit for bit those of the same
-    series run on that orbit alone.
+    The stable block is integrated forward from index 0 and the unstable
+    block backward from the right end, so every factor applied is
+    contracting.  One orbit of a 2-D map runs both recurrences over Python
+    floats (`_scalar_sweeps`); anything else runs them as numpy row
+    operations over the m orbits (`_row_sweeps`).  Either way each orbit's
+    corrections are bit for bit those of the same series run on that orbit
+    alone.
     """
     s = map.splitting
-    m, n_err, d = errors.shape
-    ds = s.stable_dim
-    A_ad = s.basis_inv @ map.matrix.astype(float) @ s.basis
-    As, Au = A_ad[:ds, :ds], A_ad[ds:, ds:]
-    Au_inv = np.linalg.inv(Au)
+    m, _, d = errors.shape
+    As, Au_inv = _adapted_blocks(map)
+    eta = errors @ s.basis_inv.T  # adapted error coordinates
+    sweeps = _scalar_sweeps if m == 1 and d == 2 else _row_sweeps
+    zeta = sweeps(As, Au_inv, eta, n, periodic)
+    # per-orbit (n, d) @ (d, d) products, as one orbit alone is transformed
+    return np.ascontiguousarray(zeta) @ s.basis.T
+
+
+def _scalar_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
+                   periodic: bool) -> np.ndarray:
+    """Adapted corrections (1, n, 2) of one orbit whose blocks are 1x1.
+
+    CPython rounds each product, sum and difference of two floats as
+    `np.multiply`, `np.add` and `np.subtract` do on float64 and never fuses
+    them, so the steps give `_row_sweeps`' bits without two numpy calls per
+    step.
+    The periodic fixed point is solved by the same numpy calls as there.
+    """
+    a, b = float(As[0, 0]), float(Au_inv[0, 0])
+    eta_s, eta_u = eta[0, :, 0].tolist(), eta[0, :, 1].tolist()
+
+    def stable_step(z, e):  # zeta_s[j+1] = As zeta_s[j] - eta_s[j]
+        return z * a - e
+
+    def unstable_step(z, e):  # zeta_u[j] = Au^-1 (zeta_u[j+1] + eta_u[j])
+        return (z + e) * b
+
+    zs0 = zu_end = 0.0
+    if periodic:
+        # one pass from zero over the period gives the affine map whose
+        # fixed point is the cyclic start of each block
+        zs0 = float(_cyclic_start(As, n, np.array([[reduce(stable_step, eta_s, 0.0)]]))[0, 0])
+        zu_end = float(_cyclic_start(Au_inv, n, np.array(
+            [[reduce(unstable_step, reversed(eta_u), 0.0)]]))[0, 0])
+    zs = list(accumulate(eta_s[:n - 1], stable_step, initial=zs0))
+    # zeta_u[n-1] down to zeta_u[int(periodic)], from zeta_u[n] = zeta_u[0]
+    # when periodic
+    zu = list(accumulate(reversed(eta_u[int(periodic):]), unstable_step, initial=zu_end))
+    zu.reverse()
+    if periodic:
+        zu.insert(0, zu.pop())
+    return np.array((zs, zu)).T[None]
+
+
+def _row_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
+                periodic: bool) -> np.ndarray:
+    """Adapted corrections (m, n, d) with the time loop over the orbit index
+    and every step vectorized over the m orbits."""
+    m, n_err, d = eta.shape
+    ds = len(As)
     stable_step, unstable_step = _block_step(As), _block_step(Au_inv)
-    # adapted error coordinates, time-major (n_err, m, d) so that each step
-    # reads one contiguous row
-    eta = (errors @ s.basis_inv.T).transpose(1, 0, 2).copy()
+    # time-major (n_err, m, d), so that each step reads one contiguous row
+    eta = eta.transpose(1, 0, 2).copy()
     eta_s, eta_u = list(eta[:, :, :ds]), list(eta[:, :, ds:])
     # one row past the orbit: the stable pass over a whole period ends in
     # zeta_s[n], and a periodic unstable sweep starts from zeta_u[n] = zeta_u[0]
@@ -340,16 +415,12 @@ def _series_corrections(map: ToralAutomorphism, errors: np.ndarray, n: int,
         # only ever apply contracting matrices.
         forward(n)
         backward(0)
-        zeta_s[0] = _solve_each(np.eye(ds) - _power(As, n), zeta_s[n])
-        zeta_u[0] = zeta_u[n] = _solve_each(np.eye(d - ds) - _power(Au_inv, n), zeta_u[0])
+        zeta_s[0] = _cyclic_start(As, n, zeta_s[n])
+        zeta_u[0] = zeta_u[n] = _cyclic_start(Au_inv, n, zeta_u[0])
 
-    # stable block forward from index 0, unstable block backward from the
-    # right end, so every factor applied is contracting
     forward(n - 1)
     backward(int(periodic))
-    # per-orbit (n, d) @ (d, d) products, as one orbit alone is transformed
-    zeta = np.concatenate([zeta_s[:n], zeta_u[:n]], axis=2).transpose(1, 0, 2)
-    return np.ascontiguousarray(zeta) @ s.basis.T
+    return np.concatenate([zeta_s[:n], zeta_u[:n]], axis=2).transpose(1, 0, 2)
 
 
 def _newton_jacobian(map: ToralAutomorphism, n: int, periodic: bool) -> sp.csr_matrix:
@@ -376,6 +447,15 @@ def _newton_jacobian(map: ToralAutomorphism, n: int, periodic: bool) -> sp.csr_m
         cols = np.append(cols, c + np.where(r < s.stable_dim, 0, (n - 1) * d))
         data = np.append(data, s.basis_inv.ravel())
     return sp.csr_matrix((data, (rows, cols)), shape=(n * d, n * d))
+
+
+def _newton_lu(map: ToralAutomorphism, n: int, periodic: bool) -> spla.SuperLU:
+    """Sparse LU of the Newton Jacobian, factored once per map and
+    (n, periodic).  It factors the transpose J^T in CSC form and solves with
+    trans="T": `spsolve` on the CSR J hands SuperLU that same matrix and
+    solve, so the steps are bit for bit those of a fresh `spsolve(J, rhs)`."""
+    return _memoized(map, ("newton_lu", n, periodic),
+                     lambda: spla.splu(_newton_jacobian(map, n, periodic).T.tocsc()))
 
 
 def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12,
@@ -406,7 +486,7 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
             return minimal_lift(images - np.roll(y, -1, axis=0))
         return minimal_lift(images[:-1] - y[1:])
 
-    J = _newton_jacobian(map, n, po.periodic)
+    lu = _newton_lu(map, n, po.periodic)
     v = np.zeros((n, d))
     res = residual_rows(v)
     res_norm = float(np.max(np.linalg.norm(res, axis=1))) if len(res) else 0.0
@@ -418,7 +498,7 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
         if not po.periodic:
             rhs[n_eq * d: n_eq * d + ds] = -(s.basis_inv[:ds, :] @ v[0])
             rhs[n_eq * d + ds:] = -(s.basis_inv[ds:, :] @ v[n - 1])
-        delta = spla.spsolve(J, rhs).reshape(n, d)
+        delta = lu.solve(rhs, trans="T").reshape(n, d)
         v = v + delta
         res = residual_rows(v)
         res_norm = float(np.max(np.linalg.norm(res, axis=1))) if len(res) else 0.0
@@ -433,9 +513,9 @@ def shadow_operator(map: ToralAutomorphism, po: PseudoOrbit, *,
                     max_defect: float | None = None) -> ShadowResult:
     """The shadowing operator T: pseudo-orbit -> shadowing orbit point.
 
-    Linear toral automorphisms take the exact series route; anything else
-    would go through the Newton solver.  Satisfies T(sigma po) = f(T(po))
-    on interior windows.
+    Every map here is a linear toral automorphism, so T is the exact series
+    of `exact_shadow_linear`, gate included.  Satisfies T(sigma po) =
+    f(T(po)) on interior windows.
     """
     return exact_shadow_linear(map, po, max_defect=max_defect)
 

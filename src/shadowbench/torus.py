@@ -289,6 +289,9 @@ class ToralAutomorphism:
     matrix: np.ndarray
     inverse_matrix: np.ndarray = field(repr=False)
     splitting: HyperbolicSplitting = field(repr=False)
+    # operators that depend on the map alone, built on first use by the
+    # shadowers; held by the instance, so they die with it
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[int]]):
         M = np.array(matrix, dtype=np.int64)
@@ -296,6 +299,7 @@ class ToralAutomorphism:
         object.__setattr__(self, "matrix", _readonly(M))
         object.__setattr__(self, "inverse_matrix", _readonly(_integer_inverse(M)))
         object.__setattr__(self, "splitting", splitting)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def dim(self) -> int:

@@ -133,6 +133,19 @@ class TestSftCommand:
         assert code == 1
         assert "kmax must be >= 1, got -1" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--language", "0"], "k must be >= 1"),
+        (["--closure", "0"], "k must be >= 1"),
+        (["--maximal", "0"], "kmax must be >= 1, got 0"),
+        (["--member", "(1)(1)", "--window", "0"], "k must be >= 1"),
+    ], ids=["language", "closure", "maximal", "window"])
+    def test_zero_reaches_the_library_check(self, tmp_path, capsys, flags, message):
+        words = self._write(tmp_path, ["(0)(0)", "(01)(01)"])
+        code, payload = run(["sft", "--words", str(words), "--alphabet", "2", *flags],
+                            capsys)
+        assert code == 1
+        assert payload["error"]["message"] == message
+
     def test_member_query(self, tmp_path, capsys):
         words = self._write(tmp_path, ["(0)(0)", "(01)(01)"])
         code, payload = run(["sft", "--words", str(words), "--alphabet", "2",

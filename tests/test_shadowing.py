@@ -1,5 +1,10 @@
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from shadowbench.closure import (
     SamplingParams,
@@ -14,8 +19,10 @@ from shadowbench.shadowing import (
     Reparameterization,
     ShadowResult,
     ShadowingRefusal,
+    _adapted_blocks,
     _lifted_errors,
     _newton_jacobian,
+    _newton_lu,
     _result_from_orbit,
     _series_corrections,
     _step_pairs,
@@ -260,8 +267,9 @@ def series_map(request):
 
 
 def assert_kernel_matches_loop(map, errors, n, periodic):
-    """The kernel on the whole stack (m > 1) and on each orbit alone
-    (m = 1) gives the reference loop's corrections bit for bit."""
+    """The kernel on the whole stack (m > 1, numpy row operations) and on
+    each orbit alone (m = 1: Python floats on a 2-D map, numpy rows
+    otherwise) gives the reference loop's corrections bit for bit."""
     stacked = _series_corrections(map, errors, n, periodic)
     assert stacked.shape == (len(errors), n, map.dim)
     for k, orbit_errors in enumerate(errors):
@@ -285,10 +293,12 @@ def cat_closure_samples(cat):
 
 
 class TestSeriesKernel:
-    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 200])
     @pytest.mark.parametrize("periodic", [False, True])
     def test_matches_loop(self, series_map, n, periodic, rng):
-        # n = 1 periodic is a one-point cycle, n = 2 a single-step segment
+        # n = 1 periodic is a one-point cycle and n = 2 a single-step
+        # segment: the edge cases of the scalar route that the m = 1 calls
+        # take on 2-D maps; n = 200 is a long single orbit
         orbits = [PseudoOrbit(noisy_orbit(series_map, rng, n, 1e-2), 0.0, periodic=periodic)
                   for _ in range(6)]
         errors = np.stack([_lifted_errors(series_map, po) for po in orbits])
@@ -373,6 +383,77 @@ class TestNewtonJacobian:
         else:
             expected_nnz = 2 * (n - 1) * d * d + d * d
         assert J.nnz == expected_nnz
+
+
+def newton_loop(map, po, tol=1e-12, max_iter=20):
+    """Reference: `newton_shadow` before the per-map factorization, which
+    rebuilt the Jacobian and ran `spsolve` on it in every iteration."""
+    s = map.splitting
+    n, d = po.points.shape
+    ds = s.stable_dim
+    x = po.points
+    n_eq = n if po.periodic else n - 1
+
+    def residual_rows(v):
+        y = wrap(x + v)
+        images = map.apply_array(y)
+        if po.periodic:
+            return minimal_lift(images - np.roll(y, -1, axis=0))
+        return minimal_lift(images[:-1] - y[1:])
+
+    v = np.zeros((n, d))
+    res = residual_rows(v)
+    res_norm = float(np.max(np.linalg.norm(res, axis=1))) if len(res) else 0.0
+    iterations = 0
+    converged = res_norm < tol
+    while not converged and iterations < max_iter:
+        J = _newton_jacobian(map, n, po.periodic)
+        rhs = np.zeros(n * d)
+        rhs[: n_eq * d] = -res.ravel()
+        if not po.periodic:
+            rhs[n_eq * d: n_eq * d + ds] = -(s.basis_inv[:ds, :] @ v[0])
+            rhs[n_eq * d + ds:] = -(s.basis_inv[ds:, :] @ v[n - 1])
+        v = v + spla.spsolve(J, rhs).reshape(n, d)
+        res = residual_rows(v)
+        res_norm = float(np.max(np.linalg.norm(res, axis=1))) if len(res) else 0.0
+        iterations += 1
+        converged = res_norm < tol
+    return _result_from_orbit(map, po, v, iterations=max(iterations, 1),
+                              converged=converged, method="newton")
+
+
+class TestNewtonFactorization:
+    def test_matches_spsolve_loop(self, series_map, rng):
+        # two passes over every (n, periodic), each on fresh orbits: the
+        # second pass solves with the factorizations memoized by the first,
+        # interleaved across lengths and kinds
+        for _ in range(2):
+            for n in (1, 2, 3, 5, 40, 200):
+                for periodic in (False, True):
+                    po = PseudoOrbit.from_map(series_map,
+                                              noisy_orbit(series_map, rng, n, 1e-3),
+                                              periodic=periodic)
+                    res = newton_shadow(series_map, po, max_defect=np.inf)
+                    ref = newton_loop(series_map, po)
+                    assert res.orbit.tobytes() == ref.orbit.tobytes()
+                    assert res.per_index.tobytes() == ref.per_index.tobytes()
+                    assert res.residual == ref.residual
+                    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+
+    def test_memo_dies_with_the_map(self, rng):
+        map = ToralAutomorphism([[2, 1], [1, 1]])
+        po = PseudoOrbit.from_map(map, noisy_orbit(map, rng, 20, 1e-3))
+        exact_shadow_linear(map, po)
+        newton_shadow(map, po)
+        block_refs = [weakref.ref(B) for B in _adapted_blocks(map)]
+        lu = _newton_lu(map, len(po), po.periodic)
+        lu_refs = sys.getrefcount(lu)
+        map_ref = weakref.ref(map)
+        del map
+        gc.collect()
+        assert map_ref() is None
+        assert all(ref() is None for ref in block_refs)
+        assert sys.getrefcount(lu) == lu_refs - 1  # the map's reference is gone
 
 
 class TestShadowResult:
