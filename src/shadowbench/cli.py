@@ -136,7 +136,6 @@ def _as_map(system) -> ToralAutomorphism:
 
 def cmd_shadow(args) -> int:
     try:
-        cfg = _load_config(args)
         map = _as_map(_load_system(args))
         points, start = pseudo_orbit_points_from_csv(args.orbit)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -509,16 +508,14 @@ def cmd_suite(args) -> int:
 # argument wiring
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser,
+                      names=tuple(ExperimentConfig.__dataclass_fields__)) -> None:
+    """`--config` plus one override flag for each config field the subcommand
+    reads; the whole file is validated either way."""
     p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--u-radius", dest="u_radius", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--max-cycle-len", dest="max_cycle_len", type=int, default=None)
-    p.add_argument("--n-paths", dest="n_paths", type=int, default=None)
-    p.add_argument("--path-len", dest="path_len", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=type(getattr(ExperimentConfig, name)), default=None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -542,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "newton"), default="exact")
     p.add_argument("--periodic", action="store_true")
     p.add_argument("--out", help="result JSON path (default: stdout)")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_shadow)
 
     p = sub.add_parser("closure", help="iterate the shadowing closure")
@@ -572,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-delta", dest="pair_delta", type=float, default=None)
     p.add_argument("--membership-tol", dest="membership_tol", type=float, default=None)
     p.add_argument("--out", help="report JSON path (default: stdout)")
-    _add_config_flags(p)
+    _add_config_flags(p, ("resolution",))
     p.set_defaults(func=cmd_maximality)
 
     p = sub.add_parser("crovisier", help="punctured 4-torus grid set")
@@ -589,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--closure-u-radius", dest="closure_u_radius", type=float, default=None)
     p.add_argument("--out", help="result JSON path (default: stdout)")
     p.add_argument("--out-csv", dest="out_csv", help="(j, nu_j) CSV path")
-    _add_config_flags(p)
+    _add_config_flags(p, ("max_iter", "max_cycle_len", "n_paths", "path_len", "seed"))
     p.set_defaults(func=cmd_crovisier)
 
     p = sub.add_parser("suite", help="run the full experiment battery")

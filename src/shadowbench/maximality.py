@@ -16,7 +16,6 @@ shrinks monotonically with more sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 import numpy as np
 from mpmath import mp
@@ -277,37 +276,28 @@ class GridSet:
 
 
 def _sweep(mask: np.ndarray, M: np.ndarray, depth: int) -> np.ndarray:
-    """Keep cells whose image box under the linear map M meets the mask.
+    """Keep cells whose image box under the integer matrix M meets the mask.
 
-    The image of an axis box is enclosed exactly: center -> M c, halfwidth ->
-    |M| h, which coincides with the hull of the mapped corners for linear M.
+    In cell units, cell idx covers idx + [0, 1] and its image M(idx + [0, 1])
+    lies in the box M·idx + c0 + [0, s], with c0_i = Σ_j min(M_ij, 0) and
+    s_i = Σ_j |M_ij|: the hull of the mapped corners.  The box is closed, so
+    a cell touching its far face counts.  Every number here is an integer:
+    the mask is dilated by [0, s] with cyclic rolls (at most n − 1 per axis,
+    since n cells cover the whole cycle), and each cell looks up its box's
+    first cell in the dilated mask.
     """
-    dim = mask.ndim
     n = 2 ** depth
-    w = 1.0 / n
+    c0 = np.minimum(M, 0).sum(axis=1)
+    s = np.abs(M).sum(axis=1)
+    hit = mask
+    for axis, span in enumerate(s):
+        base = hit
+        for k in range(1, min(int(span), n - 1) + 1):
+            hit = hit | np.roll(base, -k, axis=axis)
     idx = np.argwhere(mask)
-    if len(idx) == 0:
-        return mask.copy()
-    centers = (idx + 0.5) * w
-    img_c = centers @ M.T
-    hw = (np.abs(M) @ np.full(dim, w / 2.0))
-    lo = img_c - hw
-    hi = img_c + hw
-    base = np.floor(lo / w).astype(np.int64)
-    span = np.floor(hi / w).astype(np.int64) - base  # per-cell, varies by +-1
-    max_span = span.max(axis=0)
-    flat = mask.ravel()
-    strides = np.array([n ** (dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    keep = np.zeros(len(idx), dtype=bool)
-    for off in iproduct(*(range(int(s) + 1) for s in max_span)):
-        off_arr = np.array(off, dtype=np.int64)
-        valid = ~keep & np.all(off_arr <= span, axis=1)
-        if not np.any(valid):
-            continue
-        cells = (base[valid] + off_arr) % n
-        keep[valid] = flat[cells @ strides]
+    target = (idx @ M.T + c0) % n
     out = np.zeros_like(mask)
-    out[tuple(idx[keep].T)] = True
+    out[tuple(idx[hit[tuple(target.T)]].T)] = True
     return out
 
 
@@ -320,11 +310,9 @@ def maximal_invariant_set(map: ToralAutomorphism, U: GridSet, n_iter: int) -> Gr
     """
     if U.count == 0:
         raise ValueError("empty grid")
-    M = map.matrix.astype(float)
-    Minv = map.inverse_matrix.astype(float)
     mask = U.mask
     for _ in range(n_iter):
-        new = _sweep(mask, M, U.depth) & _sweep(mask, Minv, U.depth)
+        new = _sweep(mask, map.matrix, U.depth) & _sweep(mask, map.inverse_matrix, U.depth)
         if np.array_equal(new, mask):
             break
         mask = new

@@ -231,13 +231,6 @@ def _result_from_orbit(map: ToralAutomorphism, po: PseudoOrbit, corrections: np.
     per_index = torus_distance_array(orbit, po.points)
     lifts = minimal_lift(orbit - po.points)
     adapted = float(np.max(np.linalg.norm(lifts @ s.basis_inv.T, axis=1)))
-    images = map.apply_array(orbit)
-    if po.periodic:
-        residual = float(np.max(torus_distance_array(images, np.roll(orbit, -1, axis=0))))
-    elif len(po) > 1:
-        residual = float(np.max(torus_distance_array(images[:-1], orbit[1:])))
-    else:
-        residual = 0.0
     zero_idx = (0 - po.start_index) % len(po) if po.periodic else -po.start_index
     return ShadowResult(
         point=TorusPoint(orbit[zero_idx]),
@@ -248,7 +241,7 @@ def _result_from_orbit(map: ToralAutomorphism, po: PseudoOrbit, corrections: np.
         iterations=iterations,
         orbit=orbit,
         sup_distance_adapted=adapted,
-        residual=residual,
+        residual=_defect(map, orbit, po.periodic),
         method=method,
     )
 
@@ -480,11 +473,7 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
     n_eq = n if po.periodic else n - 1
 
     def residual_rows(v: np.ndarray) -> np.ndarray:
-        y = wrap(x + v)
-        images = map.apply_array(y)
-        if po.periodic:
-            return minimal_lift(images - np.roll(y, -1, axis=0))
-        return minimal_lift(images[:-1] - y[1:])
+        return minimal_lift(np.subtract(*_step_pairs(map, wrap(x + v), po.periodic)))
 
     lu = _newton_lu(map, n, po.periodic)
     v = np.zeros((n, d))

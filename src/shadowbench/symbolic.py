@@ -96,11 +96,6 @@ class PeriodicWord:
     def constant(cls, symbol: int, alphabet_size: int) -> "PeriodicWord":
         return cls.from_cycle((symbol,), alphabet_size)
 
-    @classmethod
-    def heteroclinic(cls, left: Sequence[int], core: Sequence[int],
-                     right: Sequence[int], alphabet_size: int) -> "PeriodicWord":
-        return cls(tuple(left), tuple(core), tuple(right), alphabet_size)
-
     # core window in external coordinates
     @property
     def core_lo(self) -> int:

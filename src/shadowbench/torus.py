@@ -219,7 +219,7 @@ def compute_splitting(matrix: np.ndarray | Sequence[Sequence[int]]) -> Hyperboli
     M = np.array(matrix, dtype=np.int64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    det = _fraction_det(_fractions(M))
+    det, _ = _det_and_inverse(M)
     if abs(det) != 1:
         raise ValueError(f"|det| must be 1, got {det}")
     vals, vecs = np.linalg.eig(M.astype(float))
@@ -275,8 +275,8 @@ def compute_splitting(matrix: np.ndarray | Sequence[Sequence[int]]) -> Hyperboli
 
 def _integer_inverse(M: np.ndarray) -> np.ndarray:
     """Exact inverse of an invertible integer matrix, refused unless integral."""
-    inv = _fraction_inverse(_fractions(M))
-    if any(v.denominator != 1 for row in inv for v in row):
+    _, inv = _det_and_inverse(M)
+    if inv is None or any(v.denominator != 1 for row in inv for v in row):
         raise ValueError("matrix is not invertible over the integers")
     return np.array([[int(v) for v in row] for row in inv], dtype=np.int64)
 
@@ -367,11 +367,9 @@ class ToralAutomorphism:
         """
         Mp = np.linalg.matrix_power(self.matrix.astype(object), period)
         D = Mp - np.eye(self.dim, dtype=object)
-        Dfrac = _fractions(D)
-        detD = _fraction_det(Dfrac)
+        detD, inv = _det_and_inverse(D)
         if detD == 0:
             raise ValueError("matrix^period - I is singular; fixed points not isolated")
-        inv = _fraction_inverse(Dfrac)
         bound = int(np.ceil(float(np.max(np.sum(np.abs(np.array(D, dtype=float)), axis=1)))))
         points = set()
         ranges = [range(0, bound + 1) for _ in range(self.dim)]
@@ -387,43 +385,29 @@ class ToralAutomorphism:
         return [TorusPoint(p) for p in result]
 
 
-def _fractions(M: np.ndarray) -> list[list[Fraction]]:
-    return [[Fraction(int(v)) for v in row] for row in M]
-
-
-def _fraction_det(M: list[list[Fraction]]) -> Fraction:
+def _det_and_inverse(M: np.ndarray) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Exact determinant (pivot product times swap sign) and, unless it is 0,
+    exact inverse of a square integer matrix, from one Gauss–Jordan pass
+    over Fractions."""
     n = len(M)
-    A = [row[:] for row in M]
+    A = [[Fraction(int(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if A[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return Fraction(0), None
         if pivot != col:
             A[col], A[pivot] = A[pivot], A[col]
             det = -det
         det *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            f = A[r][col] * inv
-            for c in range(col, n):
-                A[r][c] -= f * A[col][c]
-    return det
-
-
-def _fraction_inverse(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(M)
-    A = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[pivot] = A[pivot], A[col]
         inv = 1 / A[col][col]
         A[col] = [v * inv for v in A[col]]
         for r in range(n):
             if r != col and A[r][col] != 0:
                 f = A[r][col]
                 A[r] = [vr - f * vc for vr, vc in zip(A[r], A[col])]
-    return [row[n:] for row in A]
+    return det, [row[n:] for row in A]
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,16 @@ class TestUsageErrors:
         assert payload["error"]["kind"] == "input"
         assert payload["error"]["message"].startswith("shadowbench")
 
+    @pytest.mark.parametrize("argv", [
+        ["shadow", "--orbit", "x.csv", "--seed", "1"],
+        ["maximality", "--points", "x.csv", "--delta", "0.1"],
+        ["crovisier", "--resolution", "0.1"],
+    ])
+    def test_config_flags_the_subcommand_never_reads(self, argv, capsys):
+        code, payload = run(argv, capsys)
+        assert code == 1 and payload["error"]["kind"] == "input"
+        assert "unrecognized arguments" in payload["error"]["message"]
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["closure", "--help"])

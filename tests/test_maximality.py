@@ -1,6 +1,9 @@
+from itertools import product as iproduct
+
 import numpy as np
 import pytest
 
+from shadowbench import maximality
 from shadowbench.closure import SetApprox
 from shadowbench.maximality import (
     BracketError,
@@ -218,6 +221,82 @@ class TestMaximalInvariantSet:
         out5 = maximal_invariant_set(cat, U5, n_iter=8)
         # deeper subdivision never adds cells at the coarser projection
         assert not np.any(out5.coarsen().mask & ~out4.mask)
+
+
+def float_sweep(mask: np.ndarray, M: np.ndarray, depth: int) -> np.ndarray:
+    """Byte-equality reference for `maximality._sweep`: the float enclosure
+    it replaced, floored to cells and scanned one box offset at a time."""
+    dim = mask.ndim
+    n = 2 ** depth
+    w = 1.0 / n
+    idx = np.argwhere(mask)
+    if len(idx) == 0:
+        return mask.copy()
+    centers = (idx + 0.5) * w
+    img_c = centers @ M.T
+    hw = (np.abs(M) @ np.full(dim, w / 2.0))
+    lo = img_c - hw
+    hi = img_c + hw
+    base = np.floor(lo / w).astype(np.int64)
+    span = np.floor(hi / w).astype(np.int64) - base  # per-cell, varies by +-1
+    max_span = span.max(axis=0)
+    flat = mask.ravel()
+    strides = np.array([n ** (dim - 1 - k) for k in range(dim)], dtype=np.int64)
+    keep = np.zeros(len(idx), dtype=bool)
+    for off in iproduct(*(range(int(s) + 1) for s in max_span)):
+        off_arr = np.array(off, dtype=np.int64)
+        valid = ~keep & np.all(off_arr <= span, axis=1)
+        if not np.any(valid):
+            continue
+        cells = (base[valid] + off_arr) % n
+        keep[valid] = flat[cells @ strides]
+    out = np.zeros_like(mask)
+    out[tuple(idx[keep].T)] = True
+    return out
+
+
+class TestIntegerSweep:
+    @staticmethod
+    def _assert_matches(map, mask, depth):
+        for M in (map.matrix, map.inverse_matrix):
+            got = maximality._sweep(mask, M, depth)
+            assert got.dtype == mask.dtype
+            assert np.array_equal(got, float_sweep(mask, M.astype(float), depth))
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_crovisier_map_matches_float_sweep(self, crovisier, rng, depth):
+        F = crovisier.as_automorphism()
+        shape = (2 ** depth,) * 4
+        for mask in (rng.random(shape) < 0.7, np.ones(shape, dtype=bool)):
+            self._assert_matches(F, mask, depth)
+
+    @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[1, 1], [1, 0]],
+                                        [[3, 1], [2, 1]]])
+    @pytest.mark.parametrize("depth", [3, 4, 7])
+    def test_planar_maps_match_float_sweep(self, rng, matrix, depth):
+        map = ToralAutomorphism(matrix)
+        for density in (0.3, 0.7, 1.0):
+            self._assert_matches(map, rng.random((2 ** depth,) * 2) < density, depth)
+
+    def test_empty_mask(self, cat):
+        self._assert_matches(cat, np.zeros((8, 8), dtype=bool), 3)
+
+    def test_crovisier_set_matches_float_sweep(self, crovisier, monkeypatch):
+        q, r = TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0))
+        exact = crovisier_set(crovisier, q, r, 2 / 16, depth=4, n_iter=4)
+        monkeypatch.setattr(maximality, "_sweep", lambda mask, M, depth:
+                            float_sweep(mask, M.astype(float), depth))
+        reference = crovisier_set(crovisier, q, r, 2 / 16, depth=4, n_iter=4)
+        assert exact.count == 65456
+        assert np.array_equal(exact.mask, reference.mask)
+
+    def test_boxes_wider_than_the_torus(self):
+        # every image box wraps the torus many times over: rolls stop at
+        # n - 1 per axis, where the float sweep would scan Π(s_i + 1) ≈ 4·10^16
+        # offsets
+        big = ToralAutomorphism([[10 ** 8 + 1, 10 ** 8], [10 ** 8, 10 ** 8 - 1]])
+        out = maximal_invariant_set(big, GridSet.full(2, 3), 2)
+        assert out.count == 8 ** 2
 
 
 class TestCrovisierSet:

@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 
 from shadowbench.torus import (
     NotHyperbolicError,
+    _det_and_inverse,
     ProductSystem,
     SuspensionFlow,
     ToralAutomorphism,
@@ -127,6 +128,12 @@ class TestSplitting:
         f = ToralAutomorphism([[k + 1, k], [k, k - 1]])
         assert np.array_equal(f.inverse_matrix, [[-(k - 1), k], [k, -(k + 1)]])
         assert np.array_equal(f.matrix @ f.inverse_matrix, np.eye(2, dtype=np.int64))
+
+    def test_det_and_inverse_one_pass(self):
+        # a row swap flips the determinant's sign; a singular matrix has no
+        # pivot in some column and returns no inverse
+        assert _det_and_inverse(np.array([[0, 1], [1, 1]])) == (-1, [[-1, 1], [1, 0]])
+        assert _det_and_inverse(np.array([[1, 2], [2, 4]])) == (0, None)
 
     def test_det_two_rejected(self):
         with pytest.raises(ValueError, match=r"\|det\| must be 1, got 2"):
