@@ -22,7 +22,7 @@ import csv
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, islice, product
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -65,14 +65,18 @@ class SetApprox:
 
     The net condition (no two points closer than r/2) is enforced on
     construction; `build` coarsens instead of rejecting, keeping the
-    earliest-inserted point of any r/2-cluster.
+    earliest-inserted point of any r/2-cluster.  `_validate=False` marks
+    trusted rows, already wrapped into [0, 1) and already a net: they are
+    neither wrapped nor checked again.
     """
 
     __slots__ = ("points", "resolution", "label", "_tree")
 
     def __init__(self, points: np.ndarray, resolution: float, label: str = "",
                  _validate: bool = True):
-        pts = wrap(np.atleast_2d(np.asarray(points, dtype=float)))
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        # a view, so that freezing it leaves the caller's array writeable
+        pts = wrap(pts) if _validate else pts.view()
         if pts.size == 0:
             raise ValueError("set approximation must be nonempty")
         if not resolution > 0:  # NaN included
@@ -130,7 +134,8 @@ class SetApprox:
         if cand.size:
             # the net is already valid: once candidates within r/2 of it are
             # dropped, the rest only need coarsening among themselves
-            kept = _greedy_net(cand[self.distance_to(cand) >= threshold], threshold)
+            gap, _ = self.tree.query(cand, k=1)
+            kept = _greedy_net(cand[gap >= threshold], threshold)
         return SetApprox(np.vstack([self.points, kept]), self.resolution,
                          self.label if label is None else label, _validate=False), len(kept)
 
@@ -283,8 +288,33 @@ _PAD = 15                  # points of cycle padding on each connector side
 
 @dataclass(frozen=True)
 class SampledOrbits:
-    orbits: tuple[PseudoOrbit, ...]
-    partial: bool  # caps were hit or the graph was too dense to enumerate
+    """Sampled pseudo-orbits as node-index sequences into the net `points`.
+
+    Sequence k is a periodic orbit (one period) when `periodic[k]`, else a
+    segment indexed from -(n // 2).  The three flags name the cap that made
+    the sample partial: the cycle cap, the connector budget, or a graph too
+    dense to materialize (no cycle or connector enumeration at all).
+    """
+
+    points: np.ndarray = field(repr=False)
+    delta: float
+    sequences: tuple[list[int], ...]
+    periodic: tuple[bool, ...]
+    cycle_cap: bool
+    connector_budget: bool
+    lazy_graph: bool
+
+    @property
+    def partial(self) -> bool:
+        return self.cycle_cap or self.connector_budget or self.lazy_graph
+
+    @property
+    def orbits(self) -> tuple[PseudoOrbit, ...]:
+        """The samples as `PseudoOrbit`s, in sample order."""
+        return tuple(
+            PseudoOrbit(self.points[seq], self.delta, periodic=per,
+                        start_index=0 if per else -(len(seq) // 2))
+            for seq, per in zip(self.sequences, self.periodic))
 
 
 def _rotate_cycle(cycle: list[int]) -> tuple[int, ...]:
@@ -373,12 +403,6 @@ def _pad_with_cycle(cycle: tuple[int, ...], reps: int, end_at: int | None = None
     return list(rotated) * reps
 
 
-def _segment_pseudo(points: np.ndarray, idx: Sequence[int], delta: float) -> PseudoOrbit:
-    seq = np.asarray(idx, dtype=int)
-    pts = points[seq]
-    return PseudoOrbit(pts, delta, periodic=False, start_index=-(len(seq) // 2))
-
-
 def sample_pseudo_orbits(graph: TransitionGraph, *,
                          params: SamplingParams | None = None) -> SampledOrbits:
     """Generate pseudo-orbits sitting on the graph, deterministically.
@@ -393,21 +417,20 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
     if graph.n_nodes == 0:
         raise ValueError("empty graph")
     p = params or SamplingParams()
-    pts = graph.set.points
-    delta = graph.delta
     rng = np.random.default_rng(p.seed)
-    orbits: list[PseudoOrbit] = []
-    partial = False
+    sequences: list[list[int]] = []
+    periodic: list[bool] = []
+    cycle_cap = connector_budget = False
 
     if graph.materialized:
         succ = _successors(graph.edges, graph.n_nodes)
         cycles = list(islice(_simple_cycles(succ, p.max_cycle_len), _CYCLE_CAP + 1))
         if len(cycles) > _CYCLE_CAP:
             cycles = cycles[:_CYCLE_CAP]
-            partial = True
+            cycle_cap = True
         cycles.sort()
-        for cyc in cycles:
-            orbits.append(PseudoOrbit(pts[list(cyc)], delta, periodic=True))
+        sequences.extend(map(list, cycles))
+        periodic.extend([True] * len(cycles))
 
         reps = lambda c: max(1, -(-_PAD // len(c)))
         budget = _CONNECTOR_BUDGET
@@ -423,19 +446,18 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
                 for path in islice(_simple_paths(succ, s, t, p.path_len), pair_left):
                     head = _pad_with_cycle(c1, reps(c1), end_at=s)
                     tail = _pad_with_cycle(c2, reps(c2), start_at=t)
-                    orbits.append(_segment_pseudo(pts, head[:-1] + path + tail[1:], delta))
+                    sequences.append(head[:-1] + path + tail[1:])
+                    periodic.append(False)
                     pair_left -= 1
                     budget -= 1
                     if pair_left <= 0 or budget <= 0:
                         break
-        if budget <= 0:
-            partial = True
+        connector_budget = budget <= 0
         neighbor = succ.__getitem__
     else:
-        partial = True
-        loops = graph.self_loop_nodes()
-        for i in loops[:_CYCLE_CAP]:
-            orbits.append(PseudoOrbit(pts[[i]], delta, periodic=True))
+        loops = graph.self_loop_nodes()[:_CYCLE_CAP].tolist()
+        sequences.extend([i] for i in loops)
+        periodic.extend([True] * len(loops))
         neighbor = graph.out_neighbors
 
     walk_cycles: set[tuple[int, ...]] = set()
@@ -451,20 +473,33 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
                 cyc = _rotate_cycle(walk[walk.index(nxt):])
                 if cyc not in walk_cycles and len(walk_cycles) < _CYCLE_CAP:
                     walk_cycles.add(cyc)
-                    orbits.append(PseudoOrbit(pts[list(cyc)], delta, periodic=True))
+                    sequences.append(list(cyc))
+                    periodic.append(True)
             walk.append(nxt)
         if len(walk) >= 2:
-            orbits.append(_segment_pseudo(pts, walk, delta))
+            sequences.append(walk)
+            periodic.append(False)
 
-    return SampledOrbits(tuple(orbits), partial)
+    return SampledOrbits(graph.set.points, graph.delta, tuple(sequences), tuple(periodic),
+                         cycle_cap=cycle_cap, connector_budget=connector_budget,
+                         lazy_graph=not graph.materialized)
 
 
 @dataclass(frozen=True)
 class ClosureStepStats:
+    """Counts of one closure step and the sampling caps that fired (see
+    `SampledOrbits`)."""
+
     n_sampled: int
     n_refused: int
     n_added: int
-    partial_sampling: bool
+    cycle_cap: bool
+    connector_budget: bool
+    lazy_graph: bool
+
+    @property
+    def partial_sampling(self) -> bool:
+        return self.cycle_cap or self.connector_budget or self.lazy_graph
 
 
 def _shadow_windows(map: ToralAutomorphism, X: np.ndarray, periodic: bool,
@@ -487,23 +522,27 @@ def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
     sampled = sample_pseudo_orbits(graph, params=params)
     limit = _defect_limit(map.splitting, max_defect)
 
-    # orbits of one length and kind are shadowed together; the windows go
-    # back in sample order, since the merge keeps the first point of a cluster
+    # orbits of one length and kind are gathered from the net (whose rows
+    # are wrapped already) and shadowed together; the windows go back in
+    # sample order, since the merge keeps the first point of a cluster
+    sequences = sampled.sequences
     groups: dict[tuple[int, bool], list[int]] = {}
-    for i, po in enumerate(sampled.orbits):
-        groups.setdefault((len(po), po.periodic), []).append(i)
-    windows: list[np.ndarray | None] = [None] * len(sampled.orbits)
-    for (_, periodic), members in groups.items():
-        found, admitted = _shadow_windows(
-            map, np.stack([sampled.orbits[i].points for i in members]), periodic, limit)
+    for i, (seq, periodic) in enumerate(zip(sequences, sampled.periodic)):
+        groups.setdefault((len(seq), periodic), []).append(i)
+    windows: list[np.ndarray | None] = [None] * len(sequences)
+    for (n, periodic), members in groups.items():
+        idx = np.fromiter(chain.from_iterable(sequences[i] for i in members), dtype=np.intp,
+                          count=len(members) * n).reshape(len(members), n)
+        found, admitted = _shadow_windows(map, sampled.points[idx], periodic, limit)
         for i, window in zip(compress(members, admitted), found):
             windows[i] = window
     shadowed = [w for w in windows if w is not None]
     refused = len(windows) - len(shadowed)
-    if sampled.orbits and not shadowed:
+    if sequences and not shadowed:
         raise ShadowingRefusal(delta, limit)
     merged, added = sa.merge(np.vstack([sa.points[:0], *shadowed]), label=label)
-    return merged, ClosureStepStats(len(sampled.orbits), refused, added, sampled.partial)
+    return merged, ClosureStepStats(len(sequences), refused, added, sampled.cycle_cap,
+                                    sampled.connector_budget, sampled.lazy_graph)
 
 
 def shadowing_closure(map: ToralAutomorphism, sa: SetApprox, delta: float, *,

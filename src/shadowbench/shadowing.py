@@ -308,11 +308,24 @@ def _power(B: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
-def _cyclic_start(B: np.ndarray, n: int, end: np.ndarray) -> np.ndarray:
-    """Fixed point x = B^n x + end of one period's affine pass, for every row
-    of end (m, k), one right-hand side per solve (the matrix is broadcast
-    over the stack): a single solve with m columns rounds differently."""
-    return np.linalg.solve(np.eye(len(B)) - _power(B, n), end[..., None])[..., 0]
+def _cyclic_matrices(map: ToralAutomorphism, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """I - As^n and I - (Au^-1)^n, the matrices of the fixed-point solves
+    that start a periodic sweep of n points in each block, built once per map
+    and n."""
+    def build():
+        mats = tuple(np.eye(len(B)) - _power(B, n) for B in _adapted_blocks(map))
+        for M in mats:
+            M.flags.writeable = False  # shared by every later call
+        return mats
+    return _memoized(map, ("cyclic_matrices", n), build)
+
+
+def _cyclic_start(lhs: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Fixed point x = B^n x + end of one period's affine pass, given
+    lhs = I - B^n, for every row of end (m, k), one right-hand side per solve
+    (the matrix is broadcast over the stack): a single solve with m columns
+    rounds differently."""
+    return np.linalg.solve(lhs, end[..., None])[..., 0]
 
 
 def _series_corrections(map: ToralAutomorphism, errors: np.ndarray, n: int,
@@ -333,14 +346,16 @@ def _series_corrections(map: ToralAutomorphism, errors: np.ndarray, n: int,
     As, Au_inv = _adapted_blocks(map)
     eta = errors @ s.basis_inv.T  # adapted error coordinates
     sweeps = _scalar_sweeps if m == 1 and d == 2 else _row_sweeps
-    zeta = sweeps(As, Au_inv, eta, n, periodic)
+    zeta = sweeps(As, Au_inv, eta, n, _cyclic_matrices(map, n) if periodic else None)
     # per-orbit (n, d) @ (d, d) products, as one orbit alone is transformed
     return np.ascontiguousarray(zeta) @ s.basis.T
 
 
 def _scalar_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
-                   periodic: bool) -> np.ndarray:
-    """Adapted corrections (1, n, 2) of one orbit whose blocks are 1x1.
+                   cyclic: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """Adapted corrections (1, n, 2) of one orbit whose blocks are 1x1;
+    `cyclic` holds the `_cyclic_matrices` of a periodic orbit and is None
+    for a segment.
 
     CPython rounds each product, sum and difference of two floats as
     `np.multiply`, `np.add` and `np.subtract` do on float64 and never fuses
@@ -357,12 +372,14 @@ def _scalar_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
     def unstable_step(z, e):  # zeta_u[j] = Au^-1 (zeta_u[j+1] + eta_u[j])
         return (z + e) * b
 
+    periodic = cyclic is not None
     zs0 = zu_end = 0.0
     if periodic:
         # one pass from zero over the period gives the affine map whose
         # fixed point is the cyclic start of each block
-        zs0 = float(_cyclic_start(As, n, np.array([[reduce(stable_step, eta_s, 0.0)]]))[0, 0])
-        zu_end = float(_cyclic_start(Au_inv, n, np.array(
+        lhs_s, lhs_u = cyclic
+        zs0 = float(_cyclic_start(lhs_s, np.array([[reduce(stable_step, eta_s, 0.0)]]))[0, 0])
+        zu_end = float(_cyclic_start(lhs_u, np.array(
             [[reduce(unstable_step, reversed(eta_u), 0.0)]]))[0, 0])
     zs = list(accumulate(eta_s[:n - 1], stable_step, initial=zs0))
     # zeta_u[n-1] down to zeta_u[int(periodic)], from zeta_u[n] = zeta_u[0]
@@ -375,9 +392,11 @@ def _scalar_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
 
 
 def _row_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
-                periodic: bool) -> np.ndarray:
+                cyclic: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Adapted corrections (m, n, d) with the time loop over the orbit index
-    and every step vectorized over the m orbits."""
+    and every step vectorized over the m orbits; `cyclic` as in
+    `_scalar_sweeps`."""
+    periodic = cyclic is not None
     m, n_err, d = eta.shape
     ds = len(As)
     stable_step, unstable_step = _block_step(As), _block_step(Au_inv)
@@ -408,8 +427,9 @@ def _row_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
         # only ever apply contracting matrices.
         forward(n)
         backward(0)
-        zeta_s[0] = _cyclic_start(As, n, zeta_s[n])
-        zeta_u[0] = zeta_u[n] = _cyclic_start(Au_inv, n, zeta_u[0])
+        lhs_s, lhs_u = cyclic
+        zeta_s[0] = _cyclic_start(lhs_s, zeta_s[n])
+        zeta_u[0] = zeta_u[n] = _cyclic_start(lhs_u, zeta_u[0])
 
     forward(n - 1)
     backward(int(periodic))

@@ -43,9 +43,20 @@ class NotHyperbolicError(ValueError):
     """Raised when an integer matrix has an eigenvalue of modulus ~1."""
 
 
+def _mod1(x: np.ndarray) -> np.ndarray:
+    """`x % 1.0` bit for bit, at a fraction of numpy's float remainder cost.
+
+    Both are one rounding of the exact x - floor(x): for x >= 0 the
+    difference is exact, and for negative x the remainder rounds
+    fmod(x, 1) + 1, whose exact value is the same.  Zeros come out +0.0 in
+    both, and inf and nan give nan.
+    """
+    return x - np.floor(x)
+
+
 def wrap(vec: np.ndarray) -> np.ndarray:
     """Reduce coordinates mod 1 into [0, 1)."""
-    out = np.asarray(vec, dtype=float) % 1.0
+    out = _mod1(np.asarray(vec, dtype=float))
     # `x % 1.0` can return 1.0 for tiny negative x; fold that back.
     out[out >= 1.0] -= 1.0
     return out
@@ -53,7 +64,7 @@ def wrap(vec: np.ndarray) -> np.ndarray:
 
 def minimal_lift(vec: np.ndarray) -> np.ndarray:
     """Componentwise representative of `vec` mod 1 in (-1/2, 1/2]."""
-    v = np.asarray(vec, dtype=float) % 1.0
+    v = _mod1(np.asarray(vec, dtype=float))
     v = np.where(v > 0.5, v - 1.0, v)
     return v
 
@@ -126,7 +137,7 @@ def torus_distance_array(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Rowwise torus distance between two (n, d) coordinate arrays, from
     min(|Δ| mod 1, 1 − |Δ| mod 1) per coordinate: symmetric in P and Q, and
     rounded as the periodic KD-tree rounds it."""
-    delta = np.abs(np.asarray(P, dtype=float) - np.asarray(Q, dtype=float)) % 1.0
+    delta = _mod1(np.abs(np.asarray(P, dtype=float) - np.asarray(Q, dtype=float)))
     delta = np.minimum(delta, 1.0 - delta)
     return np.sqrt(np.sum(delta * delta, axis=-1))
 

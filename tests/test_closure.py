@@ -1,4 +1,5 @@
-from itertools import permutations
+from functools import partial
+from itertools import islice, permutations
 from itertools import product as iproduct
 
 import numpy as np
@@ -163,6 +164,87 @@ def homoclinic_points(cat, lattice_vec=(1, 0), n_window=4):
     return cat.orbit_segment(TorusPoint(z), -n_window, n_window)
 
 
+def reference_sample(graph, params):
+    """Reference: `sample_pseudo_orbits` as it was when it built one
+    `PseudoOrbit` per sample, returning (orbits, partial)."""
+    p = params
+    pts = graph.set.points
+    delta = graph.delta
+    rng = np.random.default_rng(p.seed)
+    orbits = []
+    partial = False
+
+    def segment(idx):
+        seq = np.asarray(idx, dtype=int)
+        return PseudoOrbit(pts[seq], delta, periodic=False, start_index=-(len(seq) // 2))
+
+    if graph.materialized:
+        succ = _successors(graph.edges, graph.n_nodes)
+        cycles = list(islice(_simple_cycles(succ, p.max_cycle_len), closure._CYCLE_CAP + 1))
+        if len(cycles) > closure._CYCLE_CAP:
+            cycles = cycles[:closure._CYCLE_CAP]
+            partial = True
+        cycles.sort()
+        for cyc in cycles:
+            orbits.append(PseudoOrbit(pts[list(cyc)], delta, periodic=True))
+
+        reps = lambda c: max(1, -(-closure._PAD // len(c)))
+        budget = closure._CONNECTOR_BUDGET
+        for c1, c2 in iproduct(cycles, repeat=2):
+            if budget <= 0:
+                break
+            if c1 == c2:
+                continue
+            pair_left = closure._CONNECTORS_PER_PAIR
+            for s, t in iproduct(c1, c2):
+                if pair_left <= 0 or budget <= 0:
+                    break
+                for path in islice(_simple_paths(succ, s, t, p.path_len), pair_left):
+                    head = closure._pad_with_cycle(c1, reps(c1), end_at=s)
+                    tail = closure._pad_with_cycle(c2, reps(c2), start_at=t)
+                    orbits.append(segment(head[:-1] + path + tail[1:]))
+                    pair_left -= 1
+                    budget -= 1
+                    if pair_left <= 0 or budget <= 0:
+                        break
+        if budget <= 0:
+            partial = True
+        neighbor = succ.__getitem__
+    else:
+        partial = True
+        loops = graph.self_loop_nodes()
+        for i in loops[:closure._CYCLE_CAP]:
+            orbits.append(PseudoOrbit(pts[[i]], delta, periodic=True))
+        neighbor = graph.out_neighbors
+
+    walk_cycles = set()
+    for _ in range(p.n_paths):
+        node = int(rng.integers(graph.n_nodes))
+        walk = [node]
+        for _ in range(p.path_len - 1):
+            nbrs = neighbor(walk[-1])
+            if len(nbrs) == 0:
+                break
+            nxt = int(nbrs[rng.integers(len(nbrs))])
+            if nxt in walk and not graph.materialized:
+                cyc = closure._rotate_cycle(walk[walk.index(nxt):])
+                if cyc not in walk_cycles and len(walk_cycles) < closure._CYCLE_CAP:
+                    walk_cycles.add(cyc)
+                    orbits.append(PseudoOrbit(pts[list(cyc)], delta, periodic=True))
+            walk.append(nxt)
+        if len(walk) >= 2:
+            orbits.append(segment(walk))
+
+    return orbits, partial
+
+
+def complete_net():
+    """Five net points at delta 0.9, above every torus distance in T^2, so
+    `build_graph` gives the complete digraph with loops: 89 cycles, 65
+    through node 0."""
+    return SetApprox(lattice(3, 0.3, 2)[:5], 0.01), 0.9
+
+
 class TestSetApprox:
     def test_net_condition_enforced(self):
         with pytest.raises(ValueError, match="net condition"):
@@ -222,6 +304,36 @@ class TestSetApprox:
         SetApprox(merged.points, merged.resolution)  # validates the r/2 net condition
         assert np.array_equal(merged.points, brute_keep_first(np.vstack([sa.points, cand]),
                                                               threshold))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_merge_wraps_its_candidates(self, d):
+        rng = np.random.default_rng(30 + d)
+        sa = SetApprox.build(rng.random((40, d)), 0.2)
+        # coordinates in [1, 2) and in [-1, 0), each row shifted whole
+        cand = rng.random((150, d)) + rng.choice([-1.0, 1.0], (150, 1))
+        merged, added = sa.merge(cand)
+        expected, expected_added = sa.merge(wrap(cand))
+        assert added == expected_added > 0
+        assert merged.points.tobytes() == expected.points.tobytes()
+
+    def test_nets_built_by_merge_stay_wrapped(self, cat, rng):
+        sa = SetApprox.build(rng.random((20, 2)), 0.05)
+        for _ in range(3):
+            sa, _ = sa.merge(rng.random((30, 2)) * 4.0 - 2.0)
+            assert np.all((sa.points >= 0.0) & (sa.points < 1.0))
+        window = homoclinic_points(cat, n_window=4)
+        trace = iterate_closure(cat, SetApprox.build(np.vstack([[[0.0, 0.0]], window]), 0.004),
+                                delta=0.05, u_radius=0.45, max_iter=2,
+                                params=SamplingParams(seed=1, n_paths=6))
+        assert len(trace.final) > len(trace.iterates[0])
+        for net in trace.iterates:
+            assert np.all((net.points >= 0.0) & (net.points < 1.0))
+
+    def test_trusted_rows_are_not_frozen_in_place(self):
+        pts = lattice(4, 0.25, 2)
+        sa = SetApprox(pts, 0.25, _validate=False)
+        assert pts.flags.writeable and not sa.points.flags.writeable
+        assert sa.points.tobytes() == pts.tobytes()
 
     def test_merge_of_nothing_relabels(self):
         sa = SetApprox(np.array([[0.1, 0.2]]), 0.1, label="a")
@@ -388,6 +500,39 @@ class TestSamplePseudoOrbits:
         with pytest.raises(ValueError, match=field):
             sample_pseudo_orbits(g, params=SamplingParams(**{field: value}))
 
+    @staticmethod
+    def _reference_graphs(cat):
+        """(graph, params) for the reference comparison: sparse and complete
+        materialized graphs (the complete one hits both caps) and lazy ones."""
+        window = homoclinic_points(cat, n_window=4)
+        homoclinic = SetApprox.build(np.vstack([[[0.0, 0.0]], window]), 0.004)
+        complete, delta = complete_net()
+        random_net = SetApprox.build(np.random.default_rng(3).random((40, 2)), 0.02)
+        return [
+            (build_graph(cat, homoclinic, 0.05), dict(max_cycle_len=12, n_paths=8)),
+            (build_graph(cat, complete, delta), dict(max_cycle_len=5, n_paths=8)),
+            (build_graph(cat, homoclinic, 0.05, edge_cap=0), dict(n_paths=8)),
+            (build_graph(cat, random_net, 0.3, edge_cap=0), dict(n_paths=8, path_len=12)),
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_orbits_match_reference_sampler(self, cat, seed):
+        kinds = []
+        for g, kw in self._reference_graphs(cat):
+            sampled = sample_pseudo_orbits(g, params=SamplingParams(seed=seed, **kw))
+            expected, partial = reference_sample(g, SamplingParams(seed=seed, **kw))
+            got = sampled.orbits
+            assert sampled.partial == partial
+            assert len(got) == len(expected) > 0
+            for a, b in zip(got, expected):
+                assert a.points.tobytes() == b.points.tobytes()
+                assert (a.periodic, a.start_index, a.defect) == (b.periodic, b.start_index,
+                                                                 b.defect)
+            kinds.append((g.materialized, {po.periodic for po in got}))
+        # both graph kinds, each with cycles and segments
+        assert kinds.count((True, {False, True})) == 2
+        assert kinds.count((False, {False, True})) == 2
+
     def test_determinism(self, cat, rng):
         sa = SetApprox.build(rng.random((12, 2)), 0.02)
         g = build_graph(cat, sa, delta=0.3)
@@ -456,6 +601,52 @@ class TestGraphSearch:
         assert sampled.partial and len(segments) == closure._CONNECTOR_BUDGET
 
 
+class TestSamplingCaps:
+    """Each cap is named where it fired, in the sample and in the step stats,
+    and `partial` is derived from the three."""
+
+    FLAGS = ("cycle_cap", "connector_budget", "lazy_graph")
+
+    @classmethod
+    def _fired(cls, record):
+        return tuple(getattr(record, name) for name in cls.FLAGS)
+
+    def _check(self, cat, params, expected, edge_cap=2_000_000):
+        sa, delta = complete_net()
+        g = build_graph(cat, sa, delta, edge_cap=edge_cap)
+        sampled = sample_pseudo_orbits(g, params=params)
+        _, stats = closure._closure_step(cat, sa, delta, params, max_defect=np.inf, label="")
+        assert self._fired(sampled) == self._fired(stats) == expected
+        assert sampled.partial == stats.partial_sampling == any(expected)
+        assert stats.n_sampled == len(sampled.sequences) == len(sampled.orbits)
+
+    def test_no_cap(self, cat):
+        self._check(cat, SamplingParams(max_cycle_len=1, n_paths=2), (False, False, False))
+
+    def test_cycle_cap(self, cat, monkeypatch):
+        # 3 cycles give at most 6 * 5 connectors, well inside the budget
+        monkeypatch.setattr(closure, "_CYCLE_CAP", 3)
+        self._check(cat, SamplingParams(max_cycle_len=5, n_paths=2), (True, False, False))
+
+    def test_connector_budget(self, cat, monkeypatch):
+        # 15 cycles of at most 2 nodes, below the cycle cap
+        monkeypatch.setattr(closure, "_CONNECTOR_BUDGET", 4)
+        self._check(cat, SamplingParams(max_cycle_len=2, n_paths=2), (False, True, False))
+
+    def test_lazy_graph(self, cat, monkeypatch):
+        monkeypatch.setattr(closure, "build_graph", partial(build_graph, edge_cap=0))
+        self._check(cat, SamplingParams(n_paths=2), (False, False, True), edge_cap=0)
+
+    def test_trace_keeps_one_partial_key(self, cat):
+        sa, delta = complete_net()
+        trace = iterate_closure(cat, sa, delta, u_radius=1.0, max_iter=1, max_defect=np.inf,
+                                params=SamplingParams(max_cycle_len=5, n_paths=2))
+        assert self._fired(trace.step_stats[0]) == (False, True, False)
+        assert trace.to_json_dict()["steps"] == [
+            {"sampled": trace.step_stats[0].n_sampled, "refused": trace.step_stats[0].n_refused,
+             "added": trace.step_stats[0].n_added, "partial": True}]
+
+
 class TestShadowingClosure:
     def test_fixed_point_unchanged(self, cat):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
@@ -519,6 +710,25 @@ class TestShadowingClosure:
         exact_shadow_linear(cat, PseudoOrbit.from_map(cat, out.points[:1], periodic=True),
                             max_defect=np.inf)
         assert calls == {"from_map": 1, "result": 1}
+
+    def test_step_builds_no_pseudo_orbit(self, cat, monkeypatch):
+        calls = []
+        post_init = PseudoOrbit.__post_init__
+
+        def counted(self):
+            calls.append(len(self.points))
+            post_init(self)
+
+        monkeypatch.setattr(PseudoOrbit, "__post_init__", counted)
+        sa = SetApprox.build(np.vstack([[[0.0, 0.0]], homoclinic_points(cat, n_window=3)]), 0.02)
+        params = SamplingParams(seed=5, n_paths=8, max_cycle_len=10)
+        merged, stats = closure._closure_step(cat, sa, 0.05, params, max_defect=None, label="")
+        assert stats.n_sampled > 0 and len(merged) > len(sa)
+        assert calls == []
+        # the counter sees the derived view build them
+        sampled = sample_pseudo_orbits(build_graph(cat, sa, 0.05), params=params)
+        assert calls == []
+        assert len(sampled.orbits) == len(calls) == stats.n_sampled
 
 
 class TestGamma:

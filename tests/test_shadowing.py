@@ -20,9 +20,11 @@ from shadowbench.shadowing import (
     ShadowResult,
     ShadowingRefusal,
     _adapted_blocks,
+    _cyclic_matrices,
     _lifted_errors,
     _newton_jacobian,
     _newton_lu,
+    _power,
     _result_from_orbit,
     _series_corrections,
     _step_pairs,
@@ -334,6 +336,30 @@ class TestSeriesKernel:
             for po, orbit_errors in zip(orbits, errors):
                 assert orbit_errors.tobytes() == _lifted_errors(cat, po).tobytes()
             assert_kernel_matches_loop(cat, errors, n, periodic)
+
+    @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], THREE_D["3d_stable1"],
+                                        THREE_D["3d_stable2"]])
+    def test_cyclic_matrices_memoized_per_period(self, matrix, rng):
+        # a fresh map, so that the first periodic call below builds I - B^n
+        map = ToralAutomorphism(matrix)
+        periods = (1, 2, 7, 40)
+        for n in periods:
+            errors = np.stack([_lifted_errors(map, PseudoOrbit(
+                noisy_orbit(map, rng, n, 1e-2), 0.0, periodic=True)) for _ in range(3)])
+            expected = [series_loop(map, e, n, True).tobytes() for e in errors]
+            _series_corrections(map, errors[:, 1:], n, False)  # a segment builds none
+            assert ("cyclic_matrices", n) not in map._memo
+            for _ in range(2):  # first call builds, the repeat reads the memo
+                stacked = _series_corrections(map, errors, n, True)
+                assert [c.tobytes() for c in stacked] == expected
+                assert _series_corrections(map, errors[:1], n, True)[0].tobytes() == expected[0]
+                mats = map._memo[("cyclic_matrices", n)]
+                assert _cyclic_matrices(map, n) is mats
+            for M, B in zip(mats, _adapted_blocks(map)):
+                assert M.tobytes() == (np.eye(len(B)) - _power(B, n)).tobytes()
+                assert not M.flags.writeable
+        assert sorted(k[1] for k in map._memo
+                      if isinstance(k, tuple) and k[0] == "cyclic_matrices") == list(periods)
 
     def test_closure_windows_match_per_orbit_gate_and_loop(self, cat):
         groups = cat_closure_samples(cat)

@@ -10,6 +10,7 @@ from scipy.spatial import cKDTree
 from shadowbench.torus import (
     NotHyperbolicError,
     _det_and_inverse,
+    _mod1,
     ProductSystem,
     SuspensionFlow,
     ToralAutomorphism,
@@ -21,6 +22,7 @@ from shadowbench.torus import (
     system_to_config,
     torus_distance,
     torus_distance_array,
+    wrap,
 )
 
 
@@ -262,3 +264,18 @@ class TestConfig:
 def test_minimal_lift_halfopen():
     v = minimal_lift(np.array([0.5, -0.5, 0.75, 0.25]))
     assert np.allclose(v, [0.5, 0.5, -0.25, 0.25])
+
+
+def test_mod1_is_float_remainder_bit_for_bit(rng):
+    tiny = np.finfo(float).smallest_subnormal
+    edges = np.array([0.0, -0.0, tiny, -tiny, 1e-300, -1e-300, 1e-17, -1e-17, 0.5, -0.5,
+                      np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 1.0, -1.0, 2.0, -2.0,
+                      2.5, -2.5, 2.0 ** 52 + 1, -(2.0 ** 52) - 1, 1e300, -1e300,
+                      np.inf, -np.inf, np.nan])
+    samples = [edges] + [rng.standard_normal(4000) * 10.0 ** k for k in range(-20, 21, 4)]
+    samples.append(rng.random(4000) ** 3)  # fine bits near 0, as the kernels meet
+    with np.errstate(invalid="ignore"):
+        for x in samples:
+            assert _mod1(x).tobytes() == (x % 1.0).tobytes()
+    # wrap folds the 1.0 that tiny negatives round to
+    assert wrap(np.array([-tiny, -1e-17, -0.0])).tolist() == [0.0, 0.0, 0.0]
