@@ -725,10 +725,11 @@ class TestShadowingClosure:
         merged, stats = closure._closure_step(cat, sa, 0.05, params, max_defect=None, label="")
         assert stats.n_sampled > 0 and len(merged) > len(sa)
         assert calls == []
-        # the counter sees the derived view build them
+        # the sampler builds none either; the derived view builds one per sample
         sampled = sample_pseudo_orbits(build_graph(cat, sa, 0.05), params=params)
         assert calls == []
-        assert len(sampled.orbits) == len(calls) == stats.n_sampled
+        orbits = sampled.orbits
+        assert len(calls) == len(orbits) == stats.n_sampled
 
 
 class TestGamma:
