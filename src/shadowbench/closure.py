@@ -405,7 +405,8 @@ def _pad_with_cycle(cycle: tuple[int, ...], reps: int, end_at: int | None = None
 
 def sample_pseudo_orbits(graph: TransitionGraph, *,
                          params: SamplingParams | None = None) -> SampledOrbits:
-    """Generate pseudo-orbits sitting on the graph, deterministically.
+    """Generate pseudo-orbits sitting on the graph, deterministically, as
+    node-index sequences into the net (see `SampledOrbits`).
 
     Three families: (a) simple cycles up to max_cycle_len, (b) seeded random
     walks, (c) cycle-to-cycle connecting paths padded with their end cycles;
