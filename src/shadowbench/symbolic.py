@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from itertools import product as iproduct
 from typing import Sequence
 
@@ -83,9 +84,10 @@ class PeriodicWord:
     def __post_init__(self):
         if not self.left_cycle or not self.right_cycle:
             raise ValueError("cycles must be nonempty")
-        for sym in (*self.left_cycle, *self.core, *self.right_cycle):
-            if not 0 <= sym < self.alphabet_size:
-                raise ValueError(f"symbol {sym} outside alphabet of size {self.alphabet_size}")
+        syms = (*self.left_cycle, *self.core, *self.right_cycle)
+        if min(syms) < 0 or max(syms) >= self.alphabet_size:
+            bad = next(sym for sym in syms if not 0 <= sym < self.alphabet_size)
+            raise ValueError(f"symbol {bad} outside alphabet of size {self.alphabet_size}")
 
     @classmethod
     def from_cycle(cls, cycle: Sequence[int], alphabet_size: int) -> "PeriodicWord":
@@ -247,21 +249,30 @@ class SubshiftPresentation:
         return set().union(*(g.limit_cycles() for g in self.generators))
 
 
-def language(s: SubshiftPresentation, k: int) -> tuple[tuple[int, ...], ...]:
-    """All length-k words occurring in the presented set, sorted.
+def _blocks(s: SubshiftPresentation, k: int) -> set[tuple[int, ...]]:
+    """The set of length-k words occurring in the presented set.
 
-    Unrolling each generator one tail period past its core on both sides
-    visits every window position class; its k-blocks are slices of it.
+    Each generator is unrolled one tail period plus k - 1 symbols past its
+    core on both sides, which visits every window position class (the
+    offset moves no block); zipping k shifted slices of that yields its
+    k-blocks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    m = k - 1
     words: set[tuple[int, ...]] = set()
     for g in s.generators:
-        lo = g.core_lo - k - len(g.left_cycle) + 1
-        count = g.core_hi + len(g.right_cycle) - lo
-        unrolled = g.window(lo, count + k - 1)
-        words.update(unrolled[p:p + k] for p in range(count))
-    return tuple(sorted(words))
+        L, R = g.left_cycle, g.right_cycle
+        unrolled = ((L * (2 + m // len(L)))[-len(L) - m:] + g.core
+                    + (R * (2 + m // len(R)))[:len(R) + m])
+        count = len(unrolled) - m
+        words.update(zip(*[unrolled[i:i + count] for i in range(k)]))
+    return words
+
+
+def language(s: SubshiftPresentation, k: int) -> tuple[tuple[int, ...], ...]:
+    """All length-k words occurring in the presented set, sorted."""
+    return tuple(sorted(_blocks(s, k)))
 
 
 @dataclass(frozen=True)
@@ -274,11 +285,15 @@ class SFT:
     words: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        for w in self.words:
-            if len(w) != self.k:
-                raise ValueError(f"admissible word {w} has length != {self.k}")
-            if any(not 0 <= s < self.alphabet_size for s in w):
-                raise ValueError(f"word {w} leaves the alphabet")
+        words = self.words
+        if (not set(map(len, words)) <= {self.k}
+                or min(chain.from_iterable(words), default=0) < 0
+                or max(chain.from_iterable(words), default=0) >= self.alphabet_size):
+            for w in words:
+                if len(w) != self.k:
+                    raise ValueError(f"admissible word {w} has length != {self.k}")
+                if any(not 0 <= s < self.alphabet_size for s in w):
+                    raise ValueError(f"word {w} leaves the alphabet")
 
     def sorted_words(self) -> list[tuple[int, ...]]:
         return sorted(self.words)
@@ -303,7 +318,7 @@ class SFT:
             raise ValueError(f"periodic-point enumeration of {total} words exceeds cap")
         for p in range(1, max_period + 1):
             for cand in iproduct(range(self.alphabet_size), repeat=p):
-                if canonical_cycle(cand) == cand and self.admits_cycle(cand):
+                if self.admits_cycle(cand) and canonical_cycle(cand) == cand:
                     yield cand
 
 
@@ -311,7 +326,7 @@ def sft_closure(s: SubshiftPresentation, k: int) -> SFT:
     """The symbolic shadowing closure at scale delta = 2^-(k+1): sequences
     2^-(k+1)-shadowable by pseudo-orbits in the set are exactly those whose
     k-blocks occur in it, so the closure is the SFT over language(s, k)."""
-    return SFT(s.alphabet_size, k, frozenset(language(s, k)))
+    return SFT(s.alphabet_size, k, frozenset(_blocks(s, k)))
 
 
 def is_member(t: SFT, w: PeriodicWord) -> bool:
@@ -319,58 +334,77 @@ def is_member(t: SFT, w: PeriodicWord) -> bool:
     if w.alphabet_size != t.alphabet_size:
         raise ValueError("alphabet mismatch")
     probe = SubshiftPresentation(t.alphabet_size, (w,))
-    return set(language(probe, t.k)) <= t.words
+    return _blocks(probe, t.k) <= t.words
 
 
-def _debruijn_edges(t: SFT, forward: bool) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """De Bruijn edges by (k-1)-block: the admissible words leaving each
-    block (forward) or entering it (backward), in sorted order."""
-    edges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for w in t.sorted_words():
-        edges.setdefault(w[:-1] if forward else w[1:], []).append(w)
-    return edges
+def _first_choice_walks(first: dict, forward: bool) -> dict:
+    """Every first-choice de Bruijn walk at once, in the orientation of the
+    generators it builds: node -> (symbols between the node and the cycle
+    the walk ends in, that cycle).
 
-
-def _walk_to_cycle(start: tuple[int, ...], edges,
-                   forward: bool) -> tuple[list[int], tuple[int, ...]]:
-    """Follow first-choice de Bruijn edges from `start` until a block
-    repeats.  Returns (emitted symbols, cycle symbols) in walking order;
-    the cycle is empty when the walk dead-ends."""
-    node = start
-    seen = {node: 0}
-    emitted: list[int] = []
-    while True:
-        choices = edges.get(node)
-        if not choices:
-            return emitted, ()
-        w = choices[0]
-        emitted.append(w[-1] if forward else w[0])
-        node = w[1:] if forward else w[:-1]
-        if node in seen:
-            idx = seen[node]
-            return emitted[:idx], tuple(emitted[idx:])
-        seen[node] = len(emitted)
+    `first` maps each (k-1)-block to its first-choice word, the smallest
+    admissible word leaving it (forward) or entering it (backward).  That
+    makes the next block a function of the block, so a block on its cycle
+    walks the cycle rotated to start there, and any other block emits its
+    own symbol and then walks exactly as the block after it.  Backward
+    walks are stored reversed, ready to stand left of a word.
+    """
+    memo: dict = {}
+    for start in first:
+        path: list = []
+        node = start
+        while node not in memo:
+            memo[node] = None  # on the current path
+            path.append(node)
+            w = first[node]
+            node = w[1:] if forward else w[:-1]
+        if memo[node] is None:  # a new cycle: path[i:] walks it
+            i = path.index(node)
+            syms = tuple(first[n][-1] if forward else first[n][0] for n in path[i:])
+            for j, n in enumerate(path[i:]):
+                cycle = syms[j:] + syms[:j]
+                memo[n] = ((), cycle if forward else cycle[::-1])
+            del path[i:]
+        for n in reversed(path):
+            w = first[n]
+            if forward:
+                emitted, cycle = memo[w[1:]]
+                memo[n] = ((w[-1],) + emitted, cycle)
+            else:
+                emitted, cycle = memo[w[:-1]]
+                memo[n] = (emitted + (w[0],), cycle)
+    return memo
 
 
 def as_presentation(t: SFT) -> SubshiftPresentation:
     """A presentation whose language reproduces the SFT's admissible set:
     one generator through every admissible word, extended along first-choice
-    de Bruijn edges into cycles on both sides.  Words that cannot extend to
-    bi-infinite paths are dropped (they occur in no element of M_W)."""
-    succ = _debruijn_edges(t, forward=True)
-    pred = _debruijn_edges(t, forward=False)
-    gens = []
-    for w in t.sorted_words():
-        back_emit, back_cycle = _walk_to_cycle(w[:-1], pred, forward=False)
-        fwd_emit, fwd_cycle = _walk_to_cycle(w[1:], succ, forward=True)
-        if not back_cycle or not fwd_cycle:
-            continue
-        core = tuple(reversed(back_emit)) + w + tuple(fwd_emit)
-        gens.append(PeriodicWord(tuple(reversed(back_cycle)), core, fwd_cycle,
-                                 t.alphabet_size))
-    if not gens:
+    de Bruijn edges into cycles on both sides.
+
+    Words that cannot extend to bi-infinite paths occur in no element of
+    M_W and are dropped first: the edges into blocks no edge leaves, and out
+    of blocks no edge enters, are trimmed until none is left (the essential
+    graph), so every first-choice walk ends in a cycle.
+    """
+    words = sorted(t.words)
+    while True:
+        # reversed, so each block keeps its smallest word
+        succ = {w[:-1]: w for w in reversed(words)}
+        pred = {w[1:]: w for w in reversed(words)}
+        if succ.keys() == pred.keys():
+            break
+        words = [w for w in words if w[1:] in succ and w[:-1] in pred]
+    if not words:
         raise ValueError("SFT admits no bi-infinite words; empty presentation")
-    return SubshiftPresentation(t.alphabet_size, tuple(gens))
+    left = _first_choice_walks(pred, forward=False)
+    right = _first_choice_walks(succ, forward=True)
+    n = t.alphabet_size
+    gens = []
+    for w in words:
+        back, left_cycle = left[w[:-1]]
+        ahead, right_cycle = right[w[1:]]
+        gens.append(PeriodicWord(left_cycle, back + w + ahead, right_cycle, n))
+    return SubshiftPresentation(n, tuple(gens))
 
 
 def equality_witness(s: SubshiftPresentation, k: int,

@@ -227,12 +227,25 @@ def compute_splitting(matrix: np.ndarray | Sequence[Sequence[int]]) -> Hyperboli
     spanned by the real and imaginary parts of one eigenvector.  Raises
     NotHyperbolicError if any eigenvalue modulus is within 1e-9 of 1.
     """
+    M, _ = _unimodular(matrix)
+    return _eigen_split(M)
+
+
+def _unimodular(matrix: np.ndarray | Sequence[Sequence[int]]
+                ) -> tuple[np.ndarray, list[list[Fraction]]]:
+    """The matrix as int64 and its exact inverse, refused unless square
+    with |det| = 1: one Gauss–Jordan pass."""
     M = np.array(matrix, dtype=np.int64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    det, _ = _det_and_inverse(M)
+    det, inv = _det_and_inverse(M)
     if abs(det) != 1:
         raise ValueError(f"|det| must be 1, got {det}")
+    return M, inv
+
+
+def _eigen_split(M: np.ndarray) -> HyperbolicSplitting:
+    """compute_splitting past its determinant check."""
     vals, vecs = np.linalg.eig(M.astype(float))
 
     stable_cols: list[np.ndarray] = []
@@ -284,10 +297,9 @@ def compute_splitting(matrix: np.ndarray | Sequence[Sequence[int]]) -> Hyperboli
     )
 
 
-def _integer_inverse(M: np.ndarray) -> np.ndarray:
-    """Exact inverse of an invertible integer matrix, refused unless integral."""
-    _, inv = _det_and_inverse(M)
-    if inv is None or any(v.denominator != 1 for row in inv for v in row):
+def _integer_inverse(inv: list[list[Fraction]]) -> np.ndarray:
+    """An exact inverse as an integer matrix, refused unless integral."""
+    if any(v.denominator != 1 for row in inv for v in row):
         raise ValueError("matrix is not invertible over the integers")
     return np.array([[int(v) for v in row] for row in inv], dtype=np.int64)
 
@@ -305,10 +317,10 @@ class ToralAutomorphism:
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[int]]):
-        M = np.array(matrix, dtype=np.int64)
-        splitting = compute_splitting(M)
+        M, inv = _unimodular(matrix)
+        splitting = _eigen_split(M)
         object.__setattr__(self, "matrix", _readonly(M))
-        object.__setattr__(self, "inverse_matrix", _readonly(_integer_inverse(M)))
+        object.__setattr__(self, "inverse_matrix", _readonly(_integer_inverse(inv)))
         object.__setattr__(self, "splitting", splitting)
         object.__setattr__(self, "_memo", {})
 

@@ -619,3 +619,191 @@ class TestDecisionPreconditions:
         s = SubshiftPresentation(10, (PeriodicWord.constant(0, 10),))
         with pytest.raises(ValueError, match=message):
             equality_witness(s, 1, period_bound=7)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels for the de Bruijn path: one first-choice walk per word
+# and direction, and one slice per k-block.  The library memoizes the walks,
+# trims dead-end branches first, and zips shifted slices instead.
+
+
+def reference_debruijn_edges(t, forward):
+    """De Bruijn edges by (k-1)-block: the admissible words leaving each
+    block (forward) or entering it (backward), in sorted order."""
+    edges = {}
+    for w in t.sorted_words():
+        edges.setdefault(w[:-1] if forward else w[1:], []).append(w)
+    return edges
+
+
+def reference_walk_to_cycle(start, edges, forward):
+    """Follow first-choice de Bruijn edges from `start` until a block
+    repeats.  Returns (emitted symbols, cycle symbols) in walking order;
+    the cycle is empty when the walk dead-ends."""
+    node = start
+    seen = {node: 0}
+    emitted = []
+    while True:
+        choices = edges.get(node)
+        if not choices:
+            return emitted, ()
+        w = choices[0]
+        emitted.append(w[-1] if forward else w[0])
+        node = w[1:] if forward else w[:-1]
+        if node in seen:
+            idx = seen[node]
+            return emitted[:idx], tuple(emitted[idx:])
+        seen[node] = len(emitted)
+
+
+def reference_as_presentation(t):
+    succ = reference_debruijn_edges(t, forward=True)
+    pred = reference_debruijn_edges(t, forward=False)
+    gens = []
+    for w in t.sorted_words():
+        back_emit, back_cycle = reference_walk_to_cycle(w[:-1], pred, forward=False)
+        fwd_emit, fwd_cycle = reference_walk_to_cycle(w[1:], succ, forward=True)
+        if not back_cycle or not fwd_cycle:
+            continue
+        core = tuple(reversed(back_emit)) + w + tuple(fwd_emit)
+        gens.append(PeriodicWord(tuple(reversed(back_cycle)), core, fwd_cycle,
+                                 t.alphabet_size))
+    if not gens:
+        raise ValueError("SFT admits no bi-infinite words; empty presentation")
+    return SubshiftPresentation(t.alphabet_size, tuple(gens))
+
+
+def reference_language(s, k):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    words = set()
+    for g in s.generators:
+        lo = g.core_lo - k - len(g.left_cycle) + 1
+        count = g.core_hi + len(g.right_cycle) - lo
+        unrolled = g.window(lo, count + k - 1)
+        words.update(unrolled[p:p + k] for p in range(count))
+    return tuple(sorted(words))
+
+
+def reference_word_check(left, core, right, alphabet_size):
+    """The PeriodicWord checks, one symbol at a time: the error text or None."""
+    if not left or not right:
+        return "cycles must be nonempty"
+    for sym in (*left, *core, *right):
+        if not 0 <= sym < alphabet_size:
+            return f"symbol {sym} outside alphabet of size {alphabet_size}"
+    return None
+
+
+def reference_sft_check(alphabet_size, k, words):
+    """The SFT checks, one word and symbol at a time: the error text or None."""
+    for w in words:
+        if len(w) != k:
+            return f"admissible word {w} has length != {k}"
+        if any(not 0 <= s < alphabet_size for s in w):
+            return f"word {w} leaves the alphabet"
+    return None
+
+
+def bi_infinite_words(words, n):
+    """Brute force: the words over n symbols that extend by len(words) + 1
+    admissible symbols on both sides.  A walk that long repeats a (k-1)-block, so it
+    can be pumped forever: exactly the words on bi-infinite paths."""
+    depth = len(words) + 1
+    ahead = {w: True for w in words}   # extends by 0 symbols
+    behind = dict(ahead)
+    for _ in range(depth):
+        ahead = {w: any(ahead.get(w[1:] + (a,), False) for a in range(n)) for w in words}
+        behind = {w: any(behind.get((a,) + w[:-1], False) for a in range(n)) for w in words}
+    return {w for w in words if ahead[w] and behind[w]}
+
+
+def kernel_cases(seed, n_presentations=40):
+    """Closures of random presentations (2-3 symbols, 1-3 generators) at
+    k = 1..8, then of the full, golden-mean and even shifts."""
+    rng = np.random.default_rng(seed)
+    named = [W((0,), (1,), (0, 1)), golden_mean_presentation(), even_shift_presentation()]
+    sources = [random_presentation(rng, n=int(rng.integers(2, 4)))
+               for _ in range(n_presentations)] + named
+    return [(s, k) for s in sources for k in range(1, 9)]
+
+
+class TestDeBruijnKernelsMatchReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_generators_and_languages(self, seed):
+        for s, k in kernel_cases(seed):
+            assert language(s, k) == reference_language(s, k)
+            t = sft_closure(s, k)
+            assert t.words == set(reference_language(s, k))
+            p = as_presentation(t)
+            ref = reference_as_presentation(t)
+            assert [fields(g) for g in p.generators] == [fields(g) for g in ref.generators]
+            assert language(p, k) == reference_language(ref, k)
+            assert stabilization_check(s, k)
+
+    def test_membership_matches_language(self, rng):
+        for _ in range(200):
+            s = random_presentation(rng, n=int(rng.integers(2, 4)))
+            k = int(rng.integers(1, 5))
+            t = sft_closure(s, k)
+            w = random_word(rng, n=s.alphabet_size)
+            probe = SubshiftPresentation(s.alphabet_size, (w,))
+            assert is_member(t, w) == (set(reference_language(probe, k)) <= t.words)
+
+    def test_bad_words_raise_the_same_text(self):
+        cases = [((0,), (), (), 2), ((), (1,), (0,), 2), ((-1,), (), (0,), 2),
+                 ((0,), (2,), (0,), 2), ((0,), (0, 1), (3, 0), 3), ((0, 5), (), (1,), 3)]
+        for left, core, right, n in cases:
+            message = reference_word_check(left, core, right, n)
+            with pytest.raises(ValueError) as err:
+                PeriodicWord(left, core, right, n)
+            assert str(err.value) == message
+
+    def test_bad_sfts_raise_the_same_text(self):
+        cases = [(2, 2, [(0, 1), (0,)]), (2, 2, [(0, 1, 1)]), (2, 2, [(0, 2)]),
+                 (3, 1, [(-1,)]), (2, 2, [(1, 0), (0, 0, 0), (5, 5)]), (2, 1, [(0,), (1, 1)])]
+        for n, k, words in cases:
+            for order in (words, words[::-1]):
+                message = reference_sft_check(n, k, order)
+                with pytest.raises(ValueError) as err:
+                    SFT(n, k, order)
+                assert str(err.value) == message
+
+
+class TestEssentialGraph:
+    def test_dead_end_branch_is_trimmed(self):
+        # 01 runs into the block 1, which no word leaves
+        t = SFT(3, 2, frozenset({(0, 1), (0, 2), (2, 0), (2, 2)}))
+        assert is_member(t, PeriodicWord.constant(2, 3))
+        assert is_member(t, PeriodicWord.from_cycle((2, 0), 3))
+        p = as_presentation(t)
+        assert set(language(p, 2)) == {(0, 2), (2, 0), (2, 2)}
+        with pytest.raises(ValueError, match="no bi-infinite words"):
+            reference_as_presentation(t)
+
+    def test_every_word_kept_once_the_branch_closes(self):
+        words = {(0, 1), (0, 2), (1, 1), (2, 0), (2, 2)}
+        p = as_presentation(SFT(3, 2, frozenset(words)))
+        assert set(language(p, 2)) == words
+
+    def test_no_bi_infinite_word_refused(self):
+        for words in ({(0, 1)}, {(0, 1), (1, 2)}, set()):
+            with pytest.raises(ValueError, match="no bi-infinite words"):
+                as_presentation(SFT(3, 2, frozenset(words)))
+
+    def test_random_word_sets_against_brute_force(self, rng):
+        for _ in range(400):
+            n = int(rng.integers(2, 4))
+            k = int(rng.integers(1, 4))
+            every = list(iproduct(range(n), repeat=k))
+            chosen = rng.random(len(every)) < rng.uniform(0.2, 0.8)
+            words = {w for w, keep in zip(every, chosen) if keep}
+            t = SFT(n, k, frozenset(words))
+            essential = bi_infinite_words(words, n)
+            if not essential:
+                with pytest.raises(ValueError, match="no bi-infinite words"):
+                    as_presentation(t)
+                continue
+            p = as_presentation(t)
+            assert set(language(p, k)) == essential
+            assert all(is_member(t, g) for g in p.generators)

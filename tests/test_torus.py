@@ -140,6 +140,27 @@ class TestSplitting:
     def test_det_two_rejected(self):
         with pytest.raises(ValueError, match=r"\|det\| must be 1, got 2"):
             ToralAutomorphism([[3, 1], [1, 1]])
+        with pytest.raises(ValueError, match=r"\|det\| must be 1, got 2"):
+            compute_splitting([[3, 1], [1, 1]])
+
+    def test_one_gauss_jordan_pass_per_construction(self, monkeypatch, crovisier):
+        from shadowbench import torus
+        matrices = ([[2, 1], [1, 1]], [[1, 1], [1, 0]], crovisier.as_automorphism().matrix)
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return _det_and_inverse(M)
+
+        monkeypatch.setattr(torus, "_det_and_inverse", counted)
+        for M in matrices:
+            calls.clear()
+            f = ToralAutomorphism(M)
+            assert len(calls) == 1
+            assert np.array_equal(f.matrix @ f.inverse_matrix, np.eye(f.dim, dtype=np.int64))
+        calls.clear()
+        compute_splitting([[2, 1], [1, 1]])
+        assert len(calls) == 1
 
     def test_stable_contraction_in_adapted_norm(self, cat):
         s = cat.splitting
