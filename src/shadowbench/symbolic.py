@@ -19,7 +19,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from itertools import chain
-from itertools import product as iproduct
 from typing import Sequence
 
 __all__ = [
@@ -306,20 +305,45 @@ class SFT:
 
     def periodic_cycles(self, max_period: int) -> set[tuple[int, ...]]:
         """Canonical cycles of all periodic points with period <= max_period,
-        by exhaustive enumeration over the alphabet."""
+        found by the pruned search of `_cycles_in_order`."""
         return set(self._cycles_in_order(max_period))
 
-    def _cycles_in_order(self, max_period: int):
+    def _cycles_in_order(self, max_period: int, start: tuple[int, ...] = ()):
         """The canonical admissible cycles of period <= max_period, shortest
-        first and lexicographically within a length.  Refuses before the
-        first candidate when the enumeration would exceed the fixed cap."""
-        total = sum(self.alphabet_size ** p for p in range(1, max_period + 1))
+        first and lexicographically within a length, skipping those ordered
+        before `start`.  Refuses before the first candidate when the
+        enumeration would exceed the fixed cap.
+
+        Canonical cycles are the Lyndon words, so each length is searched
+        depth-first in symbol order over prenecklaces (the Fredricksen-
+        Kessler-Maiorana recursion), extending a prefix only while its last
+        k symbols are a factor of an admissible word; each Lyndon word of
+        full length is then checked on its cyclic windows."""
+        n, k = self.alphabet_size, self.k
+        total = sum(n ** p for p in range(1, max_period + 1))
         if total > _ENUMERATION_CAP:
             raise ValueError(f"periodic-point enumeration of {total} words exceeds cap")
-        for p in range(1, max_period + 1):
-            for cand in iproduct(range(self.alphabet_size), repeat=p):
-                if self.admits_cycle(cand) and canonical_cycle(cand) == cand:
-                    yield cand
+        factors = set(self.words)
+        level = self.words
+        for _ in range(k - 1):
+            level = {w[1:] for w in level} | {w[:-1] for w in level}
+            factors |= level
+        for p in range(max(len(start), 1), max_period + 1):
+            floor = start if p == len(start) else ()
+            # (prefix, length of its longest Lyndon prefix), popped in lexicographic order
+            stack = [((a,), 1) for a in reversed(range(n)) if (a,) in factors]
+            while stack:
+                w, q = stack.pop()
+                t = len(w)
+                if t == p:
+                    if q == p and w >= floor and self.admits_cycle(w):
+                        yield w
+                    continue
+                ref = w[t - q]  # a smaller symbol would make a smaller rotation
+                for a in reversed(range(ref, n)):
+                    x = w + (a,)
+                    if x[-k:] in factors:
+                        stack.append((x, q if a == ref else t + 1))
 
 
 def sft_closure(s: SubshiftPresentation, k: int) -> SFT:
@@ -407,17 +431,26 @@ def as_presentation(t: SFT) -> SubshiftPresentation:
     return SubshiftPresentation(n, tuple(gens))
 
 
+def _check_period_bound(period_bound: int | None) -> None:
+    if period_bound is not None and period_bound < 1:
+        raise ValueError(f"period_bound must be >= 1, got {period_bound}")
+
+
+def _first_missing(t: SFT, have: set[tuple[int, ...]], bound: int,
+                   start: tuple[int, ...] = ()) -> tuple[int, ...] | None:
+    """The first admissible cycle of `t` up to the period bound that is
+    missing from `have`, searched from `start` on."""
+    return next((c for c in t._cycles_in_order(bound, start) if c not in have), None)
+
+
 def equality_witness(s: SubshiftPresentation, k: int,
                      period_bound: int | None = None) -> PeriodicWord | None:
     """A periodic point of the window-k closure that is not in the set, or
     None if none exists up to the period bound (default 2k); the first
     such cycle, shortest first and lexicographic within a length."""
-    if period_bound is not None and period_bound < 1:
-        raise ValueError(f"period_bound must be >= 1, got {period_bound}")
-    t = sft_closure(s, k)
+    _check_period_bound(period_bound)
     bound = 2 * k if period_bound is None else period_bound
-    have = s.periodic_cycles()
-    cyc = next((c for c in t._cycles_in_order(bound) if c not in have), None)
+    cyc = _first_missing(sft_closure(s, k), s.periodic_cycles(), bound)
     return None if cyc is None else PeriodicWord.from_cycle(cyc, s.alphabet_size)
 
 
@@ -426,11 +459,23 @@ def is_locally_maximal(s: SubshiftPresentation, kmax: int,
     """Smallest window k <= kmax at which the set equals the SFT over its
     own language, decided through periodic points up to the period bound
     (the generators always lie in the SFT over their own language); None
-    when every k fails."""
+    when every k fails.  Each window k asks `equality_witness`'s question,
+    with two shortcuts: every k-block of the set begins one of its
+    kmax-blocks, so one language serves all windows; and the window-(k+1)
+    closure lies inside the window-k one, so its first missing cycle comes
+    no earlier in the order than the window-k one."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    return next((k for k in range(1, kmax + 1)
-                 if equality_witness(s, k, period_bound) is None), None)
+    _check_period_bound(period_bound)
+    have = s.periodic_cycles()
+    top = _blocks(s, kmax)
+    cyc: tuple[int, ...] | None = ()
+    for k in range(1, kmax + 1):
+        t = SFT(s.alphabet_size, k, frozenset(w[:k] for w in top))
+        cyc = _first_missing(t, have, 2 * k if period_bound is None else period_bound, cyc)
+        if cyc is None:
+            return k
+    return None
 
 
 def stabilization_check(s: SubshiftPresentation, k: int) -> bool:

@@ -576,6 +576,42 @@ class TestWindowCodeMatchesReference:
             bound = 6 if s.alphabet_size == 2 else 4
             assert t.periodic_cycles(bound) == ref_periodic_cycles(t, bound)
 
+    def test_cycle_order_matches_brute_force(self, rng):
+        # the pruned Lyndon search yields exactly the brute-force cycles,
+        # shortest first and lexicographic within a length, also on word
+        # sets with dead ends and on the closures the window calls build
+        def in_order(t, bound):
+            return sorted(ref_periodic_cycles(t, bound), key=lambda c: (len(c), c))
+
+        for _ in range(300):
+            n, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            words = [w for w in iproduct(range(n), repeat=k) if rng.random() < 0.6]
+            t = SFT(n, k, frozenset(words))
+            bound = {1: 8, 2: 8, 3: 5}[n]
+            assert list(t._cycles_in_order(bound)) == in_order(t, bound)
+        for s in (W((0,), (1,), (0, 1)), golden_mean_presentation(),
+                  even_shift_presentation()):
+            for k in range(1, 9):
+                t = sft_closure(s, k)
+                assert list(t._cycles_in_order(10)) == in_order(t, 10)
+
+    def test_window_calls_match_reference(self, rng):
+        # is_locally_maximal shares one language across windows and starts
+        # each window's search at the previous window's witness
+        for s in (W((0,), (1,), (0, 1)), golden_mean_presentation()):
+            assert is_locally_maximal(s, 8) == ref_is_locally_maximal(s, 8)
+        s = even_shift_presentation()
+        assert is_locally_maximal(s, 6, period_bound=10) is None
+        assert ref_is_locally_maximal(s, 6, period_bound=10) is None
+        windows = set()
+        for _ in range(150):
+            s = random_test_presentation(rng)
+            bound = 6 if s.alphabet_size == 2 else 4
+            got = is_locally_maximal(s, 5, period_bound=bound)
+            assert got == ref_is_locally_maximal(s, 5, period_bound=bound)
+            windows.add(got)
+        assert len(windows) >= 3
+
     def test_splice(self, rng):
         checked = 0
         for _ in range(600):
