@@ -251,9 +251,10 @@ def cmd_maximality(args) -> int:
 def cmd_crovisier(args) -> int:
     try:
         cfg = _load_config(args)
-        system = _load_system(args)
+        system = _load_system(args) if args.system else crovisier_product()
         if not isinstance(system, ProductSystem):
-            system = crovisier_product()
+            raise ValueError("crovisier needs a product system (a 'product' entry), "
+                             "not a single matrix")
         q = TorusPoint(tuple(args.q)) if args.q else TorusPoint((0.5, 0.0))
         r = TorusPoint(tuple(args.r)) if args.r else TorusPoint((0.0, 0.0))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -406,11 +407,9 @@ def _suite_sft(cfg: ExperimentConfig, out_dir: Path, quick: bool) -> dict:
         PeriodicWord.from_cycle(c, 2)
         for c in [(0,), (1,)] + [(0,) + (1,) * (2 * m) for m in range(1, 6)]))
     kmax_even = 4 if quick else 8
-    witness = None
-    for kk in range(1, kmax_even + 1):
-        witness = equality_witness(even, kk, period_bound=2 * kmax_even)
-        if witness is not None:
-            break
+    # the window-1 closure contains every window-k closure, so the first
+    # window with a witness is 1 or there is none
+    witness = equality_witness(even, 1, period_bound=2 * kmax_even)
     n_random = 20 if quick else 100
     k_values = (1, 2, 3) if quick else (1, 2, 3, 4)
     stab_all = all(

@@ -27,14 +27,8 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .shadowing import (
-    PseudoOrbit,
-    ShadowingRefusal,
-    _defect_limit,
-    _series_corrections,
-    _step_pairs,
-)
-from .torus import ToralAutomorphism, minimal_lift, torus_distance_array, wrap
+from .shadowing import PseudoOrbit, ShadowingRefusal, _defect_limit, _shadow_windows
+from .torus import ToralAutomorphism, torus_distance_array, wrap
 
 __all__ = [
     "SetApprox",
@@ -501,19 +495,6 @@ class ClosureStepStats:
     @property
     def partial_sampling(self) -> bool:
         return self.cycle_cap or self.connector_budget or self.lazy_graph
-
-
-def _shadow_windows(map: ToralAutomorphism, X: np.ndarray, periodic: bool,
-                    limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shadow windows of the stacked pseudo-orbits X (m, n, d) whose measured
-    defect passes the gate, and the mask of those admitted."""
-    images, successors = _step_pairs(map, X, periodic)
-    # a one-point segment has no pair and defect 0
-    defects = np.max(torus_distance_array(images, successors), axis=1, initial=0.0)
-    admitted = ~(defects >= limit)
-    errors = minimal_lift(successors[admitted] - images[admitted])
-    corrections = _series_corrections(map, errors, X.shape[1], periodic)
-    return wrap(X[admitted] + corrections), admitted
 
 
 def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,

@@ -19,7 +19,7 @@ bounds because boundary effects decay exponentially.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import accumulate
 from pathlib import Path
@@ -72,10 +72,12 @@ class ShadowingRefusal(ValueError):
 
 
 def _points_array(points: Iterable) -> np.ndarray:
-    arr = wrap(np.asarray(points, dtype=float))
+    arr = np.asarray(points, dtype=float)
     if arr.ndim != 2:
         raise ValueError("points must be a sequence of equal-dimension coordinates")
-    return arr
+    if not np.isfinite(arr).all():
+        raise ValueError("points must have finite coordinates")
+    return wrap(arr)
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class PseudoOrbit:
         pts = _points_array(self.points)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.defect < 0:
+        if not self.defect >= 0:  # NaN included
             raise ValueError("defect must be nonnegative")
         if not self.periodic and not (self.start_index <= 0 <= self.end_index):
             raise ValueError("index window must contain 0")
@@ -120,14 +122,6 @@ class PseudoOrbit:
     @property
     def end_index(self) -> int:
         return self.start_index + len(self) - 1
-
-    def point(self, j: int) -> np.ndarray:
-        """Coordinates at orbit index j (cyclic for periodic orbits)."""
-        if self.periodic:
-            return self.points[(j - self.start_index) % len(self)]
-        if not self.start_index <= j <= self.end_index:
-            raise IndexError(f"index {j} outside window [{self.start_index}, {self.end_index}]")
-        return self.points[j - self.start_index]
 
     def indices(self) -> np.ndarray:
         return np.arange(self.start_index, self.start_index + len(self))
@@ -165,25 +159,45 @@ def _step_pairs(map: ToralAutomorphism, X: np.ndarray,
 class ShadowResult:
     """A shadowing orbit for a pseudo-orbit.
 
-    `point` is the orbit point at index 0, `orbit` the full window y_j, and
-    `per_index` the torus distances d(y_j, x_j) aligned with the window.
-    `residual` is the largest violation of y_{j+1} = f(y_j) over the window.
+    `orbit` is the window y_j aligned with the pseudo-orbit's points; the
+    rest is derived from it on each read: `point` is the orbit point at
+    index 0, `per_index` the torus distances d(y_j, x_j), and `residual`
+    the largest violation of y_{j+1} = f(y_j) over the window.
     """
 
-    point: TorusPoint
-    sup_distance: float
-    per_index: np.ndarray
-    start_index: int
+    map: ToralAutomorphism = field(repr=False)
+    pseudo_orbit: PseudoOrbit = field(repr=False)
+    orbit: np.ndarray = field(repr=False)
     converged: bool
     iterations: int
-    orbit: np.ndarray = field(repr=False)
-    sup_distance_adapted: float = 0.0
-    residual: float = 0.0
-    method: str = "exact"
+    method: str
 
-    def __post_init__(self):
-        if not abs(self.sup_distance - float(np.max(self.per_index))) < 1e-15:
-            raise ValueError("sup_distance must be the maximum of per_index")
+    @property
+    def start_index(self) -> int:
+        return self.pseudo_orbit.start_index
+
+    @property
+    def point(self) -> TorusPoint:
+        # a segment's window contains 0; a periodic orbit's index is cyclic
+        return TorusPoint(self.orbit[-self.start_index % len(self.orbit)])
+
+    @property
+    def per_index(self) -> np.ndarray:
+        return torus_distance_array(self.orbit, self.pseudo_orbit.points)
+
+    @property
+    def sup_distance(self) -> float:
+        return float(np.max(self.per_index))
+
+    @property
+    def sup_distance_adapted(self) -> float:
+        """Sup distance in the splitting's adapted coordinates."""
+        lifts = minimal_lift(self.orbit - self.pseudo_orbit.points)
+        return float(np.max(np.linalg.norm(lifts @ self.map.splitting.basis_inv.T, axis=1)))
+
+    @property
+    def residual(self) -> float:
+        return _defect(self.map, self.orbit, self.pseudo_orbit.periodic)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,13 +209,8 @@ class ShadowResult:
             "residual": self.residual,
             "start_index": self.start_index,
             "point": self.point.coords.tolist(),
-            "per_index": [
-                {"index": int(j), "distance": float(v)}
-                for j, v in zip(
-                    range(self.start_index, self.start_index + len(self.per_index)),
-                    self.per_index,
-                )
-            ],
+            "per_index": [{"index": int(j), "distance": float(v)}
+                          for j, v in enumerate(self.per_index, self.start_index)],
         }
 
 
@@ -220,30 +229,21 @@ def _defect_limit(splitting, max_defect: float | None) -> float:
 
 def _check_gate(defect: float, splitting, max_defect: float | None) -> None:
     limit = _defect_limit(splitting, max_defect)
-    if defect >= limit:
+    if not defect < limit:  # a NaN limit refuses too
         raise ShadowingRefusal(defect, limit)
 
 
-def _result_from_orbit(map: ToralAutomorphism, po: PseudoOrbit, corrections: np.ndarray,
-                       *, iterations: int, converged: bool, method: str) -> ShadowResult:
-    s = map.splitting
-    orbit = wrap(po.points + corrections)
-    per_index = torus_distance_array(orbit, po.points)
-    lifts = minimal_lift(orbit - po.points)
-    adapted = float(np.max(np.linalg.norm(lifts @ s.basis_inv.T, axis=1)))
-    zero_idx = (0 - po.start_index) % len(po) if po.periodic else -po.start_index
-    return ShadowResult(
-        point=TorusPoint(orbit[zero_idx]),
-        sup_distance=float(np.max(per_index)),
-        per_index=per_index,
-        start_index=po.start_index,
-        converged=converged,
-        iterations=iterations,
-        orbit=orbit,
-        sup_distance_adapted=adapted,
-        residual=_defect(map, orbit, po.periodic),
-        method=method,
-    )
+def _shadow_windows(map: ToralAutomorphism, X: np.ndarray, periodic: bool,
+                    limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shadow windows of the stacked pseudo-orbits X (m, n, d) whose measured
+    defect passes the gate, and the mask of those admitted."""
+    images, successors = _step_pairs(map, X, periodic)
+    # a one-point segment has no pair and defect 0
+    defects = np.max(torus_distance_array(images, successors), axis=1, initial=0.0)
+    admitted = defects < limit
+    errors = minimal_lift(successors[admitted] - images[admitted])
+    corrections = _series_corrections(map, errors, X.shape[1], periodic)
+    return wrap(X[admitted] + corrections), admitted
 
 
 def exact_shadow_linear(map: ToralAutomorphism, po: PseudoOrbit, *,
@@ -260,8 +260,8 @@ def exact_shadow_linear(map: ToralAutomorphism, po: PseudoOrbit, *,
     _check_gate(po.defect, map.splitting, max_defect)
     corrections = _series_corrections(map, _lifted_errors(map, po)[None], len(po),
                                       po.periodic)[0]
-    return _result_from_orbit(map, po, corrections, iterations=0, converged=True,
-                              method="exact")
+    return ShadowResult(map, po, wrap(po.points + corrections), converged=True, iterations=0,
+                        method="exact")
 
 
 def _memoized(map: ToralAutomorphism, key, build):
@@ -514,8 +514,8 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
         iterations += 1
         converged = res_norm < tol
 
-    return _result_from_orbit(map, po, v, iterations=max(iterations, 1),
-                              converged=converged, method="newton")
+    return ShadowResult(map, po, wrap(po.points + v), converged=converged,
+                        iterations=max(iterations, 1), method="newton")
 
 
 def shadow_operator(map: ToralAutomorphism, po: PseudoOrbit, *,
@@ -611,8 +611,7 @@ def suspend_pseudo_orbit(flow: SuspensionFlow, po: PseudoOrbit, h: float) -> Flo
             fibers.append(k * h)
     traj = FlowPseudoTrajectory(np.array(base), np.array(fibers), h,
                                 t0=float(po.start_index), defect=0.0)
-    return FlowPseudoTrajectory(traj.base_points, traj.fibers, h,
-                                t0=traj.t0, defect=flow_defect(flow, traj))
+    return replace(traj, defect=flow_defect(flow, traj))
 
 
 def flow_defect(flow: SuspensionFlow, traj: FlowPseudoTrajectory) -> float:

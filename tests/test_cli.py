@@ -7,7 +7,7 @@ import pytest
 
 from shadowbench.cli import main
 from shadowbench.shadowing import PseudoOrbit, pseudo_orbit_to_csv
-from shadowbench.torus import TorusPoint, cat_map
+from shadowbench.torus import TorusPoint, cat_map, crovisier_product, system_to_config
 
 
 @pytest.fixture
@@ -46,6 +46,13 @@ class TestShadowCommand:
         code, payload = run(["shadow", "--orbit", str(path)], capsys)
         assert code == 1
         assert "line 3" in payload["error"]["message"]
+
+    def test_nan_coordinate_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("index,x0,x1\n0,0.1,0.2\n1,nan,0.3\n2,0.4,0.5\n")
+        code, payload = run(["shadow", "--orbit", str(path)], capsys)
+        assert code == 1 and payload["error"]["kind"] == "input"
+        assert "finite" in payload["error"]["message"]
 
     def test_missing_file_exit_one(self, capsys):
         code, payload = run(["shadow", "--orbit", "/nonexistent.csv"], capsys)
@@ -176,6 +183,19 @@ class TestCrovisierCommand:
         code, payload = run(["crovisier", "--depth", "3", "--v-radius", "0",
                              "--n-iter", "2"], capsys)
         assert code == 0 and payload["cells"] == 8 ** 4
+
+    def test_system_file_must_be_a_product(self, tmp_path, capsys):
+        matrix = tmp_path / "cat.json"
+        matrix.write_text(json.dumps(system_to_config(cat_map())))
+        code, payload = run(["crovisier", "--depth", "2", "--system", str(matrix)], capsys)
+        assert code == 1 and payload["error"]["kind"] == "input"
+        assert "product system" in payload["error"]["message"]
+        # the default product, given as a file, reads as no file at all
+        product = tmp_path / "product.json"
+        product.write_text(json.dumps(system_to_config(crovisier_product())))
+        _, from_file = run(["crovisier", "--depth", "2", "--system", str(product)], capsys)
+        _, default = run(["crovisier", "--depth", "2"], capsys)
+        assert from_file == default and default["cells"] > 0
 
     def test_closure_budget_exit_three(self, tmp_path, capsys):
         code, payload = run(["crovisier", "--depth", "3", "--n-iter", "3",

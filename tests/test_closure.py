@@ -689,7 +689,7 @@ class TestShadowingClosure:
     def test_step_builds_no_per_orbit_pseudo_orbit_or_result(self, cat, monkeypatch):
         calls = {"from_map": 0, "result": 0}
         from_map = PseudoOrbit.from_map.__func__
-        result_from_orbit = shadowing._result_from_orbit
+        shadow_result = shadowing.ShadowResult
 
         def counted_from_map(cls, *args, **kwargs):
             calls["from_map"] += 1
@@ -697,10 +697,10 @@ class TestShadowingClosure:
 
         def counted_result(*args, **kwargs):
             calls["result"] += 1
-            return result_from_orbit(*args, **kwargs)
+            return shadow_result(*args, **kwargs)
 
         monkeypatch.setattr(PseudoOrbit, "from_map", classmethod(counted_from_map))
-        monkeypatch.setattr(shadowing, "_result_from_orbit", counted_result)
+        monkeypatch.setattr(shadowing, "ShadowResult", counted_result)
         sa = SetApprox.build(np.vstack([[[0.0, 0.0]], homoclinic_points(cat, n_window=3)]), 0.02)
         out = shadowing_closure(cat, sa, delta=0.05,
                                 params=SamplingParams(seed=5, n_paths=8, max_cycle_len=10))

@@ -1,18 +1,14 @@
 import gc
+import json
 import sys
 import weakref
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from shadowbench.closure import (
-    SamplingParams,
-    SetApprox,
-    _shadow_windows,
-    build_graph,
-    sample_pseudo_orbits,
-)
+from shadowbench.closure import SamplingParams, SetApprox, build_graph, sample_pseudo_orbits
 from shadowbench.shadowing import (
     FlowPseudoTrajectory,
     PseudoOrbit,
@@ -20,13 +16,15 @@ from shadowbench.shadowing import (
     ShadowResult,
     ShadowingRefusal,
     _adapted_blocks,
+    _check_gate,
     _cyclic_matrices,
+    _defect,
     _lifted_errors,
     _newton_jacobian,
     _newton_lu,
     _power,
-    _result_from_orbit,
     _series_corrections,
+    _shadow_windows,
     _step_pairs,
     exact_shadow_linear,
     expansivity_test,
@@ -317,10 +315,10 @@ class TestSeriesKernel:
             po = PseudoOrbit.from_map(series_map, noisy_orbit(series_map, rng, 30, 1e-3),
                                       periodic=periodic)
             res = exact_shadow_linear(series_map, po, max_defect=np.inf)
-            ref = _result_from_orbit(series_map, po,
-                                     series_loop(series_map, _lifted_errors(series_map, po),
-                                                 len(po), periodic),
-                                     iterations=0, converged=True, method="exact")
+            corrections = series_loop(series_map, _lifted_errors(series_map, po), len(po),
+                                      periodic)
+            ref = ShadowResult(series_map, po, wrap(po.points + corrections), converged=True,
+                               iterations=0, method="exact")
             assert res.orbit.tobytes() == ref.orbit.tobytes()
             assert res.per_index.tobytes() == ref.per_index.tobytes()
             assert res.sup_distance_adapted == ref.sup_distance_adapted
@@ -444,8 +442,8 @@ def newton_loop(map, po, tol=1e-12, max_iter=20):
         res_norm = float(np.max(np.linalg.norm(res, axis=1))) if len(res) else 0.0
         iterations += 1
         converged = res_norm < tol
-    return _result_from_orbit(map, po, v, iterations=max(iterations, 1),
-                              converged=converged, method="newton")
+    return ShadowResult(map, po, wrap(x + v), converged=converged,
+                        iterations=max(iterations, 1), method="newton")
 
 
 class TestNewtonFactorization:
@@ -482,12 +480,160 @@ class TestNewtonFactorization:
         assert sys.getrefcount(lu) == lu_refs - 1  # the map's reference is gone
 
 
+@dataclass(frozen=True)
+class EagerResult:
+    """Reference: `ShadowResult` as it was when every value was stored."""
+
+    point: TorusPoint
+    sup_distance: float
+    per_index: np.ndarray
+    start_index: int
+    converged: bool
+    iterations: int
+    orbit: np.ndarray = field(repr=False)
+    sup_distance_adapted: float = 0.0
+    residual: float = 0.0
+    method: str = "exact"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "method": self.method,
+            "converged": self.converged,
+            "iterations": self.iterations,
+            "sup_distance": self.sup_distance,
+            "sup_distance_adapted": self.sup_distance_adapted,
+            "residual": self.residual,
+            "start_index": self.start_index,
+            "point": self.point.coords.tolist(),
+            "per_index": [
+                {"index": int(j), "distance": float(v)}
+                for j, v in zip(
+                    range(self.start_index, self.start_index + len(self.per_index)),
+                    self.per_index,
+                )
+            ],
+        }
+
+
+def _result_from_orbit(map: ToralAutomorphism, po: PseudoOrbit, corrections: np.ndarray,
+                       *, iterations: int, converged: bool, method: str) -> EagerResult:
+    """Reference: the eager result builder that every shadower called."""
+    s = map.splitting
+    orbit = wrap(po.points + corrections)
+    per_index = torus_distance_array(orbit, po.points)
+    lifts = minimal_lift(orbit - po.points)
+    adapted = float(np.max(np.linalg.norm(lifts @ s.basis_inv.T, axis=1)))
+    zero_idx = (0 - po.start_index) % len(po) if po.periodic else -po.start_index
+    return EagerResult(
+        point=TorusPoint(orbit[zero_idx]),
+        sup_distance=float(np.max(per_index)),
+        per_index=per_index,
+        start_index=po.start_index,
+        converged=converged,
+        iterations=iterations,
+        orbit=orbit,
+        sup_distance_adapted=adapted,
+        residual=_defect(map, orbit, po.periodic),
+        method=method,
+    )
+
+
+@pytest.fixture(params=["cat", "golden", "3-1-2-1", "3d_stable1", "3d_stable2", "crovisier"])
+def result_map(request):
+    if request.param == "3-1-2-1":
+        return ToralAutomorphism([[3, 1], [2, 1]])
+    if request.param in THREE_D:
+        return ToralAutomorphism(THREE_D[request.param])
+    fixture = request.getfixturevalue(request.param)
+    return fixture.as_automorphism() if request.param == "crovisier" else fixture
+
+
 class TestShadowResult:
-    def test_inconsistent_sup_distance_rejected(self):
-        with pytest.raises(ValueError, match="sup_distance"):
-            ShadowResult(point=TorusPoint((0.0, 0.0)), sup_distance=0.5,
-                         per_index=np.array([0.1, 0.2]), start_index=0,
-                         converged=True, iterations=0, orbit=np.zeros((2, 2)))
+    def test_stores_the_orbit_and_the_solver_outcome_only(self):
+        assert [f.name for f in fields(ShadowResult)] == [
+            "map", "pseudo_orbit", "orbit", "converged", "iterations", "method"]
+        assert all(f.default is MISSING and f.default_factory is MISSING
+                   for f in fields(ShadowResult))
+
+    # (periodic, index window): a segment starting at 0, centred, or ending at
+    # 0, and a periodic orbit indexed from 0 or from 7
+    @pytest.mark.parametrize("periodic, window", [(False, "first"), (False, "centre"),
+                                                  (False, "last"), (True, 0), (True, 7)])
+    def test_derived_values_match_eager_builder(self, result_map, periodic, window, rng):
+        map = result_map
+        for n in (1, 2, 5, 40, 200):
+            start = {"first": 0, "centre": -(n // 2), "last": -(n - 1)}.get(window, window)
+            po = PseudoOrbit.from_map(map, noisy_orbit(map, rng, n, 1e-3), periodic=periodic,
+                                      start_index=start)
+            series = _series_corrections(map, _lifted_errors(map, po)[None], n, periodic)[0]
+            exact = exact_shadow_linear(map, po, max_defect=np.inf)
+            assert exact.orbit.tobytes() == wrap(po.points + series).tobytes()
+            # the series shadow, and a window that is no orbit (residual > 0)
+            loose = 1e-3 * rng.standard_normal((n, map.dim))
+            for corrections, outcome in ((series, (0, True, "exact")),
+                                         (loose, (4, False, "newton"))):
+                iterations, converged, method = outcome
+                ref = _result_from_orbit(map, po, corrections, iterations=iterations,
+                                         converged=converged, method=method)
+                res = ShadowResult(map, po, wrap(po.points + corrections),
+                                   converged=converged, iterations=iterations, method=method)
+                assert_matches_eager(res, ref)
+            assert_matches_eager(exact, _result_from_orbit(
+                map, po, series, iterations=0, converged=True, method="exact"))
+
+    def test_newton_result_matches_eager_builder(self, result_map, rng):
+        for periodic, start in ((False, -20), (True, 3)):
+            po = PseudoOrbit.from_map(result_map, noisy_orbit(result_map, rng, 40, 1e-3),
+                                      periodic=periodic, start_index=start)
+            res = newton_shadow(result_map, po, max_defect=np.inf)
+            ref = _result_from_orbit(result_map, po, res.orbit - po.points,
+                                     iterations=res.iterations, converged=res.converged,
+                                     method="newton")
+            assert_matches_eager(res, ref)
+
+
+def assert_matches_eager(res, ref):
+    assert res.orbit.tobytes() == ref.orbit.tobytes()
+    assert res.point.coords.tobytes() == ref.point.coords.tobytes()
+    assert res.per_index.tobytes() == ref.per_index.tobytes()
+    for name in ("sup_distance", "sup_distance_adapted", "residual", "start_index",
+                 "converged", "iterations", "method"):
+        value, expected = getattr(res, name), getattr(ref, name)
+        assert (type(value), repr(value)) == (type(expected), repr(expected)), name
+    assert json.dumps(res.to_json_dict()) == json.dumps(ref.to_json_dict())
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_points_must_be_finite(self, cat, bad):
+        pts = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
+        with pytest.raises(ValueError, match="finite"):
+            PseudoOrbit(pts, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            PseudoOrbit.from_map(cat, pts)
+        with pytest.raises(ValueError, match="finite"):
+            pseudo_orbit_defect(cat, pts)
+
+    def test_nan_defect_refused(self, cat):
+        pts = cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            PseudoOrbit(pts, float("nan"))
+
+    @pytest.mark.parametrize("shadow", [exact_shadow_linear, newton_shadow])
+    def test_nan_gate_refuses(self, cat, shadow):
+        po = PseudoOrbit.from_map(cat, cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 5))
+        with pytest.raises(ShadowingRefusal):
+            shadow(cat, po, max_defect=float("nan"))
+
+    def test_check_gate_refuses_nan_defect(self, cat):
+        with pytest.raises(ShadowingRefusal):
+            _check_gate(float("nan"), cat.splitting, None)
+        _check_gate(0.0, cat.splitting, None)
+
+    def test_windows_admit_none_under_nan_limit(self, cat, rng):
+        X = np.stack([noisy_orbit(cat, rng, 6, 1e-3) for _ in range(3)])
+        windows, admitted = _shadow_windows(cat, X, False, float("nan"))
+        assert not admitted.any() and windows.shape == (0, 6, 2)
 
 
 class TestShiftEquivariance:
