@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import maximality as maximality_mod
-from .closure import SamplingParams, SetApprox, gamma_for, iterate_closure
-from .maximality import crovisier_set, local_product_check
+from .closure import ClosureTrace, SamplingParams, SetApprox, iterate_closure
+from .maximality import GridSet, LPSReport, crovisier_set, local_product_check
 from .shadowing import (
     PseudoOrbit,
     ShadowingRefusal,
@@ -59,7 +59,8 @@ EXIT_BUDGET = 3
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared knobs for the numerical experiments; every tolerance must be
-    positive and a fixed seed pins all sampled randomness."""
+    positive and a fixed seed pins all sampled randomness.  Refuses an
+    invalid knob on construction."""
 
     delta: float = 0.05
     resolution: float = 0.02
@@ -70,16 +71,20 @@ class ExperimentConfig:
     path_len: int = 40
     seed: int = 0
 
-    def violations(self) -> list[str]:
-        out = [f"{name} must be positive, got {getattr(self, name)}"
-               for name in ("delta", "resolution", "u_radius") if getattr(self, name) <= 0]
+    def __post_init__(self):
+        for f in fields(self):  # a config file can hold any JSON value
+            value, number = getattr(self, f.name), isinstance(f.default, float)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+                raise ValueError(f"invalid config: {f.name} must be "
+                                 f"{'a number' if number else 'an integer'}, got {value!r}")
+        problems = [f"{name} must be positive, got {getattr(self, name)}"
+                    for name in ("delta", "resolution", "u_radius")
+                    if not getattr(self, name) > 0]  # NaN included
         if self.max_iter < 1:
-            out.append(f"max_iter must be >= 1, got {self.max_iter}")
-        try:
-            self.sampling()
-        except ValueError as exc:  # SamplingParams owns the sampling rules
-            out.append(str(exc))
-        return out
+            problems.append(f"max_iter must be >= 1, got {self.max_iter}")
+        if problems:
+            raise ValueError("invalid config: " + "; ".join(problems))
+        self.sampling()  # SamplingParams owns the sampling rules
 
     def sampling(self) -> SamplingParams:
         return SamplingParams(max_cycle_len=self.max_cycle_len, n_paths=self.n_paths,
@@ -101,33 +106,51 @@ def _error(kind: str, message: str, code: int) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
-    base: dict = {}
+    entries = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            base = json.load(fh)
-    cfg = ExperimentConfig(**{k: v for k, v in base.items()
-                              if k in ExperimentConfig.__dataclass_fields__})
-    overrides = {}
-    for name in ExperimentConfig.__dataclass_fields__:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            overrides[name] = flag
-    cfg = replace(cfg, **overrides)
-    problems = cfg.violations()
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
-    return cfg
+            entries = json.load(fh)
+        if not isinstance(entries, dict):
+            raise ValueError(f"config file must hold a JSON object, "
+                             f"got {type(entries).__name__}")
+    names = ExperimentConfig.__dataclass_fields__
+    knobs = {k: v for k, v in entries.items() if k in names}
+    # the flags override the file
+    knobs.update((k, getattr(args, k)) for k in names if getattr(args, k, None) is not None)
+    return ExperimentConfig(**knobs)
 
 
-def _load_system(args) -> ToralAutomorphism | ProductSystem:
-    if getattr(args, "system", None):
-        with open(args.system) as fh:
-            return system_from_config(json.load(fh))
-    return cat_map()
+def _load_system(args, default) -> ToralAutomorphism | ProductSystem:
+    if not args.system:
+        return default()
+    with open(args.system) as fh:
+        return system_from_config(json.load(fh))
 
 
-def _as_map(system) -> ToralAutomorphism:
+def _load_map(args) -> ToralAutomorphism:
+    system = _load_system(args, cat_map)
     return system.as_automorphism() if isinstance(system, ProductSystem) else system
+
+
+def _lps(map: ToralAutomorphism, sa: SetApprox, resolution: float, eps: float | None = None,
+         delta: float | None = None, tol: float | None = None) -> LPSReport:
+    """The local-product check on a net of resolution r, by default at
+    eps 0.1, pair delta min(bracket_delta_for(eps), 3r) and tolerance 2r."""
+    eps = 0.1 if eps is None else eps
+    if delta is None:
+        delta = min(maximality_mod.bracket_delta_for(map.splitting, eps), 3 * resolution)
+    return local_product_check(map, sa, eps, delta, 2 * resolution if tol is None else tol)
+
+
+def _punctured_closure(system: ProductSystem, grid: GridSet, max_iter: int,
+                       params: SamplingParams, delta: float | None = None,
+                       u_radius: float | None = None) -> ClosureTrace:
+    """The closure of a punctured-torus grid set, by default at delta 4w and
+    U radius 3w for cell width w, with no defect gate."""
+    return iterate_closure(system.as_automorphism(), grid.as_set_approx("crovisier"),
+                           4 * grid.width if delta is None else delta,
+                           3 * grid.width if u_radius is None else u_radius,
+                           max_iter, params=params, max_defect=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +158,12 @@ def _as_map(system) -> ToralAutomorphism:
 
 
 def cmd_shadow(args) -> int:
-    try:
-        map = _as_map(_load_system(args))
-        points, start = pseudo_orbit_points_from_csv(args.orbit)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _error("input", str(exc), EXIT_INPUT)
-    try:
-        po = PseudoOrbit.from_map(map, points, periodic=args.periodic,
-                                  start_index=0 if args.periodic else start)
-        solver = newton_shadow if args.method == "newton" else exact_shadow_linear
-        result = solver(map, po)
-    except ShadowingRefusal as exc:
-        return _error("refusal", str(exc), EXIT_REFUSAL)
-    except ValueError as exc:
-        return _error("input", str(exc), EXIT_INPUT)
+    map = _load_map(args)
+    points, start = pseudo_orbit_points_from_csv(args.orbit)
+    po = PseudoOrbit.from_map(map, points, periodic=args.periodic,
+                              start_index=0 if args.periodic else start)
+    solver = newton_shadow if args.method == "newton" else exact_shadow_linear
+    result = solver(map, po)
     payload = {"pseudo_orbit": {"defect": po.defect, "length": len(po),
                                 "periodic": po.periodic},
                "result": result.to_json_dict()}
@@ -157,48 +172,23 @@ def cmd_shadow(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    try:
-        cfg = _load_config(args)
-        map = _as_map(_load_system(args))
-        sa = SetApprox.from_csv(args.points, cfg.resolution, label="Lambda_0")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _error("input", str(exc), EXIT_INPUT)
-    try:
-        trace = iterate_closure(map, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
-                                params=cfg.sampling())
-    except ShadowingRefusal as exc:
-        return _error("refusal", str(exc), EXIT_REFUSAL)
-    payload = trace.to_json_dict(include_iterates=args.include)
-    _emit(payload, args.out)
+    cfg = _load_config(args)
+    map = _load_map(args)
+    sa = SetApprox.from_csv(args.points, cfg.resolution, label="Lambda_0")
+    trace = iterate_closure(map, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
+                            params=cfg.sampling())
     if args.out_csv:
         trace.to_csv(args.out_csv)
+    _emit(trace.to_json_dict(include_iterates=args.include), args.out)
     return EXIT_BUDGET if trace.verdict.kind == "budget_exhausted" else EXIT_OK
 
 
-def _read_words(path: str, alphabet: int) -> list[PeriodicWord]:
-    words = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            words.append(PeriodicWord.from_text(line, alphabet))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    if not words:
-        raise ValueError("no words in file")
-    return words
-
-
 def cmd_sft(args) -> int:
-    try:
-        gens = _read_words(args.words, args.alphabet)
-        s = SubshiftPresentation(args.alphabet, tuple(gens))
-    except (OSError, ValueError) as exc:
-        return _error("input", str(exc), EXIT_INPUT)
-
+    if args.member is not None and args.window is None:
+        raise ValueError("--member needs --window")
+    s = SubshiftPresentation.from_file(args.words, args.alphabet)
     payload: dict = {"alphabet": args.alphabet,
-                     "generators": [g.to_text() for g in gens]}
+                     "generators": [g.to_text() for g in s.generators]}
     if args.language is not None:
         k = args.language
         payload["language"] = {"k": k, "words": ["".join(map(str, w))
@@ -216,12 +206,7 @@ def cmd_sft(args) -> int:
             entry["witness"] = equality_witness(s, 1).to_text()
         payload["locally_maximal"] = entry
     if args.member is not None:
-        if args.window is None:
-            return _error("input", "--member needs --window", EXIT_INPUT)
-        try:
-            w = PeriodicWord.from_text(args.member, args.alphabet)
-        except ValueError as exc:
-            return _error("input", str(exc), EXIT_INPUT)
+        w = PeriodicWord.from_text(args.member, args.alphabet)
         t = sft_closure(s, args.window)
         payload["member"] = {"word": w.to_text(), "window": args.window,
                              "in_closure": is_member(t, w)}
@@ -230,56 +215,34 @@ def cmd_sft(args) -> int:
 
 
 def cmd_maximality(args) -> int:
-    try:
-        cfg = _load_config(args)
-        map = _as_map(_load_system(args))
-        sa = SetApprox.from_csv(args.points, cfg.resolution)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _error("input", str(exc), EXIT_INPUT)
-    eps = args.eps if args.eps is not None else 0.1
-    delta = args.pair_delta if args.pair_delta is not None else min(
-        maximality_mod.bracket_delta_for(map.splitting, eps), 3 * cfg.resolution)
-    tol = args.membership_tol if args.membership_tol is not None else 2 * cfg.resolution
-    try:
-        report = local_product_check(map, sa, eps, delta, tol)
-    except maximality_mod.BracketError as exc:
-        return _error("refusal", str(exc), EXIT_REFUSAL)
+    cfg = _load_config(args)
+    map = _load_map(args)
+    sa = SetApprox.from_csv(args.points, cfg.resolution)
+    report = _lps(map, sa, cfg.resolution, args.eps, args.pair_delta, args.membership_tol)
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_crovisier(args) -> int:
-    try:
-        cfg = _load_config(args)
-        system = _load_system(args) if args.system else crovisier_product()
-        if not isinstance(system, ProductSystem):
-            raise ValueError("crovisier needs a product system (a 'product' entry), "
-                             "not a single matrix")
-        q = TorusPoint(tuple(args.q)) if args.q else TorusPoint((0.5, 0.0))
-        r = TorusPoint(tuple(args.r)) if args.r else TorusPoint((0.0, 0.0))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _error("input", str(exc), EXIT_INPUT)
-    width = 2.0 ** -args.depth
-    v_radius = args.v_radius if args.v_radius is not None else 2 * width
-    try:
-        grid = crovisier_set(system, q, r, v_radius, args.depth, args.n_iter,
-                             q_period=args.q_period)
-    except ValueError as exc:
-        return _error("input", str(exc), EXIT_INPUT)
+    cfg = _load_config(args)
+    system = _load_system(args, crovisier_product)
+    if not isinstance(system, ProductSystem):
+        raise ValueError("crovisier needs a product system (a 'product' entry), "
+                         "not a single matrix")
+    q = TorusPoint(tuple(args.q)) if args.q else TorusPoint((0.5, 0.0))
+    r = TorusPoint(tuple(args.r)) if args.r else TorusPoint((0.0, 0.0))
+    v_radius = args.v_radius if args.v_radius is not None else 2 * 2.0 ** -args.depth
+    grid = crovisier_set(system, q, r, v_radius, args.depth, args.n_iter,
+                         q_period=args.q_period)
     payload: dict = {"depth": args.depth, "v_radius": v_radius,
                      "cells": grid.count, "grid": grid.to_rle()}
     exit_code = EXIT_OK
     if args.closure:
-        F = system.as_automorphism()
-        lam = grid.as_set_approx("crovisier")
-        delta = args.closure_delta if args.closure_delta is not None else 4 * width
-        u_radius = args.closure_u_radius if args.closure_u_radius is not None else 3 * width
-        trace = iterate_closure(F, lam, delta, u_radius, cfg.max_iter,
-                                params=cfg.sampling(), max_defect=np.inf)
-        payload["closure"] = trace.to_json_dict(include_iterates="none")
-        payload["closure"]["gamma"] = gamma_for(F, delta)
+        trace = _punctured_closure(system, grid, cfg.max_iter, cfg.sampling(),
+                                   args.closure_delta, args.closure_u_radius)
         if args.out_csv:
             trace.to_csv(args.out_csv)
+        payload["closure"] = trace.to_json_dict(include_iterates="none")
         if trace.verdict.kind == "budget_exhausted":
             exit_code = EXIT_BUDGET
     _emit(payload, args.out)
@@ -376,11 +339,7 @@ def _suite_closure(cfg: ExperimentConfig, map, out_dir: Path, quick: bool) -> di
     for name, sa in entries:
         trace = iterate_closure(map, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
                                 params=cfg.sampling())
-        eps = 0.1
-        delta_pair = min(maximality_mod.bracket_delta_for(map.splitting, eps),
-                         3 * cfg.resolution)
-        lps = local_product_check(map, trace.final, eps, delta_pair,
-                                  2 * cfg.resolution)
+        lps = _lps(map, trace.final, cfg.resolution)
         trace.to_csv(out_dir / f"closure_{name}.csv")
         results[name] = {
             "verdict": {"kind": trace.verdict.kind, "index": trace.verdict.index},
@@ -442,17 +401,12 @@ def _random_presentation(rng) -> SubshiftPresentation:
 def _suite_crovisier(cfg: ExperimentConfig, out_dir: Path, quick: bool) -> dict:
     system = crovisier_product()
     depth = 3 if quick else 4
-    width = 2.0 ** -depth
     q, r = TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0))
-    grid = crovisier_set(system, q, r, 2 * width, depth, n_iter=4)
-    F = system.as_automorphism()
-    lam = grid.as_set_approx("crovisier")
-    max_iter = 3 if quick else 6
-    trace = iterate_closure(
-        F, lam, 4 * width, 3 * width, max_iter,
-        params=SamplingParams(max_cycle_len=2, n_paths=cfg.n_paths,
-                              path_len=min(cfg.path_len, 30), seed=cfg.seed + 3),
-        max_defect=np.inf)
+    grid = crovisier_set(system, q, r, 2 * 2.0 ** -depth, depth, n_iter=4)
+    trace = _punctured_closure(
+        system, grid, 3 if quick else 6,
+        SamplingParams(max_cycle_len=2, n_paths=cfg.n_paths,
+                       path_len=min(cfg.path_len, 30), seed=cfg.seed + 3))
     result = {
         "depth": depth,
         "cells": grid.count,
@@ -468,10 +422,7 @@ def _suite_crovisier(cfg: ExperimentConfig, out_dir: Path, quick: bool) -> dict:
 
 
 def cmd_suite(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except ValueError as exc:
-        return _error("input", str(exc), EXIT_INPUT)
+    cfg = _load_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     quick = args.scale == "quick"
@@ -597,10 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; every error becomes one JSON line and an exit code."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (ShadowingRefusal, maximality_mod.BracketError) as exc:  # ValueErrors too
+        return _error("refusal", str(exc), EXIT_REFUSAL)
+    except (OSError, ValueError) as exc:
         return _error("input", str(exc), EXIT_INPUT)
 
 

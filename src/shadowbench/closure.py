@@ -237,7 +237,7 @@ def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
     can be edgeless even on an invariant net.  For an f-invariant net with
     resolution r < delta every node has out-degree >= 1.
     """
-    if delta <= 0:
+    if not delta > 0:  # NaN included
         raise ValueError("positive delta required")
     images = map.apply_array(sa.points)
     # edges are counted chunk by chunk: once the running total passes the cap
@@ -551,7 +551,7 @@ def gamma_for(map: ToralAutomorphism, delta: float) -> float:
     its inverse (for a linear map, the larger operator norm).  The 10%
     margin keeps the paper-side inequalities strict.
     """
-    if delta <= 0:
+    if not delta > 0:  # NaN included
         raise ValueError("positive delta required")
     L = max(map.lipschitz, 1.0)
     return delta / (4.0 * L) * 0.9
@@ -659,6 +659,8 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
     stabilization.  Escape fires when a new point leaves the u_radius
     neighborhood of Lambda_0.  Budget exhaustion is a verdict, not an error.
     """
+    if not u_radius > 0:  # NaN included, which no escape test would ever fire
+        raise ValueError("positive u_radius required")
     p = params or SamplingParams()
     tol = 0.45 * lam0.resolution
     gamma = gamma_for(map, delta)

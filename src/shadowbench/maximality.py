@@ -156,6 +156,9 @@ def local_product_check(map: ToralAutomorphism, sa: SetApprox, eps: float,
                         delta: float, membership_tol: float) -> LPSReport:
     """Test every ordered pair x != y with d(x, y) < delta: the bracket must
     land within membership_tol of the net.  Failures are data, not errors."""
+    for name, value in (("eps", eps), ("delta", delta), ("membership_tol", membership_tol)):
+        if not value > 0:  # NaN included
+            raise ValueError(f"{name} must be positive, got {value}")
     s = map.splitting
     pts = sa.points
     pairs = sa.tree.query_pairs(r=delta, output_type="ndarray")
@@ -329,6 +332,8 @@ def crovisier_set(product: ProductSystem, q: TorusPoint, r: TorusPoint,
     the default system's A = [[3,1],[2,1]] genuinely fixes q = (1/2, 0), so
     q_period = 1 applies.  Cells are removed when their center lies in V.
     """
+    if not v_radius >= 0:  # NaN included; 0 removes no cell
+        raise ValueError(f"v_radius must be nonnegative, got {v_radius}")
     A, B = product.factor_a, product.factor_b
     if torus_distance(A.iterate(q, q_period), q) > 1e-9:
         raise ValueError(f"q is not fixed by A^{q_period}")

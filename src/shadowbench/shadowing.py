@@ -578,9 +578,11 @@ class FlowPseudoTrajectory:
     def __post_init__(self):
         if not 0 < self.h <= 1:
             raise ValueError("sample step h must be in (0, 1]")
-        pts = wrap(np.asarray(self.base_points, dtype=float))
+        pts = _points_array(self.base_points)
         pts.flags.writeable = False
         fib = np.asarray(self.fibers, dtype=float)
+        if not np.isfinite(fib).all():  # a NaN sample would read as distance 0
+            raise ValueError("fibers must be finite")
         fib.flags.writeable = False
         object.__setattr__(self, "base_points", pts)
         object.__setattr__(self, "fibers", fib)

@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from itertools import chain
+from pathlib import Path
 from typing import Sequence
 
 __all__ = [
@@ -240,6 +241,24 @@ class SubshiftPresentation:
         for g in self.generators:
             if g.alphabet_size != self.alphabet_size:
                 raise ValueError("generator alphabet mismatch")
+
+    @classmethod
+    def from_file(cls, path: str | Path, alphabet_size: int) -> "SubshiftPresentation":
+        """Read one generator per line in `PeriodicWord.from_text` form; blank
+        lines and `#` comments are skipped.  Raises ValueError naming the
+        offending line."""
+        words = []
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                words.append(PeriodicWord.from_text(line, alphabet_size))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+        if not words:
+            raise ValueError("no words in file")
+        return cls(alphabet_size, tuple(words))
 
     def periodic_cycles(self) -> set[tuple[int, ...]]:
         """Canonical cycles of every periodic orbit in the presented set:

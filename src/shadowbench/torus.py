@@ -527,13 +527,27 @@ def crovisier_product() -> ProductSystem:
 
 def system_from_config(cfg: dict) -> ToralAutomorphism | ProductSystem:
     """Build a system from a config dict: {"matrix": [[...]]} or
-    {"product": {"a": [[...]], "b": [[...]]}}."""
+    {"product": {"a": [[...]], "b": [[...]]}}, each matrix a list of rows
+    of integers."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"system config must be a JSON object, got {type(cfg).__name__}")
     if "matrix" in cfg:
-        return ToralAutomorphism(cfg["matrix"])
+        return ToralAutomorphism(_config_matrix(cfg["matrix"], "matrix"))
     if "product" in cfg:
         sub = cfg["product"]
-        return ProductSystem(ToralAutomorphism(sub["a"]), ToralAutomorphism(sub["b"]))
+        if not isinstance(sub, dict):
+            raise ValueError("system config entry 'product' must be an object with 'a' and 'b'")
+        return ProductSystem(ToralAutomorphism(_config_matrix(sub.get("a"), "product.a")),
+                             ToralAutomorphism(_config_matrix(sub.get("b"), "product.b")))
     raise ValueError("system config needs a 'matrix' or 'product' entry")
+
+
+def _config_matrix(rows, name: str) -> list:
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(v) is int for v in row) for row in rows)):
+        raise ValueError(f"system config entry '{name}' must be a list of rows "
+                         f"of integers, got {rows!r}")
+    return rows
 
 
 def system_to_config(system: ToralAutomorphism | ProductSystem) -> dict:

@@ -1,6 +1,7 @@
 """The public surface: every advertised name resolves and star-imports work;
 no check in the library relies on `assert`, which `python -O` strips; the
-CLI starts without importing networkx or scipy.signal."""
+CLI maps errors to exit codes in `main` alone and starts without importing
+networkx or scipy.signal."""
 
 import ast
 import importlib
@@ -44,6 +45,17 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_only_main_catches_in_cli():
+    # one exit-code policy: every error reaches `cli.main`, which maps it to a code
+    tree = ast.parse(Path(shadowbench.__file__).with_name("cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)}
+    elsewhere = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.ExceptHandler) and id(node) not in in_main]
+    assert in_main and not elsewhere, f"except handlers outside main at lines {elsewhere}"
 
 
 def test_cli_import_leaves_networkx_unloaded():

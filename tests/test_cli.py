@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from shadowbench import cli
 from shadowbench.cli import main
-from shadowbench.shadowing import PseudoOrbit, pseudo_orbit_to_csv
+from shadowbench.shadowing import PseudoOrbit, ShadowingRefusal, pseudo_orbit_to_csv
 from shadowbench.torus import TorusPoint, cat_map, crovisier_product, system_to_config
 
 
@@ -20,10 +21,25 @@ def orbit_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def fixed_point_csv(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("x0,x1\n0.0,0.0\n")
+    return path
+
+
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def run_error(args, capsys):
+    """Exit code and the error of a run that must print one JSON line only."""
+    code = main(args)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1, lines
+    return code, json.loads(lines[0])["error"]
 
 
 class TestShadowCommand:
@@ -91,6 +107,23 @@ class TestClosureCommand:
                              "--max-cycle-len", "0"], capsys)
         assert code == 1
         assert "max_cycle_len must be >= 1, got 0" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("flag", ["--delta", "--resolution", "--u-radius"])
+    def test_nan_knob_exit_one(self, fixed_point_csv, capsys, flag):
+        # a NaN delta would read as stabilized at index 0 without sampling an orbit
+        code, payload = run(["closure", "--points", str(fixed_point_csv), flag, "nan"],
+                            capsys)
+        assert code == 1 and payload["error"]["kind"] == "input"
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be positive, got nan" in payload["error"]["message"]
+
+    def test_nan_in_config_file_exit_one(self, fixed_point_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": float("nan")}))
+        code, payload = run(["closure", "--points", str(fixed_point_csv),
+                             "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "delta must be positive, got nan" in payload["error"]["message"]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
@@ -177,12 +210,37 @@ class TestMaximalityCommand:
         assert code == 0
         assert payload["passed"] is True and payload["pairs_tested"] > 0
 
+    @pytest.mark.parametrize("flag, name", [("--eps", "eps"), ("--pair-delta", "delta"),
+                                            ("--membership-tol", "membership_tol")])
+    def test_nan_knob_exit_one(self, fixed_point_csv, capsys, flag, name):
+        # a NaN knob would pass the check on zero pairs
+        code, payload = run(["maximality", "--points", str(fixed_point_csv), flag, "nan"],
+                            capsys)
+        assert code == 1 and payload["error"]["kind"] == "input"
+        assert payload["error"]["message"] == f"{name} must be positive, got nan"
+
 
 class TestCrovisierCommand:
     def test_zero_radius_full_grid(self, capsys):
         code, payload = run(["crovisier", "--depth", "3", "--v-radius", "0",
                              "--n-iter", "2"], capsys)
         assert code == 0 and payload["cells"] == 8 ** 4
+
+    def test_nan_radius_exit_one(self, capsys):
+        code, payload = run(["crovisier", "--depth", "2", "--v-radius", "nan"], capsys)
+        assert code == 1
+        assert payload["error"]["message"] == "v_radius must be nonnegative, got nan"
+
+    def test_refusal_in_closure_exit_two(self, monkeypatch, capsys):
+        # unreachable with the gate at inf short of a NaN defect, but one
+        # policy maps a refusal to 2 wherever it is raised
+        def refuse(*args, **kwargs):
+            raise ShadowingRefusal(1.0, 0.5)
+
+        monkeypatch.setattr(cli, "iterate_closure", refuse)
+        code, payload = run(["crovisier", "--depth", "2", "--n-iter", "1", "--closure"],
+                            capsys)
+        assert code == 2 and payload["error"]["kind"] == "refusal"
 
     def test_system_file_must_be_a_product(self, tmp_path, capsys):
         matrix = tmp_path / "cat.json"
@@ -229,6 +287,50 @@ class TestUsageErrors:
         code, payload = run(argv, capsys)
         assert code == 1 and payload["error"]["kind"] == "input"
         assert "unrecognized arguments" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("option, text, entry", [
+        ("--system", '{"product": {"a": [[3, 1], [2, 1]]}}', "'product.b'"),
+        ("--system", "5", "JSON object"),
+        ("--system", '{"matrix": null}', "'matrix'"),
+        ("--system", '{"matrix": [[2.5, 1], [1, 1]]}', "'matrix'"),
+        ("--config", "[1]", "JSON object"),
+        ("--config", '{"delta": "abc"}', "delta must be a number"),
+        ("--config", '{"max_iter": 2.5}', "max_iter must be an integer"),
+    ], ids=["product-without-b", "number", "null-matrix", "float-matrix",
+            "config-list", "string-delta", "float-max-iter"])
+    def test_malformed_file_exit_one(self, fixed_point_csv, tmp_path, capsys,
+                                     option, text, entry):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, error = run_error(["closure", "--points", str(fixed_point_csv),
+                                 option, str(path)], capsys)
+        assert code == 1 and error["kind"] == "input"
+        assert entry in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["shadow", "--orbit", "{orbit}", "--out", "{missing}"],
+        ["closure", "--points", "{points}", "--out", "{missing}"],
+        ["closure", "--points", "{points}", "--out-csv", "{missing}"],
+        ["sft", "--words", "{words}", "--alphabet", "2", "--language", "1",
+         "--out", "{missing}"],
+        ["maximality", "--points", "{points}", "--out", "{missing}"],
+        ["crovisier", "--depth", "2", "--n-iter", "1", "--out", "{missing}"],
+        ["crovisier", "--depth", "2", "--n-iter", "1", "--closure", "--max-iter", "1",
+         "--out-csv", "{missing}"],
+        ["suite", "--scale", "quick", "--out", "{blocked}"],
+    ], ids=["shadow", "closure", "closure-csv", "sft", "maximality", "crovisier",
+            "crovisier-csv", "suite"])
+    def test_write_failure_exit_one(self, orbit_csv, fixed_point_csv, tmp_path, capsys,
+                                    argv):
+        words = tmp_path / "words.txt"
+        words.write_text("(0)(0)\n")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        paths = {"orbit": orbit_csv, "points": fixed_point_csv, "words": words,
+                 "missing": tmp_path / "missing" / "out", "blocked": blocker / "out"}
+        code, error = run_error([a.format(**paths) for a in argv], capsys)
+        assert code == 1 and error["kind"] == "input"
+        assert "out" in error["message"]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -744,8 +744,29 @@ class TestGamma:
         with pytest.raises(ValueError, match="positive delta"):
             gamma_for(cat, 0.0)
 
+    def test_nan_delta(self, cat):
+        with pytest.raises(ValueError, match="positive delta"):
+            gamma_for(cat, float("nan"))
+
 
 class TestIterateClosure:
+    @pytest.mark.parametrize("delta, u_radius, message", [
+        (float("nan"), 0.35, "positive delta"),
+        (0.05, float("nan"), "positive u_radius"),
+        (0.05, 0.0, "positive u_radius"),
+    ])
+    def test_nan_knobs_refused(self, cat, delta, u_radius, message):
+        # NaN fails every comparison: a `<= 0` guard lets it through, and the
+        # run then reads as stabilized at index 0 without sampling an orbit
+        sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02, label="2cyc")
+        with pytest.raises(ValueError, match=message):
+            iterate_closure(cat, sa, delta, u_radius, 25)
+
+    def test_build_graph_refuses_nan_delta(self, cat):
+        sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02)
+        with pytest.raises(ValueError, match="positive delta"):
+            build_graph(cat, sa, float("nan"))
+
     def test_fixed_point_stabilizes_immediately(self, cat):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01, label="fp")
         trace = iterate_closure(cat, sa, delta=0.05, u_radius=0.2, max_iter=10)

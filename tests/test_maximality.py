@@ -93,6 +93,16 @@ class TestBracket:
 
 
 class TestLocalProductCheck:
+    @pytest.mark.parametrize("name", ["eps", "delta", "membership_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), 0.0])
+    def test_knobs_must_be_positive(self, cat, name, value):
+        # NaN fails every comparison, so a NaN delta finds no pair and passes
+        sa = SetApprox(np.array([[0.0, 0.0], [0.01, 0.0]]), 0.01)
+        knobs = {"eps": 0.1, "delta": 0.05, "membership_tol": 0.02, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive") as info:
+            local_product_check(cat, sa, **knobs)
+        assert not isinstance(info.value, BracketError)
+
     def test_singleton_passes_vacuously(self, cat):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
         report = local_product_check(cat, sa, eps=0.1, delta=0.05, membership_tol=0.02)
@@ -318,6 +328,11 @@ class TestCrovisierSet:
         with pytest.raises(ValueError, match="not fixed"):
             crovisier_set(crovisier, TorusPoint((0.3, 0.3)), TorusPoint((0.0, 0.0)),
                           v_radius=0.1, depth=3, n_iter=2)
+
+    def test_nan_radius_rejected(self, crovisier):
+        with pytest.raises(ValueError, match="v_radius must be nonnegative, got nan"):
+            crovisier_set(crovisier, TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0)),
+                          v_radius=float("nan"), depth=3, n_iter=2)
 
     def test_v_swallowing_grid_rejected(self, crovisier):
         with pytest.raises(ValueError, match="swallows"):

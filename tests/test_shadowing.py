@@ -2,7 +2,7 @@ import gc
 import json
 import sys
 import weakref
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -716,6 +716,24 @@ class TestFlowShadowing:
         res = flow_shadow(flow, traj, delta=2 * K * 1e-3)
         assert res.sup_distance <= K * po.defect + 1e-9
         assert res.reparameterization.distortion <= res.sup_distance + 1e-12
+
+    @pytest.mark.parametrize("attr, sample", [
+        ("base_points", [np.nan, 0.4]),
+        ("fibers", np.nan),
+        ("fibers", np.inf),
+    ])
+    def test_non_finite_sample_refused(self, cat, attr, sample):
+        # max(worst, nan) keeps worst, so flow_defect and flow_shadow would
+        # read a NaN sample as distance 0
+        flow = SuspensionFlow.over(cat)
+        po = PseudoOrbit.from_map(cat, cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 2))
+        traj = suspend_pseudo_orbit(flow, po, h=0.5)
+        bad = getattr(traj, attr).copy()
+        bad[1] = sample  # t = 0.5, between the integer-time samples
+        with pytest.raises(ValueError, match="finite"):
+            flow_defect(flow, replace(traj, **{attr: bad}))
+        with pytest.raises(ValueError, match="finite"):
+            flow_shadow(flow, replace(traj, **{attr: bad}), delta=1e-6)
 
     def test_insufficient_samples(self, cat):
         flow = SuspensionFlow.over(cat)

@@ -281,6 +281,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             system_from_config({"nonsense": 1})
 
+    @pytest.mark.parametrize("cfg, entry", [
+        (5, "JSON object"),
+        ({"matrix": None}, "'matrix'"),
+        ({"matrix": [[2.5, 1], [1, 1]]}, "'matrix'"),  # int64 would truncate it to cat
+        ({"matrix": [[True, 1], [1, 1]]}, "'matrix'"),
+        ({"product": {"a": [[3, 1], [2, 1]]}}, "'product.b'"),
+        ({"product": [[2, 1], [1, 1]]}, "'product'"),
+    ])
+    def test_malformed_config_names_the_entry(self, cfg, entry):
+        with pytest.raises(ValueError, match=entry):
+            system_from_config(cfg)
+
 
 def test_minimal_lift_halfopen():
     v = minimal_lift(np.array([0.5, -0.5, 0.75, 0.25]))
