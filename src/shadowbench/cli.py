@@ -114,7 +114,9 @@ def _load_config(args) -> ExperimentConfig:
             raise ValueError(f"config file must hold a JSON object, "
                              f"got {type(entries).__name__}")
     names = ExperimentConfig.__dataclass_fields__
-    knobs = {k: v for k, v in entries.items() if k in names}
+    if unknown := sorted(set(entries) - set(names)):
+        raise ValueError(f"config file has unknown keys: {', '.join(unknown)}")
+    knobs = dict(entries)
     # the flags override the file
     knobs.update((k, getattr(args, k)) for k in names if getattr(args, k, None) is not None)
     return ExperimentConfig(**knobs)

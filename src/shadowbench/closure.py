@@ -47,11 +47,38 @@ __all__ = [
 
 
 # query points per step of the bounded edge count in `build_graph`
-_COUNT_CHUNK = 1024
+_COUNT_CHUNK = 128
 
 
 def _torus_tree(points: np.ndarray) -> cKDTree:
     return cKDTree(wrap(points), boxsize=1.0)
+
+
+# The neighbour rule, for every caller: r-close means torus distance strictly
+# below r, indices ascending.  The tree's closed ball only proposes candidates.
+
+def _ball(tree: cKDTree, x: np.ndarray, r: float) -> np.ndarray:
+    """Indices of the tree's points r-close to the point x."""
+    idx = np.sort(np.asarray(tree.query_ball_point(x, r=r), dtype=np.intp))
+    return idx[torus_distance_array(tree.data[idx], x) < r]
+
+
+def _balls(tree: cKDTree, queries: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index arrays (i, j) of the tree's points j r-close to queries[i]."""
+    lists = tree.query_ball_point(queries, r=r, return_sorted=True)
+    src = np.repeat(np.arange(len(lists)), list(map(len, lists)))
+    dst = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=len(src))
+    parts = len(src) // 65536 + 1  # bounds the filter's float temporaries
+    keep = np.concatenate([torus_distance_array(queries[s], tree.data[t]) < r
+                           for s, t in zip(np.array_split(src, parts), np.array_split(dst, parts))])
+    return src[keep], dst[keep]
+
+
+def _pairs(sa: SetApprox, r: float) -> np.ndarray:
+    """Rows (i, j), i < j, of net points r-close to each other."""
+    pairs = sa.tree.query_pairs(r=r, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return pairs[torus_distance_array(sa.points[pairs[:, 0]], sa.points[pairs[:, 1]]) < r]
 
 
 class SetApprox:
@@ -80,15 +107,9 @@ class SetApprox:
         self.resolution = float(resolution)
         self.label = label
         self._tree: cKDTree | None = None
-        if _validate and len(pts) > 1:
-            pairs = self.tree.query_pairs(r=resolution / 2.0, output_type="ndarray")
-            gaps = torus_distance_array(pts[pairs[:, 0]], pts[pairs[:, 1]])
-            pairs = pairs[gaps < resolution / 2.0]
-            if len(pairs):
-                i, j = pairs[0]
-                raise ValueError(
-                    f"net condition violated: points {i} and {j} are closer than r/2"
-                )
+        if _validate and len(pts) > 1 and len(pairs := _pairs(self, resolution / 2.0)):
+            i, j = pairs[0]
+            raise ValueError(f"net condition violated: points {i} and {j} are closer than r/2")
 
     @classmethod
     def build(cls, points: Iterable, resolution: float, label: str = "") -> "SetApprox":
@@ -165,9 +186,7 @@ def _greedy_net(points: np.ndarray, threshold: float) -> np.ndarray:
     for i in range(len(points)):
         if not covered[i]:
             kept.append(i)
-            # the query ball is closed: keep only hits strictly inside
-            near = np.asarray(tree.query_ball_point(points[i], r=threshold), dtype=int)
-            covered[near[torus_distance_array(points[near], points[i]) < threshold]] = True
+            covered[_ball(tree, points[i], threshold)] = True
     return points[kept]
 
 
@@ -195,8 +214,8 @@ class TransitionGraph:
 
     Dense graphs beyond `edge_cap` stay lazy: `edges` is None and neighbor
     queries go through the KD-tree on demand.  `n_edges` is the exact edge
-    count of a materialized graph; on a lazy graph it is a lower bound above
-    `edge_cap`, since counting stops once the cap is passed.
+    count of a materialized graph; on a lazy graph it is the running count
+    of closed-ball hits at the query chunk that took it past `edge_cap`.
     """
 
     set: SetApprox
@@ -214,8 +233,7 @@ class TransitionGraph:
         return self.edges is not None
 
     def out_neighbors(self, i: int) -> np.ndarray:
-        idx = self.set.tree.query_ball_point(self.images[i], r=self.delta)
-        return np.sort(np.asarray(idx, dtype=int))
+        return _ball(self.set.tree, self.images[i], self.delta)
 
     def self_loop_nodes(self) -> np.ndarray:
         d = torus_distance_array(self.images, self.set.points)
@@ -240,20 +258,16 @@ def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
     if not delta > 0:  # NaN included
         raise ValueError("positive delta required")
     images = map.apply_array(sa.points)
-    # edges are counted chunk by chunk: once the running total passes the cap
-    # the full total does too, so the graph is lazy and the count stops there
-    counts = []
+    # closed-ball hits, a superset of the edges, are counted chunk by chunk:
+    # once their running total passes the cap the graph stays lazy
     total = 0
     for start in range(0, len(images), _COUNT_CHUNK):
-        counts.append(sa.tree.query_ball_point(images[start:start + _COUNT_CHUNK], r=delta,
-                                               return_length=True))
-        total += int(np.sum(counts[-1]))
+        total += int(np.sum(sa.tree.query_ball_point(images[start:start + _COUNT_CHUNK],
+                                                     r=delta, return_length=True)))
         if total > edge_cap:
             return TransitionGraph(sa, delta, images, None, total)
-    neighbor_lists = sa.tree.query_ball_point(images, r=delta, return_sorted=True)
-    sources = np.repeat(np.arange(len(images)), np.concatenate(counts))
-    targets = np.fromiter(chain.from_iterable(neighbor_lists), dtype=int, count=total)
-    return TransitionGraph(sa, delta, images, np.column_stack([sources, targets]), total)
+    sources, targets = _balls(sa.tree, images, delta)
+    return TransitionGraph(sa, delta, images, np.column_stack([sources, targets]), len(sources))
 
 
 @dataclass(frozen=True)
@@ -388,13 +402,8 @@ def _pad_with_cycle(cycle: tuple[int, ...], reps: int, end_at: int | None = None
                     start_at: int | None = None) -> list[int]:
     """Repeat a cycle so the padded block ends just before `end_at`, or
     starts just after `start_at` (both nodes on the cycle)."""
-    if end_at is not None:
-        k = cycle.index(end_at)
-        rotated = cycle[k + 1:] + cycle[:k + 1]  # ...ends AT end_at
-        return list(rotated) * reps
-    k = cycle.index(start_at)
-    rotated = cycle[k:] + cycle[:k]  # starts at start_at
-    return list(rotated) * reps
+    k = cycle.index(start_at) if end_at is None else cycle.index(end_at) + 1
+    return list(cycle[k:] + cycle[:k]) * reps
 
 
 def sample_pseudo_orbits(graph: TransitionGraph, *,
@@ -661,6 +670,8 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
     """
     if not u_radius > 0:  # NaN included, which no escape test would ever fire
         raise ValueError("positive u_radius required")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p = params or SamplingParams()
     tol = 0.45 * lam0.resolution
     gamma = gamma_for(map, delta)
@@ -681,7 +692,7 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
         nus.append(nu)
         stats.append(st)
 
-        if len(added) and float(np.max(lam0.distance_to(added))) > u_radius:
+        if len(added) and float(np.max(iterates[0].distance_to(added))) > u_radius:
             verdict = Verdict("escaped_neighborhood", i)
             break
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp
 
-from .closure import SetApprox
+from .closure import SetApprox, _pairs
 from .torus import (
     ProductSystem,
     ToralAutomorphism,
@@ -161,7 +161,7 @@ def local_product_check(map: ToralAutomorphism, sa: SetApprox, eps: float,
             raise ValueError(f"{name} must be positive, got {value}")
     s = map.splitting
     pts = sa.points
-    pairs = sa.tree.query_pairs(r=delta, output_type="ndarray")
+    pairs = _pairs(sa, delta)
     if len(pairs) == 0:
         return LPSReport(eps, delta, membership_tol, 0, ())
     ii = np.concatenate([pairs[:, 0], pairs[:, 1]])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -233,11 +234,14 @@ def compute_splitting(matrix: np.ndarray | Sequence[Sequence[int]]) -> Hyperboli
 
 def _unimodular(matrix: np.ndarray | Sequence[Sequence[int]]
                 ) -> tuple[np.ndarray, list[list[Fraction]]]:
-    """The matrix as int64 and its exact inverse, refused unless square
-    with |det| = 1: one Gauss–Jordan pass."""
-    M = np.array(matrix, dtype=np.int64)
+    """The matrix as int64 and its exact inverse, refused unless square,
+    of integers within int64 and with |det| = 1: one Gauss–Jordan pass."""
+    M = np.asarray(matrix, dtype=object)  # int64 would truncate 2.5 and overflow on 10**20
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
+    if not all(isinstance(v, Integral) and -2**63 <= v < 2**63 for v in M.flat):
+        raise ValueError(f"matrix entries must be integers within int64, got {M.tolist()}")
+    M = M.astype(np.int64)
     det, inv = _det_and_inverse(M)
     if abs(det) != 1:
         raise ValueError(f"|det| must be 1, got {det}")

@@ -1,7 +1,8 @@
 """The public surface: every advertised name resolves and star-imports work;
 no check in the library relies on `assert`, which `python -O` strips; the
 CLI maps errors to exit codes in `main` alone and starts without importing
-networkx or scipy.signal."""
+networkx or scipy.signal; KD-tree ball queries stay in closure's neighbour
+helpers."""
 
 import ast
 import importlib
@@ -56,6 +57,31 @@ def test_only_main_catches_in_cli():
     elsewhere = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.ExceptHandler) and id(node) not in in_main]
     assert in_main and not elsewhere, f"except handlers outside main at lines {elsewhere}"
+
+
+def test_ball_queries_only_in_the_neighbour_helpers():
+    # one neighbour rule: the tree's closed-ball hits are filtered in closure's
+    # helpers, and only build_graph's lazy-graph gate counts them unfiltered
+    helpers, queries = {"_ball", "_balls", "_pairs"}, {"query_ball_point", "query_pairs"}
+    found = []
+    for path in sorted(Path(shadowbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (ast.walk is breadth-first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        gate = {id(node.func) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and owner.get(id(node)) == "build_graph"
+                and any(k.arg == "return_length" for k in node.keywords)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            in_helper = path.name == "closure.py" and (owner.get(id(node)) in helpers
+                                                       or id(node) in gate)
+            if (node.attr in queries and not in_helper
+                    or node.attr == "tree" and path.name != "closure.py"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, f"neighbour queries outside closure's helpers: {found}"
 
 
 def test_cli_import_leaves_networkx_unloaded():

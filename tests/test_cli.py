@@ -293,11 +293,13 @@ class TestUsageErrors:
         ("--system", "5", "JSON object"),
         ("--system", '{"matrix": null}', "'matrix'"),
         ("--system", '{"matrix": [[2.5, 1], [1, 1]]}', "'matrix'"),
+        ("--system", '{"matrix": [[100000000000000000000, 1], [1, 1]]}', "within int64"),
         ("--config", "[1]", "JSON object"),
         ("--config", '{"delta": "abc"}', "delta must be a number"),
         ("--config", '{"max_iter": 2.5}', "max_iter must be an integer"),
-    ], ids=["product-without-b", "number", "null-matrix", "float-matrix",
-            "config-list", "string-delta", "float-max-iter"])
+        ("--config", '{"detla": -1, "delta": 0.05, "seeds": 1}', "unknown keys: detla, seeds"),
+    ], ids=["product-without-b", "number", "null-matrix", "float-matrix", "int64-overflow",
+            "config-list", "string-delta", "float-max-iter", "misspelt-key"])
     def test_malformed_file_exit_one(self, fixed_point_csv, tmp_path, capsys,
                                      option, text, entry):
         path = tmp_path / "input.json"

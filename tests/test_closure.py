@@ -14,7 +14,10 @@ from shadowbench.closure import (
     SamplingParams,
     SetApprox,
     Verdict,
+    _ball,
+    _balls,
     _greedy_net,
+    _pairs,
     _simple_cycles,
     _simple_paths,
     _successors,
@@ -27,7 +30,14 @@ from shadowbench.closure import (
     shadowing_closure,
 )
 from shadowbench.shadowing import PseudoOrbit, exact_shadow_linear, newton_shadow
-from shadowbench.torus import ToralAutomorphism, TorusPoint, torus_distance, wrap
+from shadowbench.torus import (
+    ToralAutomorphism,
+    TorusPoint,
+    cat_map,
+    torus_distance,
+    torus_distance_array,
+    wrap,
+)
 
 
 def brute_hausdorff(P, Q):
@@ -60,10 +70,37 @@ def brute_keep_first(points, threshold):
 
 
 def comprehension_edges(sa, images, delta):
-    """Reference: the per-edge comprehension `build_graph` used to run."""
-    neighbor_lists = sa.tree.query_ball_point(images, r=delta)
-    edges = [(i, j) for i, lst in enumerate(neighbor_lists) for j in sorted(lst)]
+    """Reference: every edge (i, j) with d(f(x_i), x_j) < delta strictly,
+    by brute force over all net points, in (i, j) order."""
+    edges = [(i, j) for i, image in enumerate(images)
+             for j in np.nonzero(torus_distance_array(sa.points, image) < delta)[0]]
     return np.array(edges, dtype=int) if edges else np.empty((0, 2), dtype=int)
+
+
+def boundary_net(d, seed):
+    """A set of points in T^d, a radius r, and queries of which many sit
+    within a few ulps of torus distance r from a point, or exactly at r."""
+    rng = np.random.default_rng(seed)
+    r = 0.25
+    # dyadic lattice neighbours are exactly r apart, across faces too
+    points = wrap(np.vstack([lattice(4, r, d), rng.random((150, d))]))
+    centers = points[rng.integers(0, len(points), 60)]
+    u = rng.standard_normal((60, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    ulps = np.arange(-4, 5)[:, None, None] * np.finfo(float).eps
+    near = wrap(centers + r * (1.0 + ulps) * u).reshape(-1, d)
+    ties = lattice(4, r, d)[::3]  # each has 2d lattice neighbours at exactly r
+    return SetApprox.build(points, 1e-9), r, np.vstack([near, ties, rng.random((50, d))])
+
+
+def brute_ball(sa, x, r):
+    return np.nonzero(torus_distance_array(sa.points, x) < r)[0]
+
+
+def exact_delta_net():
+    """The cat map fixes x_0 = 0, and x_1 sits at distance exactly 0.25
+    from f(x_0): at delta 0.25 the pair (0, 1) is no edge."""
+    return cat_map(), SetApprox(np.array([[0.0, 0.0], [0.25, 0.0]]), 0.02), 0.25
 
 
 def edge_ranks(edges):
@@ -282,6 +319,19 @@ class TestSetApprox:
         assert np.array_equal(SetApprox.build(pts, 2 * threshold).points, expected)
         SetApprox(expected, 2 * threshold)  # validates the r/2 net condition
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_tie_at_half_resolution_is_kept(self, d):
+        # dyadic offsets: the torus distance is exactly 0.125 = r/2, directly
+        # and across the faces; one ulp closer it is below r/2
+        offset = np.full(d, 0.0625) if d == 4 else np.array([0.125, 0.0])
+        for pts in (np.vstack([np.zeros(d), offset]), np.vstack([np.zeros(d), 1.0 - offset])):
+            assert np.array_equal(_greedy_net(pts, 0.125), pts)
+            assert len(SetApprox(pts, 0.25)) == 2
+        closer = np.vstack([np.zeros(d), np.nextafter(offset, 0.0)])
+        assert len(_greedy_net(closer, 0.125)) == 1
+        with pytest.raises(ValueError, match="net condition"):
+            SetApprox(closer, 0.25)
+
     def test_lattice_at_threshold_keeps_every_point(self):
         # neighbors exactly r/2 apart are not closer than r/2
         pts = lattice(8, 0.125, 2)
@@ -374,7 +424,49 @@ class TestHausdorff:
         assert hausdorff(a, b) == pytest.approx(brute_hausdorff(a.points, b.points), abs=1e-12)
 
 
+class TestNeighbourRule:
+    """`_ball`, `_balls` and `_pairs` against brute-force `torus_distance_array < r`."""
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_helpers_match_brute_force(self, d, seed):
+        sa, r, queries = boundary_net(d, seed)
+        balls = [brute_ball(sa, x, r) for x in queries]
+        dropped = 0
+        for x, expected in zip(queries, balls):
+            got = _ball(sa.tree, x, r)
+            assert got.tolist() == expected.tolist()
+            dropped += len(sa.tree.query_ball_point(x, r=r)) - len(got)
+        assert dropped > 0  # the closed ball did propose points at distance r
+        src, dst = _balls(sa.tree, queries, r)
+        assert src.tolist() == np.repeat(np.arange(len(queries)), list(map(len, balls))).tolist()
+        assert dst.tolist() == np.concatenate(balls).tolist()
+        i, j = np.triu_indices(len(sa), k=1)
+        close = torus_distance_array(sa.points[i], sa.points[j]) < r
+        assert _pairs(sa, r).tolist() == np.column_stack([i[close], j[close]]).tolist()
+
+    def test_empty_results(self):
+        sa = SetApprox(np.array([[0.0, 0.0], [0.5, 0.5]]), 0.1)
+        assert _ball(sa.tree, np.array([0.25, 0.25]), 0.1).shape == (0,)
+        src, dst = _balls(sa.tree, np.array([[0.25, 0.25]]), 0.1)
+        assert src.shape == dst.shape == (0,)
+        assert _pairs(sa, 0.1).shape == (0, 2)
+
+
 class TestBuildGraph:
+    def test_edge_at_exactly_delta_is_no_edge(self):
+        cat, sa, delta = exact_delta_net()
+        g = build_graph(cat, sa, delta)
+        assert g.edges.tolist() == [[0, 0]] and g.n_edges == 1
+        assert g.verify_edges(cat)
+        assert g.out_neighbors(0).tolist() == [0]
+
+    def test_lazy_neighbors_at_exactly_delta(self):
+        cat, sa, delta = exact_delta_net()
+        g = build_graph(cat, sa, delta, edge_cap=0)
+        assert not g.materialized
+        assert g.out_neighbors(0).tolist() == [0]
+
     def test_fixed_point_self_loop(self, cat):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
         g = build_graph(cat, sa, delta=0.05)
@@ -400,7 +492,8 @@ class TestBuildGraph:
         assert not g.materialized and g.n_edges == 1600
         assert len(g.out_neighbors(0)) == 40
 
-    @pytest.mark.parametrize("case", ["small", "saturated", "empty_rows", "edgeless", "chunks"])
+    @pytest.mark.parametrize("case", ["small", "saturated", "empty_rows", "edgeless", "chunks",
+                                      "filter_parts"])
     def test_edges_match_comprehension(self, cat, rng, case):
         points, delta = {
             "small": (rng.random((12, 2)), 0.3),
@@ -409,6 +502,9 @@ class TestBuildGraph:
             "empty_rows": (np.array([[0.0, 0.0], [0.1, 0.1], [0.5, 0.5]]), 0.05),
             "edgeless": (np.array([[0.1, 0.1]]), 0.05),
             "chunks": (lattice(48, 1 / 48, 2), 0.05),
+            # about 200k closed-ball hits, filtered in several parts; the
+            # cat map keeps the dyadic lattice, so some hits sit exactly at delta
+            "filter_parts": (lattice(32, 1 / 32, 2), 0.25),
         }[case]
         sa = SetApprox.build(points, 0.01)
         g = build_graph(cat, sa, delta=delta)
@@ -422,6 +518,7 @@ class TestBuildGraph:
            delta=st.floats(0.005, 0.08), data=st.data())
     def test_bounded_count_agrees_with_exact_count(self, cat, n, seed, delta, data):
         sa = SetApprox.build(np.random.default_rng(seed).random((n, 2)), 1e-4)
+        # the lazy-graph gate counts closed-ball hits
         exact = int(np.sum(sa.tree.query_ball_point(cat.apply_array(sa.points), r=delta,
                                                     return_length=True)))
         edge_cap = data.draw(st.one_of(st.sampled_from([max(exact - 1, 0), exact, exact + 1]),
@@ -429,7 +526,7 @@ class TestBuildGraph:
         g = build_graph(cat, sa, delta=delta, edge_cap=edge_cap)
         assert g.materialized == (exact <= edge_cap)
         if g.materialized:
-            assert g.n_edges == exact == len(g.edges)
+            assert g.n_edges == len(g.edges) == len(comprehension_edges(sa, g.images, delta))
         else:
             assert edge_cap < g.n_edges <= exact
 
@@ -443,7 +540,7 @@ class TestBuildGraph:
 
         monkeypatch.setattr(closure, "_torus_tree",
                             lambda points: CountingTree(wrap(points), boxsize=1.0))
-        sa = SetApprox(lattice(64, 1 / 64, 2), 0.01)  # four chunks of query points
+        sa = SetApprox(lattice(64, 1 / 64, 2), 0.01)  # many chunks of query points
         queried.clear()
         g = build_graph(cat, sa, delta=0.05, edge_cap=100)
         assert not g.materialized and g.n_edges > 100
@@ -761,6 +858,26 @@ class TestIterateClosure:
         sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02, label="2cyc")
         with pytest.raises(ValueError, match=message):
             iterate_closure(cat, sa, delta, u_radius, 25)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_refused(self, cat, max_iter):
+        # no step would run, and the trace would read budget_exhausted(0)
+        sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02, label="2cyc")
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            iterate_closure(cat, sa, 0.05, 0.35, max_iter)
+
+    def test_lambda_0_gets_one_tree(self, cat, monkeypatch):
+        # the escape test queries the tree the first step built over Lambda_0
+        window = homoclinic_points(cat, n_window=4)
+        sa = SetApprox.build(np.vstack([[[0.0, 0.0]], window]), 0.004)
+        built = []
+        make_tree = closure._torus_tree
+        monkeypatch.setattr(closure, "_torus_tree",
+                            lambda points: built.append(points) or make_tree(points))
+        trace = iterate_closure(cat, sa, delta=0.05, u_radius=0.45, max_iter=2,
+                                params=SamplingParams(seed=1, n_paths=6))
+        assert len(trace.final) > len(sa)
+        assert sum(np.shares_memory(points, sa.points) for points in built) == 1
 
     def test_build_graph_refuses_nan_delta(self, cat):
         sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02)

@@ -103,6 +103,12 @@ class TestLocalProductCheck:
             local_product_check(cat, sa, **knobs)
         assert not isinstance(info.value, BracketError)
 
+    def test_pair_at_exactly_delta_is_not_tested(self, cat):
+        # d(x, y) = 0.25 exactly: not a pair at delta 0.25, two ordered pairs above it
+        sa = SetApprox(np.array([[0.0, 0.0], [0.25, 0.0]]), 0.02)
+        assert local_product_check(cat, sa, 0.3, 0.25, 0.04).pairs_tested == 0
+        assert local_product_check(cat, sa, 0.3, np.nextafter(0.25, 1.0), 0.04).pairs_tested == 2
+
     def test_singleton_passes_vacuously(self, cat):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
         report = local_product_check(cat, sa, eps=0.1, delta=0.05, membership_tol=0.02)

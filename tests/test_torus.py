@@ -137,6 +137,20 @@ class TestSplitting:
         assert _det_and_inverse(np.array([[0, 1], [1, 1]])) == (-1, [[-1, 1], [1, 0]])
         assert _det_and_inverse(np.array([[1, 2], [2, 4]])) == (0, None)
 
+    @pytest.mark.parametrize("matrix", [
+        [[2.5, 1], [1, 1]],                 # int64 would truncate it to the cat map
+        np.array([[2.0, 1.0], [1.0, 1.0]]),
+        [[10**20, 1], [1, 1]],              # int64 would overflow
+        [[-2**63 - 1, 1], [1, 1]],
+        [[float("nan"), 1], [1, 1]],
+        [["2", 1], [1, 1]],
+    ], ids=["non-integral", "float-array", "overflow", "underflow", "nan", "string"])
+    def test_non_integer_entries_rejected(self, matrix):
+        with pytest.raises(ValueError, match="integers within int64"):
+            ToralAutomorphism(matrix)
+        with pytest.raises(ValueError, match="integers within int64"):
+            compute_splitting(matrix)
+
     def test_det_two_rejected(self):
         with pytest.raises(ValueError, match=r"\|det\| must be 1, got 2"):
             ToralAutomorphism([[3, 1], [1, 1]])
