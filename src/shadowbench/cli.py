@@ -144,6 +144,17 @@ def _lps(map: ToralAutomorphism, sa: SetApprox, resolution: float, eps: float | 
     return local_product_check(map, sa, eps, delta, 2 * resolution if tol is None else tol)
 
 
+def _crovisier_grid(system: ProductSystem, depth: int, q: list[float] | None = None,
+                    r: list[float] | None = None, v_radius: float | None = None,
+                    n_iter: int | None = None, q_period: int = 1) -> tuple[GridSet, float]:
+    """The punctured-torus grid set at depth k and its V radius, by default
+    punctured at q = (1/2, 0), r = (0, 0) with radius 2·2^-k, after 4 sweeps."""
+    v_radius = 2 * 2.0 ** -depth if v_radius is None else v_radius
+    grid = crovisier_set(system, TorusPoint(q or (0.5, 0.0)), TorusPoint(r or (0.0, 0.0)),
+                         v_radius, depth, 4 if n_iter is None else n_iter, q_period=q_period)
+    return grid, v_radius
+
+
 def _punctured_closure(system: ProductSystem, grid: GridSet, max_iter: int,
                        params: SamplingParams, delta: float | None = None,
                        u_radius: float | None = None) -> ClosureTrace:
@@ -231,11 +242,8 @@ def cmd_crovisier(args) -> int:
     if not isinstance(system, ProductSystem):
         raise ValueError("crovisier needs a product system (a 'product' entry), "
                          "not a single matrix")
-    q = TorusPoint(tuple(args.q)) if args.q else TorusPoint((0.5, 0.0))
-    r = TorusPoint(tuple(args.r)) if args.r else TorusPoint((0.0, 0.0))
-    v_radius = args.v_radius if args.v_radius is not None else 2 * 2.0 ** -args.depth
-    grid = crovisier_set(system, q, r, v_radius, args.depth, args.n_iter,
-                         q_period=args.q_period)
+    grid, v_radius = _crovisier_grid(system, args.depth, args.q, args.r, args.v_radius,
+                                     args.n_iter, args.q_period)
     payload: dict = {"depth": args.depth, "v_radius": v_radius,
                      "cells": grid.count, "grid": grid.to_rle()}
     exit_code = EXIT_OK
@@ -403,8 +411,7 @@ def _random_presentation(rng) -> SubshiftPresentation:
 def _suite_crovisier(cfg: ExperimentConfig, out_dir: Path, quick: bool) -> dict:
     system = crovisier_product()
     depth = 3 if quick else 4
-    q, r = TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0))
-    grid = crovisier_set(system, q, r, 2 * 2.0 ** -depth, depth, n_iter=4)
+    grid, _ = _crovisier_grid(system, depth)
     trace = _punctured_closure(
         system, grid, 3 if quick else 6,
         SamplingParams(max_cycle_len=2, n_paths=cfg.n_paths,
@@ -526,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crovisier", help="punctured 4-torus grid set")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--v-radius", dest="v_radius", type=float, default=None)
-    p.add_argument("--n-iter", dest="n_iter", type=int, default=4)
+    p.add_argument("--n-iter", dest="n_iter", type=int, default=None)
     p.add_argument("--q", type=float, nargs=2, default=None)
     p.add_argument("--r", type=float, nargs=2, default=None)
     p.add_argument("--q-period", dest="q_period", type=int, default=1)

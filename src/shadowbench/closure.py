@@ -398,12 +398,17 @@ def _simple_paths(succ: list[list[int]], s: int, t: int, cutoff: int) -> Iterato
             stack.append(iter(succ[w]))
 
 
-def _pad_with_cycle(cycle: tuple[int, ...], reps: int, end_at: int | None = None,
-                    start_at: int | None = None) -> list[int]:
-    """Repeat a cycle so the padded block ends just before `end_at`, or
-    starts just after `start_at` (both nodes on the cycle)."""
-    k = cycle.index(start_at) if end_at is None else cycle.index(end_at) + 1
-    return list(cycle[k:] + cycle[:k]) * reps
+def _connectors(succ: list[list[int]], c1: tuple[int, ...], c2: tuple[int, ...],
+                cutoff: int) -> Iterator[list[int]]:
+    """Paths s..t of at most `cutoff` edges for (s, t) in c1 × c2, each
+    padded with at least `_PAD` points of its end cycles: p..p s..t q..q."""
+    head_reps, tail_reps = (max(1, -(-_PAD // len(c))) for c in (c1, c2))
+    for s, t in product(c1, c2):
+        for path in _simple_paths(succ, s, t, cutoff):
+            i, j = c1.index(s) + 1, c2.index(t)
+            head = list(c1[i:] + c1[:i]) * head_reps  # ends at s
+            tail = list(c2[j:] + c2[:j]) * tail_reps  # starts at t
+            yield head[:-1] + path + tail[1:]
 
 
 def sample_pseudo_orbits(graph: TransitionGraph, *,
@@ -436,27 +441,12 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
         sequences.extend(map(list, cycles))
         periodic.extend([True] * len(cycles))
 
-        reps = lambda c: max(1, -(-_PAD // len(c)))
-        budget = _CONNECTOR_BUDGET
-        for c1, c2 in product(cycles, repeat=2):
-            if budget <= 0:
-                break
-            if c1 == c2:
-                continue
-            pair_left = _CONNECTORS_PER_PAIR
-            for s, t in product(c1, c2):
-                if pair_left <= 0 or budget <= 0:
-                    break
-                for path in islice(_simple_paths(succ, s, t, p.path_len), pair_left):
-                    head = _pad_with_cycle(c1, reps(c1), end_at=s)
-                    tail = _pad_with_cycle(c2, reps(c2), start_at=t)
-                    sequences.append(head[:-1] + path + tail[1:])
-                    periodic.append(False)
-                    pair_left -= 1
-                    budget -= 1
-                    if pair_left <= 0 or budget <= 0:
-                        break
-        connector_budget = budget <= 0
+        per_pair = (islice(_connectors(succ, c1, c2, p.path_len), _CONNECTORS_PER_PAIR)
+                    for c1, c2 in product(cycles, repeat=2) if c1 != c2)
+        found = list(islice(chain.from_iterable(per_pair), _CONNECTOR_BUDGET))
+        sequences.extend(found)
+        periodic.extend([False] * len(found))
+        connector_budget = len(found) == _CONNECTOR_BUDGET
         neighbor = succ.__getitem__
     else:
         loops = graph.self_loop_nodes()[:_CYCLE_CAP].tolist()

@@ -79,35 +79,39 @@ def bracket_delta_for(splitting, eps: float) -> float:
     return eps / norm
 
 
-def bracket(map: ToralAutomorphism, x: TorusPoint, y: TorusPoint, eps: float,
-            delta: float | None = None) -> BracketPoint:
-    """S(x, y): unstable coordinate of x, stable coordinate of y.
-
-    bracket(x, x) = x exactly.  Requires eps < 1/4 so the minimal lift of
-    y - x is the only candidate, and d(x, y) < delta for the (eps, delta)
-    pair; violations raise BracketError("no local bracket").
-    """
-    s = map.splitting
+def _brackets(splitting, X: np.ndarray, Y: np.ndarray, eps: float,
+              delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The brackets of the rows of X and Y (n, d), x plus the unstable part
+    of the minimal lift of y - x, and their stable and unstable distances,
+    refused as `bracket` documents."""
     if not eps < 0.25:
         raise BracketError("linear bracket needs eps < 1/4 for a unique lift")
-    if s.C > 1e8:
-        raise BracketError(f"near-parallel stable/unstable bases: conditioning {s.C:.2e}")
-    if delta is None:
-        delta = bracket_delta_for(s, eps)
-    d_xy = torus_distance(x, y)
-    if d_xy >= delta:
-        raise BracketError(f"no local bracket: d(x,y) = {d_xy:.4g} >= delta = {delta:.4g}")
-    w = minimal_lift(y.coords - x.coords)
-    wu = s.unstable_component(w)
-    ws = w - wu
-    su, ss = float(np.linalg.norm(wu)), float(np.linalg.norm(ws))
-    if su > eps or ss > eps:
-        raise BracketError(
-            f"no local bracket: component distances ({ss:.4g}, {su:.4g}) exceed eps = {eps}"
-        )
-    if np.all(w == 0.0):
-        return BracketPoint(x, 0.0, 0.0)
-    return BracketPoint(TorusPoint(wrap(x.coords + wu)), ss, su)
+    if splitting.C > 1e8:
+        raise BracketError(f"near-parallel stable/unstable bases: conditioning {splitting.C:.2e}")
+    d_xy = torus_distance_array(X, Y)
+    if not np.all(d_xy < delta):  # NaN included
+        raise BracketError(f"no local bracket: d(x,y) = {d_xy.max():.4g} >= delta = {delta:.4g}")
+    w = minimal_lift(Y - X)
+    wu = splitting.unstable_component(w)
+    ss, su = np.linalg.norm(w - wu, axis=-1), np.linalg.norm(wu, axis=-1)
+    if np.any((ss > eps) | (su > eps)):
+        raise BracketError(f"no local bracket: component distances ({ss.max():.4g}, "
+                           f"{su.max():.4g}) exceed eps = {eps}; "
+                           "pick delta <= bracket_delta_for(eps)")
+    return wrap(X + wu), ss, su
+
+
+def bracket(map: ToralAutomorphism, x: TorusPoint, y: TorusPoint, eps: float,
+            delta: float | None = None) -> BracketPoint:
+    """S(x, y): unstable coordinate of x, stable coordinate of y, and
+    bracket(x, x) = x exactly.  Raises BracketError, checked in this order,
+    for eps >= 1/4 (the minimal lift of y - x is no longer the only
+    candidate), a basis conditioned above 1e8, d(x, y) >= delta (by default
+    bracket_delta_for(eps)) and a stable or unstable component above eps."""
+    s = map.splitting
+    delta = bracket_delta_for(s, eps) if delta is None else delta
+    points, ss, su = _brackets(s, x.coords[None, :], y.coords[None, :], eps, delta)
+    return BracketPoint(TorusPoint(points[0]), float(ss[0]), float(su[0]))
 
 
 @dataclass(frozen=True)
@@ -155,28 +159,16 @@ class LPSReport:
 def local_product_check(map: ToralAutomorphism, sa: SetApprox, eps: float,
                         delta: float, membership_tol: float) -> LPSReport:
     """Test every ordered pair x != y with d(x, y) < delta: the bracket must
-    land within membership_tol of the net.  Failures are data, not errors."""
+    land within membership_tol of the net.  Failures are data, not errors;
+    the refusals of `bracket` raise BracketError here too."""
     for name, value in (("eps", eps), ("delta", delta), ("membership_tol", membership_tol)):
         if not value > 0:  # NaN included
             raise ValueError(f"{name} must be positive, got {value}")
-    s = map.splitting
     pts = sa.points
     pairs = _pairs(sa, delta)
-    if len(pairs) == 0:
-        return LPSReport(eps, delta, membership_tol, 0, ())
     ii = np.concatenate([pairs[:, 0], pairs[:, 1]])
     jj = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    w = minimal_lift(pts[jj] - pts[ii])
-    z = w @ s.basis_inv.T
-    z[:, : s.stable_dim] = 0.0
-    wu = z @ s.basis.T
-    ws = w - wu
-    comp = np.maximum(np.linalg.norm(wu, axis=1), np.linalg.norm(ws, axis=1))
-    if np.any(comp > eps):
-        raise BracketError(
-            "bracket components exceed eps for some pair; pick delta <= bracket_delta_for(eps)"
-        )
-    brackets = wrap(pts[ii] + wu)
+    brackets, _, _ = _brackets(map.splitting, pts[ii], pts[jj], eps, delta)
     dists = sa.distance_to(brackets)
     bad = np.nonzero(dists > membership_tol)[0]
     failures = tuple(

@@ -193,7 +193,7 @@ class ShadowResult:
     def sup_distance_adapted(self) -> float:
         """Sup distance in the splitting's adapted coordinates."""
         lifts = minimal_lift(self.orbit - self.pseudo_orbit.points)
-        return float(np.max(np.linalg.norm(lifts @ self.map.splitting.basis_inv.T, axis=1)))
+        return float(np.max(self.map.splitting.adapted_norm(lifts)))
 
     @property
     def residual(self) -> float:
@@ -344,11 +344,11 @@ def _series_corrections(map: ToralAutomorphism, errors: np.ndarray, n: int,
     s = map.splitting
     m, _, d = errors.shape
     As, Au_inv = _adapted_blocks(map)
-    eta = errors @ s.basis_inv.T  # adapted error coordinates
+    eta = s.to_adapted(errors)
     sweeps = _scalar_sweeps if m == 1 and d == 2 else _row_sweeps
     zeta = sweeps(As, Au_inv, eta, n, _cyclic_matrices(map, n) if periodic else None)
     # per-orbit (n, d) @ (d, d) products, as one orbit alone is transformed
-    return np.ascontiguousarray(zeta) @ s.basis.T
+    return s.from_adapted(np.ascontiguousarray(zeta))
 
 
 def _scalar_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
@@ -690,9 +690,11 @@ def flow_shadow(flow: SuspensionFlow, traj: FlowPseudoTrajectory, delta: float, 
     Extracts the base-map pseudo-orbit at integer sample times, shadows it
     with the exact series, and suspends the result.  With a constant roof no
     time shift is needed, so alpha is the identity with knots at the integer
-    times; a violation of its distortion bound raises ValueError.  The
-    achieved suspension distance on the sample grid must come in below delta.
+    times, of distortion 0.  The achieved suspension distance on the sample
+    grid must come in below delta, which must be positive.
     """
+    if not delta > 0:  # NaN included
+        raise ValueError(f"delta must be positive, got {delta}")
     if len(traj) < 2:
         raise ValueError("insufficient samples: need at least two")
     times = traj.t0 + np.arange(len(traj)) * traj.h
@@ -714,8 +716,6 @@ def flow_shadow(flow: SuspensionFlow, traj: FlowPseudoTrajectory, delta: float, 
         raise ShadowingRefusal(worst, delta)
 
     alpha = Reparameterization.identity([float(t) for t in int_times])
-    if not alpha.max_slope_deviation() <= delta:
-        raise ValueError("constructed reparameterization violates the distortion bound")
     return FlowShadowResult(state=x0, reparameterization=alpha,
                             sup_distance=worst, base_result=result)
 

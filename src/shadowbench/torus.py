@@ -131,7 +131,7 @@ def torus_distance(p: TorusPoint | np.ndarray, q: TorusPoint | np.ndarray) -> fl
     qa = q.coords if isinstance(q, TorusPoint) else np.asarray(q, dtype=float)
     if pa.shape != qa.shape:
         raise ValueError(f"dimension mismatch: {pa.shape} vs {qa.shape}")
-    return float(np.linalg.norm(minimal_lift(pa - qa)))
+    return float(torus_distance_array(pa, qa))
 
 
 def torus_distance_array(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -151,7 +151,8 @@ class HyperbolicSplitting:
     adapted norm of a vector is the Euclidean norm of its coefficients in
     this basis; in that norm the stable block contracts by exactly lambda_s
     per step and the unstable block expands by at least lambda_u.  `C` is the
-    basis condition number converting adapted bounds to ambient ones.
+    basis condition number converting adapted bounds to ambient ones.  The
+    methods act on each row of a (..., d) array.
     """
 
     matrix: np.ndarray
@@ -173,22 +174,22 @@ class HyperbolicSplitting:
 
     def to_adapted(self, vec: np.ndarray) -> np.ndarray:
         """Coefficients of `vec` in the splitting basis (stable block first)."""
-        return self.basis_inv @ np.asarray(vec, dtype=float)
+        return np.asarray(vec, dtype=float) @ self.basis_inv.T
 
     def from_adapted(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.basis @ np.asarray(coeffs, dtype=float)
+        return np.asarray(coeffs, dtype=float) @ self.basis.T
 
-    def adapted_norm(self, vec: np.ndarray) -> float:
-        return float(np.linalg.norm(self.to_adapted(vec)))
+    def adapted_norm(self, vec: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(self.to_adapted(vec), axis=-1)
 
     def stable_component(self, vec: np.ndarray) -> np.ndarray:
         z = self.to_adapted(vec)
-        z[self.stable_dim:] = 0.0
+        z[..., self.stable_dim:] = 0.0
         return self.from_adapted(z)
 
     def unstable_component(self, vec: np.ndarray) -> np.ndarray:
         z = self.to_adapted(vec)
-        z[: self.stable_dim] = 0.0
+        z[..., : self.stable_dim] = 0.0
         return self.from_adapted(z)
 
     @property

@@ -2,7 +2,7 @@
 no check in the library relies on `assert`, which `python -O` strips; the
 CLI maps errors to exit codes in `main` alone and starts without importing
 networkx or scipy.signal; KD-tree ball queries stay in closure's neighbour
-helpers."""
+helpers; rows change basis only through the splitting's methods."""
 
 import ast
 import importlib
@@ -82,6 +82,27 @@ def test_ball_queries_only_in_the_neighbour_helpers():
                     or node.attr == "tree" and path.name != "closure.py"):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not found, f"neighbour queries outside closure's helpers: {found}"
+
+
+def test_basis_changes_only_in_the_splitting_and_newton():
+    # one change of basis: rows go through the splitting's methods in torus;
+    # only the Newton clamp rows and the adapted blocks, which are matrix
+    # products, read the basis matrices, and bracket_delta_for builds its
+    # projector matrices from them
+    allowed = {"closure.py": set(), "maximality.py": {"bracket_delta_for"},
+               "shadowing.py": {"_adapted_blocks", "_newton_jacobian", "newton_shadow"}}
+    found = []
+    for name, owners in allowed.items():
+        tree = ast.parse(Path(shadowbench.__file__).with_name(name).read_text())
+        owner = {}  # node -> outermost enclosing function (ast.walk is breadth-first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), fn.name)
+        found += [f"{name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("basis", "basis_inv")
+                  and owner.get(id(node)) not in owners]
+    assert not found, f"basis changes outside the splitting: {found}"
 
 
 def test_cli_import_leaves_networkx_unloaded():

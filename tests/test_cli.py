@@ -220,6 +220,16 @@ class TestMaximalityCommand:
         assert payload["error"]["message"] == f"{name} must be positive, got nan"
 
 
+    def test_eps_above_a_quarter_is_a_refusal(self, tmp_path, capsys):
+        # the pair's bracket components sit far below 0.3; the lift rule refuses
+        pts = tmp_path / "pair.csv"
+        pts.write_text("x0,x1\n0.0,0.0\n0.05,0.0\n")
+        code, error = run_error(["maximality", "--points", str(pts), "--resolution", "0.02",
+                                 "--eps", "0.3", "--pair-delta", "0.06"], capsys)
+        assert code == 2 and error["kind"] == "refusal"
+        assert "eps < 1/4" in error["message"]
+
+
 class TestCrovisierCommand:
     def test_zero_radius_full_grid(self, capsys):
         code, payload = run(["crovisier", "--depth", "3", "--v-radius", "0",

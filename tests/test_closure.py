@@ -1,5 +1,5 @@
 from functools import partial
-from itertools import islice, permutations
+from itertools import compress, islice, permutations
 from itertools import product as iproduct
 
 import numpy as np
@@ -201,6 +201,37 @@ def homoclinic_points(cat, lattice_vec=(1, 0), n_window=4):
     return cat.orbit_segment(TorusPoint(z), -n_window, n_window)
 
 
+def parent_connectors(succ, cycles, path_len):
+    """Reference: the connector loop of `sample_pseudo_orbits` as it was with
+    its budget counters and a padding helper, returning (connectors, whether
+    the budget ran out)."""
+    def pad(cycle, reps, end_at=None, start_at=None):
+        k = cycle.index(start_at) if end_at is None else cycle.index(end_at) + 1
+        return list(cycle[k:] + cycle[:k]) * reps
+
+    reps = lambda c: max(1, -(-closure._PAD // len(c)))
+    found = []
+    budget = closure._CONNECTOR_BUDGET
+    for c1, c2 in iproduct(cycles, repeat=2):
+        if budget <= 0:
+            break
+        if c1 == c2:
+            continue
+        pair_left = closure._CONNECTORS_PER_PAIR
+        for s, t in iproduct(c1, c2):
+            if pair_left <= 0 or budget <= 0:
+                break
+            for path in islice(_simple_paths(succ, s, t, path_len), pair_left):
+                head = pad(c1, reps(c1), end_at=s)
+                tail = pad(c2, reps(c2), start_at=t)
+                found.append(head[:-1] + path + tail[1:])
+                pair_left -= 1
+                budget -= 1
+                if pair_left <= 0 or budget <= 0:
+                    break
+    return found, budget <= 0
+
+
 def reference_sample(graph, params):
     """Reference: `sample_pseudo_orbits` as it was when it built one
     `PseudoOrbit` per sample, returning (orbits, partial)."""
@@ -225,27 +256,9 @@ def reference_sample(graph, params):
         for cyc in cycles:
             orbits.append(PseudoOrbit(pts[list(cyc)], delta, periodic=True))
 
-        reps = lambda c: max(1, -(-closure._PAD // len(c)))
-        budget = closure._CONNECTOR_BUDGET
-        for c1, c2 in iproduct(cycles, repeat=2):
-            if budget <= 0:
-                break
-            if c1 == c2:
-                continue
-            pair_left = closure._CONNECTORS_PER_PAIR
-            for s, t in iproduct(c1, c2):
-                if pair_left <= 0 or budget <= 0:
-                    break
-                for path in islice(_simple_paths(succ, s, t, p.path_len), pair_left):
-                    head = closure._pad_with_cycle(c1, reps(c1), end_at=s)
-                    tail = closure._pad_with_cycle(c2, reps(c2), start_at=t)
-                    orbits.append(segment(head[:-1] + path + tail[1:]))
-                    pair_left -= 1
-                    budget -= 1
-                    if pair_left <= 0 or budget <= 0:
-                        break
-        if budget <= 0:
-            partial = True
+        connectors, budget_hit = parent_connectors(succ, cycles, p.path_len)
+        orbits.extend(segment(c) for c in connectors)
+        partial = partial or budget_hit
         neighbor = succ.__getitem__
     else:
         partial = True
@@ -629,6 +642,25 @@ class TestSamplePseudoOrbits:
         # both graph kinds, each with cycles and segments
         assert kinds.count((True, {False, True})) == 2
         assert kinds.count((False, {False, True})) == 2
+
+    def test_connectors_match_parent_loop(self, cat):
+        # n_paths=0 leaves the enumerated cycles and the connectors alone
+        nets = [SetApprox.build(np.random.default_rng(k).random((12 + 6 * k, 2)), 0.02)
+                for k in range(5)] + [complete_net()[0]]
+        hits = {"budget": 0, "cap": 0}
+        for sa, delta, max_len in iproduct(nets, (0.05, 0.1, 0.2), (2, 4, 8)):
+            g = build_graph(cat, sa, delta)
+            sampled = sample_pseudo_orbits(g, params=SamplingParams(
+                max_cycle_len=max_len, n_paths=0, path_len=40))
+            cycles = list(compress(sampled.sequences, sampled.periodic))
+            connectors, budget_hit = parent_connectors(_successors(g.edges, g.n_nodes),
+                                                       [tuple(c) for c in cycles], 40)
+            assert g.materialized and sampled.sequences == tuple(cycles + connectors)
+            assert sampled.periodic == (True,) * len(cycles) + (False,) * len(connectors)
+            assert sampled.connector_budget == budget_hit
+            hits["budget"] += budget_hit
+            hits["cap"] += sampled.cycle_cap
+        assert hits["budget"] > 0 and hits["cap"] > 0
 
     def test_determinism(self, cat, rng):
         sa = SetApprox.build(rng.random((12, 2)), 0.02)

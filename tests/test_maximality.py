@@ -1,13 +1,18 @@
+import json
+from dataclasses import replace
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
 from shadowbench import maximality
-from shadowbench.closure import SetApprox
+from shadowbench.closure import SetApprox, _pairs
 from shadowbench.maximality import (
     BracketError,
     GridSet,
+    LPSFailure,
+    LPSReport,
+    _brackets,
     NonPremaxWitness,
     b_direction_heteroclinic_family,
     bracket,
@@ -22,10 +27,55 @@ from shadowbench.maximality import (
 from shadowbench.torus import (
     ToralAutomorphism,
     TorusPoint,
+    cat_map,
+    crovisier_product,
+    golden_map,
     minimal_lift,
     torus_distance,
+    two_fixed_point_map,
     wrap,
 )
+
+
+def parent_bracket(map, x, y):
+    """Reference: the scalar bracket formula as `bracket` had it before the
+    shared row kernel, returning (point coords, s_distance, u_distance)."""
+    s = map.splitting
+    w = minimal_lift(y.coords - x.coords)
+    z = s.basis_inv @ w
+    z[: s.stable_dim] = 0.0
+    wu = s.basis @ z
+    if np.all(w == 0.0):
+        return x.coords, 0.0, 0.0
+    return wrap(x.coords + wu), float(np.linalg.norm(w - wu)), float(np.linalg.norm(wu))
+
+
+def parent_lps(map, sa, eps, delta, membership_tol):
+    """Reference: `local_product_check` as it was with its own inline bracket
+    (no eps < 1/4 or conditioning check)."""
+    s = map.splitting
+    pts = sa.points
+    pairs = _pairs(sa, delta)
+    if len(pairs) == 0:
+        return LPSReport(eps, delta, membership_tol, 0, ())
+    ii = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    jj = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    w = minimal_lift(pts[jj] - pts[ii])
+    z = w @ s.basis_inv.T
+    z[:, : s.stable_dim] = 0.0
+    wu = z @ s.basis.T
+    ws = w - wu
+    comp = np.maximum(np.linalg.norm(wu, axis=1), np.linalg.norm(ws, axis=1))
+    if np.any(comp > eps):
+        raise BracketError("bracket components exceed eps for some pair")
+    brackets = wrap(pts[ii] + wu)
+    dists = sa.distance_to(brackets)
+    bad = np.nonzero(dists > membership_tol)[0]
+    failures = tuple(
+        LPSFailure(pts[ii[k]].copy(), pts[jj[k]].copy(), brackets[k].copy(), float(dists[k]))
+        for k in bad
+    )
+    return LPSReport(eps, delta, membership_tol, len(ii), failures)
 
 
 class TestBracket:
@@ -106,8 +156,16 @@ class TestLocalProductCheck:
     def test_pair_at_exactly_delta_is_not_tested(self, cat):
         # d(x, y) = 0.25 exactly: not a pair at delta 0.25, two ordered pairs above it
         sa = SetApprox(np.array([[0.0, 0.0], [0.25, 0.0]]), 0.02)
-        assert local_product_check(cat, sa, 0.3, 0.25, 0.04).pairs_tested == 0
-        assert local_product_check(cat, sa, 0.3, np.nextafter(0.25, 1.0), 0.04).pairs_tested == 2
+        assert local_product_check(cat, sa, 0.24, 0.25, 0.04).pairs_tested == 0
+        assert local_product_check(cat, sa, 0.24, np.nextafter(0.25, 1.0), 0.04).pairs_tested == 2
+
+    @pytest.mark.parametrize("points", [[[0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]])
+    def test_eps_at_or_above_a_quarter_refused(self, cat, points):
+        # the pair's components are 0.213 and 0.131, so only the lift rule refuses it
+        sa = SetApprox(np.array(points), 0.02)
+        for eps in (0.25, 0.3):
+            with pytest.raises(BracketError, match="unique lift"):
+                local_product_check(cat, sa, eps, np.nextafter(0.25, 1.0), 0.04)
 
     def test_singleton_passes_vacuously(self, cat):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
@@ -149,6 +207,87 @@ class TestLocalProductCheck:
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
         d = local_product_check(cat, sa, 0.1, 0.05, 0.02).to_json_dict()
         assert d["passed"] is True and d["failures"] == []
+
+
+class TestBracketKernel:
+    """`bracket` and `local_product_check` run one kernel, `_brackets`."""
+
+    @staticmethod
+    def _maps():
+        return [cat_map(), golden_map(), two_fixed_point_map(),
+                crovisier_product().as_automorphism()]
+
+    def test_bracket_matches_parent_scalar_formula(self, rng):
+        for map in self._maps():
+            s = map.splitting
+            eps = 0.2
+            delta = bracket_delta_for(s, eps)
+            for _ in range(200):
+                x = TorusPoint(rng.random(map.dim))
+                w = rng.uniform(-1, 1, map.dim) * 0.99 * delta / np.sqrt(map.dim)
+                y = TorusPoint(wrap(x.coords + w))
+                b = bracket(map, x, y, eps)
+                point, ss, su = parent_bracket(map, x, y)
+                assert torus_distance(b.point, TorusPoint(point)) <= 1e-15
+                assert abs(b.s_distance - ss) <= 1e-15 and abs(b.u_distance - su) <= 1e-15
+
+    def test_lps_reports_match_parent_inline_bracket(self, cat, crovisier, rng):
+        F = crovisier.as_automorphism()
+        period_four = np.array([p.coords for p in cat.fixed_points(4)])
+        cases = [
+            (cat, SetApprox.build(rng.random((400, 2)), 0.02), 0.1, 0.06, 0.04),
+            (cat, SetApprox(period_four, 0.001, _validate=False), 0.24, 0.2, 0.002),
+            (golden_map(), SetApprox.build(rng.random((300, 2)), 0.03), 0.2, 0.09, 0.06),
+            (F, SetApprox.build(rng.random((600, 4)), 0.05), 0.2, 0.15, 0.1),
+            (F, crovisier_set(crovisier, TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0)),
+                              0.25, 3, 2).as_set_approx(), 0.24, 0.2, 0.125),
+        ]
+        failing = 0
+        for map, sa, eps, delta, tol in cases:
+            delta = min(delta, bracket_delta_for(map.splitting, eps))
+            got = local_product_check(map, sa, eps, delta, tol)
+            want = parent_lps(map, sa, eps, delta, tol)
+            assert got.pairs_tested > 0
+            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+            failing += not got.passed
+        assert 0 < failing < len(cases)
+
+    @pytest.mark.parametrize("eps, delta, match", [
+        (0.25, 0.1, "unique lift"),
+        (0.3, 0.1, "unique lift"),
+        (0.01, 0.1, "component distances"),
+    ])
+    def test_bracket_and_lps_refuse_alike(self, cat, eps, delta, match):
+        x, y = TorusPoint((0.0, 0.0)), TorusPoint((0.05, 0.0))
+        with pytest.raises(BracketError, match=match):
+            bracket(cat, x, y, eps, delta)
+        with pytest.raises(BracketError, match=match):
+            local_product_check(cat, SetApprox(np.array([x.coords, y.coords]), 0.02),
+                                eps, delta, 0.04)
+
+    def test_pair_at_delta_refused_by_bracket_and_skipped_by_lps(self, cat):
+        # d(x, y) = 0.05 exactly: LPS forms no pair, the kernel refuses the row
+        x, y = TorusPoint((0.0, 0.0)), TorusPoint((0.05, 0.0))
+        with pytest.raises(BracketError, match=r"d\(x,y\) = 0.05 >= delta"):
+            bracket(cat, x, y, 0.2, 0.05)
+        sa = SetApprox(np.array([x.coords, y.coords]), 0.02)
+        assert local_product_check(cat, sa, 0.2, 0.05, 0.04).pairs_tested == 0
+        with pytest.raises(BracketError, match=r"d\(x,y\)"):
+            _brackets(cat.splitting, sa.points, sa.points[::-1], 0.2, 0.05)
+
+    def test_kernel_check_order(self, cat):
+        s, X, Y = cat.splitting, np.array([[0.0, 0.0]]), np.array([[0.3, 0.0]])
+        ill = replace(s, C=1e9)
+        for splitting, eps, delta, match in [
+            (ill, 0.3, 0.1, "unique lift"),
+            (ill, 0.2, 0.1, "conditioning 1.00e\\+09"),
+            (s, 0.2, 0.1, r"d\(x,y\) = 0.3 >= delta"),
+            (s, 0.01, 0.5, "component distances"),
+        ]:
+            with pytest.raises(BracketError, match=match):
+                _brackets(splitting, X, Y, eps, delta)
+        with pytest.raises(BracketError, match=r"d\(x,y\) = nan"):
+            _brackets(s, np.array([[np.nan, 0.0]]), Y, 0.2, 0.1)
 
 
 class TestGridSet:

@@ -741,14 +741,13 @@ class TestFlowShadowing:
         with pytest.raises(ValueError, match="insufficient samples"):
             flow_shadow(flow, traj, delta=0.1)
 
-    def test_distortion_violation_raises(self, cat, monkeypatch):
-        stretched = classmethod(lambda cls, knots: cls(tuple((t, 2.0 * t) for t in knots), 0.0))
-        monkeypatch.setattr(Reparameterization, "identity", stretched)
+    @pytest.mark.parametrize("delta", [float("nan"), 0.0, -1.0])
+    def test_delta_must_be_positive(self, cat, delta):
         flow = SuspensionFlow.over(cat)
         po = PseudoOrbit.from_map(cat, cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 5))
         traj = suspend_pseudo_orbit(flow, po, h=0.5)
-        with pytest.raises(ValueError, match="distortion bound") as info:
-            flow_shadow(flow, traj, delta=1e-6)
+        with pytest.raises(ValueError, match="delta must be positive") as info:
+            flow_shadow(flow, traj, delta=delta)
         assert not isinstance(info.value, ShadowingRefusal)
 
     def test_flow_defect_matches_base_defect_scale(self, cat, rng):

@@ -62,6 +62,13 @@ class TestTorusDistance:
             assert torus_distance(p, p) == 0.0
             assert dpq <= np.sqrt(2) / 2 + 1e-12
 
+    def test_scalar_is_the_symmetric_array_kernel(self, rng):
+        assert torus_distance([0.1, 0.0], [0.0, 0.0]) == torus_distance([0.0, 0.0], [0.1, 0.0])
+        for _ in range(200):
+            p, q = rng.random(4), rng.random(4)
+            d = torus_distance(p, q)
+            assert d == torus_distance(q, p) == torus_distance_array(p[None], q[None])[0]
+
     def test_array_kernel_symmetric(self, rng):
         a, b = np.array([[0.0, 0.0]]), np.array([[0.1, 0.0]])
         assert torus_distance_array(a, b)[0] == torus_distance_array(b, a)[0] == 0.1
@@ -201,6 +208,22 @@ class TestSplitting:
         v = rng.standard_normal(2)
         recon = s.stable_component(v) + s.unstable_component(v)
         assert np.allclose(recon, v, atol=1e-12)
+
+    def test_methods_act_on_rows(self, crovisier, rng):
+        # a stack (m, n, d) goes through the row products `v @ basis_inv.T`
+        # and `z @ basis.T`, as the vectorized callers wrote them
+        s = crovisier.as_automorphism().splitting
+        V = rng.standard_normal((3, 5, 4))
+        Z = V @ s.basis_inv.T
+        assert s.to_adapted(V).tobytes() == Z.tobytes()
+        assert s.from_adapted(Z).tobytes() == (Z @ s.basis.T).tobytes()
+        assert s.adapted_norm(V).tobytes() == np.linalg.norm(Z, axis=-1).tobytes()
+        Zu = Z.copy()
+        Zu[..., : s.stable_dim] = 0.0
+        assert s.unstable_component(V).tobytes() == (Zu @ s.basis.T).tobytes()
+        Zs = Z - Zu
+        assert s.stable_component(V).tobytes() == (Zs @ s.basis.T).tobytes()
+        assert np.allclose(s.stable_component(V) + s.unstable_component(V), V, atol=1e-12)
 
 
 class TestFixedPoints:
