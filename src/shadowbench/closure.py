@@ -22,13 +22,15 @@ import csv
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, islice, product
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .shadowing import PseudoOrbit, ShadowingRefusal, _defect_limit, _shadow_windows
 from .torus import ToralAutomorphism, torus_distance_array, wrap
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "SetApprox",
@@ -51,6 +53,10 @@ _COUNT_CHUNK = 128
 
 
 def _torus_tree(points: np.ndarray) -> cKDTree:
+    # scipy.spatial pulls in qhull and scipy.special on import, so it loads
+    # with the first tree rather than with the package
+    from scipy.spatial import cKDTree
+
     return cKDTree(wrap(points), boxsize=1.0)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp
 
 from .closure import SetApprox, _pairs
 from .torus import (
@@ -454,13 +453,21 @@ def verify_nonpremax_witness(map: ToralAutomorphism, lam: SetApprox,
     })
 
 
-def _mp_frac(x):
+def _mpmath():
+    """mpmath's global context, loaded by the first extended-precision
+    witness: nothing else needs it."""
+    from mpmath import mp
+
+    return mp
+
+
+def _mp_frac(mp, x):
     return x - mp.floor(x)
 
 
-def _eig_2x2_extended(matrix: np.ndarray, stable: bool):
+def _eig_2x2_extended(mp, matrix: np.ndarray, stable: bool):
     """Eigenvalue and unit eigenvector of an integer 2x2 matrix via the
-    quadratic formula, in the active mpmath precision."""
+    quadratic formula, in the active precision of the mpmath context mp."""
     if matrix.shape != (2, 2):
         raise ValueError("extended-precision eigendata needs a 2x2 factor")
     a, b = int(matrix[0, 0]), int(matrix[0, 1])
@@ -533,21 +540,22 @@ def b_direction_heteroclinic_family(product: ProductSystem, q: TorusPoint,
                   product.factor_b.splitting.lambda_u)
     digits = 40 + int(np.ceil((n_window + 1) * np.log10(lam_max)))
     t = np.linspace(0.0, a, n_params)
+    mp = _mpmath()
     with mp.workdps(digits):
-        lam_s, vs = _eig_2x2_extended(product.factor_a.matrix, stable=True)
-        lam_u, vu = _eig_2x2_extended(product.factor_b.matrix, stable=False)
+        lam_s, vs = _eig_2x2_extended(mp, product.factor_a.matrix, stable=True)
+        lam_u, vu = _eig_2x2_extended(mp, product.factor_b.matrix, stable=False)
         rows = []
         for n in range(-n_window, n_window + 1):
             sa_off = mp.mpf(s_offset) * lam_s ** n
             a_part = np.array([
-                float(_mp_frac(mp.mpf(float(qc)) + sa_off * vc))
+                float(_mp_frac(mp, mp.mpf(float(qc)) + sa_off * vc))
                 for qc, vc in zip(q.coords, vs)
             ])
             row = []
             for tk in t:
                 tu_off = mp.mpf(float(tk)) * lam_u ** n
                 b_part = np.array([
-                    float(_mp_frac(mp.mpf(float(rc)) + tu_off * vc))
+                    float(_mp_frac(mp, mp.mpf(float(rc)) + tu_off * vc))
                     for rc, vc in zip(r.coords, vu)
                 ])
                 row.append(np.concatenate([a_part, b_part]))

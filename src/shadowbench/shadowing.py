@@ -23,11 +23,9 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .torus import (
     FlowState,
@@ -39,6 +37,10 @@ from .torus import (
     torus_distance_array,
     wrap,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 __all__ = [
     "ShadowingRefusal",
@@ -444,6 +446,8 @@ def _newton_jacobian(map: ToralAutomorphism, n: int, periodic: bool) -> sp.csr_m
     work by the stored pattern, so dropping them changes the Newton solution
     in the last bit.  At n = 1 periodic, A and -I share a block and sum.
     """
+    from scipy.sparse import csr_matrix  # loaded with the first Newton solve
+
     s = map.splitting
     d = map.dim
     n_eq = n if periodic else n - 1
@@ -459,7 +463,7 @@ def _newton_jacobian(map: ToralAutomorphism, n: int, periodic: bool) -> sp.csr_m
         rows = np.append(rows, n_eq * d + r)
         cols = np.append(cols, c + np.where(r < s.stable_dim, 0, (n - 1) * d))
         data = np.append(data, s.basis_inv.ravel())
-    return sp.csr_matrix((data, (rows, cols)), shape=(n * d, n * d))
+    return csr_matrix((data, (rows, cols)), shape=(n * d, n * d))
 
 
 def _newton_lu(map: ToralAutomorphism, n: int, periodic: bool) -> spla.SuperLU:
@@ -467,8 +471,12 @@ def _newton_lu(map: ToralAutomorphism, n: int, periodic: bool) -> spla.SuperLU:
     (n, periodic).  It factors the transpose J^T in CSC form and solves with
     trans="T": `spsolve` on the CSR J hands SuperLU that same matrix and
     solve, so the steps are bit for bit those of a fresh `spsolve(J, rhs)`."""
-    return _memoized(map, ("newton_lu", n, periodic),
-                     lambda: spla.splu(_newton_jacobian(map, n, periodic).T.tocsc()))
+    def build() -> spla.SuperLU:
+        from scipy.sparse.linalg import splu  # loaded on a memo miss only
+
+        return splu(_newton_jacobian(map, n, periodic).T.tocsc())
+
+    return _memoized(map, ("newton_lu", n, periodic), build)
 
 
 def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12,

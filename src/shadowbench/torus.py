@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _UNIT_MOD_TOL = 1e-9  # eigenvalue modulus this close to 1 is rejected
+_DET_TOL = 1e-9  # relative gap between |det| = 1 and the float eigenvalues' product
 
 
 class NotHyperbolicError(ValueError):
@@ -227,7 +228,9 @@ def compute_splitting(matrix: np.ndarray | Sequence[Sequence[int]]) -> Hyperboli
 
     Complex conjugate eigenvalue pairs contribute a real 2D invariant block
     spanned by the real and imaginary parts of one eigenvector.  Raises
-    NotHyperbolicError if any eigenvalue modulus is within 1e-9 of 1.
+    NotHyperbolicError if any eigenvalue modulus is within 1e-9 of 1, and
+    ValueError if the float eigenvalues are too inexact to trust: the
+    product of their moduli is off |det| = 1 by more than 1e-9.
     """
     M, _ = _unimodular(matrix)
     return _eigen_split(M)
@@ -252,6 +255,10 @@ def _unimodular(matrix: np.ndarray | Sequence[Sequence[int]]
 def _eigen_split(M: np.ndarray) -> HyperbolicSplitting:
     """compute_splitting past its determinant check."""
     vals, vecs = np.linalg.eig(M.astype(float))
+    prod = float(np.prod(np.abs(vals)))
+    if not abs(prod - 1.0) <= _DET_TOL:  # NaN included
+        raise ValueError(f"float eigenvalues too inexact: the product of their moduli "
+                         f"is {prod!r}, not |det| = 1 within {_DET_TOL}")
 
     stable_cols: list[np.ndarray] = []
     unstable_cols: list[np.ndarray] = []

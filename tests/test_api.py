@@ -1,11 +1,14 @@
 """The public surface: every advertised name resolves and star-imports work;
 no check in the library relies on `assert`, which `python -O` strips; the
 CLI maps errors to exit codes in `main` alone and starts without importing
-networkx or scipy.signal; KD-tree ball queries stay in closure's neighbour
-helpers; rows change basis only through the splitting's methods."""
+networkx, scipy or mpmath, which load on first use inside named accessors;
+KD-tree ball queries stay in closure's neighbour helpers; rows change basis
+only through the splitting's methods."""
 
 import ast
+import hashlib
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -105,10 +108,106 @@ def test_basis_changes_only_in_the_splitting_and_newton():
     assert not found, f"basis changes outside the splitting: {found}"
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # neither is needed; scipy.signal alone costs about 0.6 s and 35 MB per process
-    code = ("import sys, shadowbench.cli; "
-            "print('networkx' in sys.modules, 'scipy.signal' in sys.modules)")
+def _fresh(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter on this test run's path."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False False"
+    return out.stdout
+
+
+HEAVY = ("networkx", "scipy", "mpmath")
+LOADED = f"print(sorted({{m.split('.')[0] for m in sys.modules}} & {set(HEAVY)!r}))"
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # none is needed to start: scipy.sparse.linalg, scipy.spatial and mpmath
+    # cost about 0.6 s per process, and the symbolic commands use none of them
+    assert _fresh(f"import sys, shadowbench.cli; {LOADED}").strip() == "[]"
+
+
+def test_sft_command_leaves_scipy_and_mpmath_unloaded(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("(0)(0)\n(01)(01)\n(001)(001)\n(0001)(0001)\n")
+    argv = ["sft", "--words", str(words), "--alphabet", "2", "--maximal", "4",
+            "--language", "2", "--closure", "2", "--out", str(tmp_path / "out.json")]
+    code = f"import sys; from shadowbench import cli; print(cli.main({argv!r})); {LOADED}"
+    assert _fresh(code).split("\n")[:2] == ["0", "[]"]
+    assert json.loads((tmp_path / "out.json").read_text())["locally_maximal"]["k"] == 2
+
+
+# The first user of each lazily loaded dependency, run cold: each snippet
+# prints whether the dependency was loaded before and after the call, then
+# the call's result.  The digests are of the results at the last commit that
+# imported scipy and mpmath at module level.
+COLD_PATHS = {
+    "newton": ("scipy.sparse.linalg", """
+import numpy as np
+from shadowbench.shadowing import PseudoOrbit, newton_shadow
+from shadowbench.torus import cat_map
+cat = cat_map()
+rows = [np.array([0.1, 0.2])]
+for j in range(7):
+    rows.append(cat.apply_array(rows[-1][None])[0] + 1e-3 * np.array([1.0, -0.5]))
+before = MODULE in sys.modules
+res = newton_shadow(cat, PseudoOrbit.from_map(cat, np.array(rows) % 1.0, start_index=-4))
+value = [res.converged, res.iterations, res.orbit.tolist()]
+""", "be3da1253fda60632425f82143e77a5baa01ade54ff189d2b2a0a1e84dec011c"),
+    "setapprox": ("scipy.spatial", """
+from shadowbench.closure import SetApprox, hausdorff
+before = MODULE in sys.modules
+a = SetApprox.build([[0.1, 0.2], [0.12, 0.21], [0.5, 0.5], [0.98, 0.99], [0.01, 0.0]], 0.1)
+b = SetApprox([[0.1, 0.25], [0.5, 0.45]], 0.1)
+value = [a.points.tolist(), hausdorff(a, b)]
+""", "705787483fbcedd0f60cda518319cbedbaebf9fa31132038f4ddde856dcb6eaf"),
+    "witness": ("mpmath", """
+from shadowbench.maximality import b_direction_heteroclinic_family
+from shadowbench.torus import TorusPoint, crovisier_product
+before = MODULE in sys.modules
+fam = b_direction_heteroclinic_family(crovisier_product(), TorusPoint((0.5, 0.0)),
+                                      TorusPoint((0.0, 0.0)), s_offset=0.25, a=0.2,
+                                      n_window=6, n_params=3)
+value = [fam.n_start, fam.xi.tolist()]
+""", "1e7f88ca25e25feaf85177b31e907abe7a5c537216fee1f30b193dbcb2365104"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_PATHS))
+def test_cold_path_loads_on_first_use(name):
+    module, body, digest = COLD_PATHS[name]
+    code = (f"import json, sys\nMODULE = {module!r}\n{body}\n"
+            "print(json.dumps([before, MODULE in sys.modules, value]))")
+    before, after, value = json.loads(_fresh(code))
+    assert (before, after) == (False, True)
+    assert hashlib.sha256(json.dumps(value).encode()).hexdigest() == digest
+
+
+def test_heavy_imports_only_in_their_accessors():
+    # scipy and mpmath load where they are first used, so that importing the
+    # package pays for numpy alone; annotations import them for type checkers
+    allowed = {"closure.py": {"_torus_tree"},
+               "shadowing.py": {"_newton_jacobian", "_newton_lu"},
+               "maximality.py": {"_mpmath"}}
+    found = []
+    for path in sorted(Path(shadowbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> outermost enclosing function (ast.walk is breadth-first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), fn.name)
+        typing_only = {id(node) for block in ast.walk(tree)
+                       if isinstance(block, ast.If)
+                       and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+                       for stmt in block.body for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if (any(n.split(".")[0] in ("scipy", "mpmath") for n in names)
+                    and id(node) not in typing_only
+                    and owner.get(id(node)) not in allowed.get(path.name, ())):
+                found.append(f"{path.name}:{node.lineno} {', '.join(names)}")
+    assert not found, f"scipy or mpmath imported outside their accessors: {found}"

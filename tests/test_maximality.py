@@ -448,10 +448,13 @@ class TestIntegerSweep:
     def test_boxes_wider_than_the_torus(self):
         # every image box wraps the torus many times over: rolls stop at
         # n - 1 per axis, where the float sweep would scan Π(s_i + 1) ≈ 4·10^16
-        # offsets
-        big = ToralAutomorphism([[10 ** 8 + 1, 10 ** 8], [10 ** 8, 10 ** 8 - 1]])
-        out = maximal_invariant_set(big, GridSet.full(2, 3), 2)
-        assert out.count == 8 ** 2
+        # offsets.  No ToralAutomorphism takes this matrix (its float
+        # eigenvalues are refused), so the sweep gets it and its exact
+        # inverse as `maximal_invariant_set` would pass them.
+        k = 10 ** 8
+        full = GridSet.full(2, 3).mask
+        for M in ([[k + 1, k], [k, k - 1]], [[-(k - 1), k], [k, -(k + 1)]]):
+            assert maximality._sweep(full, np.array(M, dtype=np.int64), 3).all()
 
 
 class TestCrovisierSet:

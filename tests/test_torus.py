@@ -10,7 +10,9 @@ from scipy.spatial import cKDTree
 from shadowbench.torus import (
     NotHyperbolicError,
     _det_and_inverse,
+    _integer_inverse,
     _mod1,
+    _unimodular,
     ProductSystem,
     SuspensionFlow,
     ToralAutomorphism,
@@ -133,10 +135,35 @@ class TestSplitting:
 
     @pytest.mark.parametrize("k", [10**8, 2**26])
     def test_large_unimodular_accepted_with_exact_inverse(self, k):
-        # det = (k+1)(k-1) - k^2 = -1, but a float det or inverse loses it
-        f = ToralAutomorphism([[k + 1, k], [k, k - 1]])
-        assert np.array_equal(f.inverse_matrix, [[-(k - 1), k], [k, -(k + 1)]])
-        assert np.array_equal(f.matrix @ f.inverse_matrix, np.eye(2, dtype=np.int64))
+        # det = (k+1)(k-1) - k^2 = -1, but a float det or inverse loses it;
+        # the determinant check passes, and the float eigenvalues are refused
+        # after it (test_inexact_eigenvalues_refused)
+        M, inv = _unimodular([[k + 1, k], [k, k - 1]])
+        inverse = _integer_inverse(inv)
+        assert np.array_equal(inverse, [[-(k - 1), k], [k, -(k + 1)]])
+        assert np.array_equal(M @ inverse, np.eye(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("k, product", [(10**8, "0.0"), (2**26, "2.0")])
+    def test_inexact_eigenvalues_refused(self, k, product):
+        # float eig gives lambda_s = 0.0 at k = 10^8 and lambda_s * lambda_u = 2
+        # at k = 2^26, though |det| = 1 makes the product of moduli 1
+        matrix = [[k + 1, k], [k, k - 1]]
+        message = rf"product of their moduli is {product}, not \|det\| = 1"
+        with pytest.raises(ValueError, match=message):
+            ToralAutomorphism(matrix)
+        with pytest.raises(ValueError, match=message):
+            compute_splitting(matrix)
+
+    def test_named_maps_pass_the_eigenvalue_gate(self, cat, golden, crovisier):
+        # the Crovisier factors are [[3, 1], [2, 1]] and the golden map; every
+        # product of moduli sits 1000 times inside the gate's 1e-9
+        maps = (cat, golden, crovisier.factor_a, crovisier.factor_b,
+                crovisier.as_automorphism())
+        for f in maps:
+            moduli = np.abs(np.linalg.eigvals(f.matrix.astype(float)))
+            assert abs(np.prod(moduli) - 1.0) < 1e-12
+        for f in maps[:4]:
+            assert f.splitting.lambda_s * f.splitting.lambda_u == pytest.approx(1.0, abs=1e-12)
 
     def test_det_and_inverse_one_pass(self):
         # a row swap flips the determinant's sign; a singular matrix has no
