@@ -426,13 +426,10 @@ def verify_nonpremax_witness(map: ToralAutomorphism, lam: SetApprox,
     xi = witness.xi
     n_times, n_params, d = xi.shape
 
-    defect = 0.0
-    for k in range(n_times - 1):
-        images = map.apply_array(xi[k])
-        defect = max(defect, float(np.max(torus_distance_array(images, xi[k + 1]))))
+    defect = float(np.max(torus_distance_array(map.apply_array(xi[:-1]), xi[1:]), initial=0.0))
     cond1 = defect < tol
 
-    dists = np.array([lam.distance_to(xi[k]) for k in range(n_times)])  # (times, params)
+    dists = lam.distance_to(xi.reshape(-1, d)).reshape(n_times, n_params)
     z = witness.zero_row
     cond2 = bool(dists[z, 0] < tol)
 
@@ -486,7 +483,6 @@ def _eig_2x2_extended(mp, matrix: np.ndarray, stable: bool):
 
 def _family_from_segment(map: ToralAutomorphism, seg: np.ndarray, n_window: int,
                          a: float) -> NonPremaxWitness:
-    n_params = seg.shape[0]
     rows = [wrap(seg)]
     fwd = wrap(seg)
     for _ in range(n_window):

@@ -589,20 +589,18 @@ class FlowPseudoTrajectory:
         pts = _points_array(self.base_points)
         pts.flags.writeable = False
         fib = np.asarray(self.fibers, dtype=float)
+        if fib.shape != pts.shape[:1]:
+            raise ValueError(f"need one fiber per base point, got {fib.shape} for {pts.shape}")
         if not np.isfinite(fib).all():  # a NaN sample would read as distance 0
             raise ValueError("fibers must be finite")
+        if not ((fib >= 0.0) & (fib < 1.0)).all():
+            raise ValueError("fibers must lie in [0, 1)")
         fib.flags.writeable = False
         object.__setattr__(self, "base_points", pts)
         object.__setattr__(self, "fibers", fib)
 
     def __len__(self) -> int:
         return self.base_points.shape[0]
-
-    def time(self, i: int) -> float:
-        return self.t0 + i * self.h
-
-    def state(self, i: int) -> FlowState:
-        return (TorusPoint(self.base_points[i]), float(self.fibers[i]))
 
 
 def suspend_pseudo_orbit(flow: SuspensionFlow, po: PseudoOrbit, h: float) -> FlowPseudoTrajectory:
@@ -613,31 +611,26 @@ def suspend_pseudo_orbit(flow: SuspensionFlow, po: PseudoOrbit, h: float) -> Flo
         raise ValueError("1/h must be an integer to align samples with the roof")
     if po.periodic:
         raise ValueError("suspend a segment, not a periodic orbit")
-    base, fibers = [], []
-    for j in range(len(po)):
-        n_sub = m if j < len(po) - 1 else 1  # last base point contributes t = end only
-        for k in range(n_sub):
-            base.append(po.points[j])
-            fibers.append(k * h)
-    traj = FlowPseudoTrajectory(np.array(base), np.array(fibers), h,
-                                t0=float(po.start_index), defect=0.0)
+    # m samples per base point; the last one contributes t = end only
+    base = np.concatenate([np.repeat(po.points[:-1], m, axis=0), po.points[-1:]])
+    fibers = np.append(np.tile(np.arange(m) * h, len(po) - 1), 0.0)
+    traj = FlowPseudoTrajectory(base, fibers, h, t0=float(po.start_index), defect=0.0)
     return replace(traj, defect=flow_defect(flow, traj))
 
 
 def flow_defect(flow: SuspensionFlow, traj: FlowPseudoTrajectory) -> float:
     """Max over sampled t and grid offsets |tau| < 1 of
     d(g(t + tau), phi_tau(g(t)))."""
-    n = len(traj)
-    if n < 2:
-        return 0.0
+    P, fib = traj.base_points, traj.fibers
     steps = int(np.ceil(1.0 / traj.h)) - 1
+    # s in [0, 1) and |tau| < 1: phi_tau moves the base point to f^-1(p), p or f(p)
+    moves = np.stack([flow.base.apply_inverse_array(P), P, flow.base.apply_array(P)])
     worst = 0.0
-    for i in range(n):
-        for k in range(-steps, steps + 1):
-            if k == 0 or not 0 <= i + k < n:
-                continue
-            moved = flow.flow_at(traj.state(i), k * traj.h)
-            worst = max(worst, flow.distance(traj.state(i + k), moved))
+    for k in range(-steps, steps + 1):  # k = 0 compares each sample with itself: 0
+        i = np.arange(max(0, -k), len(traj) - max(0, k))  # samples with i + k in range
+        n, s = flow._roof_split(fib[i] + k * traj.h)
+        d = flow._distances(P[i + k], fib[i + k], moves[n.astype(int) + 1, i], s)
+        worst = max(worst, float(np.max(d, initial=0.0)))
     return worst
 
 
@@ -711,20 +704,22 @@ def flow_shadow(flow: SuspensionFlow, traj: FlowPseudoTrajectory, delta: float, 
     if len(int_idx) < 2:
         raise ValueError("insufficient samples: need at least two integer-time samples")
     int_times = np.rint(times[int_idx]).astype(int)
+    if not (np.diff(int_times) == 1).all():
+        raise ValueError(f"integer-time samples must be consecutive, got times {int_times.tolist()}")
     base_po = PseudoOrbit.from_map(flow.base, traj.base_points[int_idx],
                                    start_index=int(int_times[0]))
     result = exact_shadow_linear(flow.base, base_po, max_defect=max_defect)
 
-    x0: FlowState = (result.point, 0.0)
-    worst = 0.0
-    for i in range(len(traj)):
-        shadow_state = flow.flow_at(x0, float(times[i]))
-        worst = max(worst, flow.distance(traj.state(i), shadow_state))
+    # the shadow at time t is (y_n, t - n); times before the window need f^-1(y_first)
+    n, s = flow._roof_split(times)
+    rows = np.concatenate([flow.base.apply_inverse_array(result.orbit[:1]), result.orbit])
+    shadow = rows[n.astype(int) - int_times[0] + 1]
+    worst = float(np.max(flow._distances(traj.base_points, traj.fibers, shadow, s)))
     if worst >= delta:
         raise ShadowingRefusal(worst, delta)
 
-    alpha = Reparameterization.identity([float(t) for t in int_times])
-    return FlowShadowResult(state=x0, reparameterization=alpha,
+    alpha = Reparameterization.identity(int_times)
+    return FlowShadowResult(state=(result.point, 0.0), reparameterization=alpha,
                             sup_distance=worst, base_result=result)
 
 

@@ -493,21 +493,30 @@ class SuspensionFlow:
         point, s = state
         if not 0.0 <= s < 1.0:
             raise ValueError(f"fiber coordinate must be in [0,1), got {s}")
-        total = s + t
-        n = int(np.floor(total))
-        new_s = total - n
-        if new_s >= 1.0:  # floating point guard at the roof
-            new_s -= 1.0
-            n += 1
-        return (self.base.iterate(point, n), new_s)
+        if not np.isfinite(t):
+            raise ValueError(f"flow time must be finite, got {t}")
+        n, new_s = self._roof_split(s + t)
+        return (self.base.iterate(point, int(n)), float(new_s))
+
+    @staticmethod
+    def _roof_split(total):
+        """Split fiber plus time into roof crossings n and a fiber in [0, 1)."""
+        n = np.floor(total)
+        s = total - n
+        over = s >= 1.0  # floating point guard at the roof
+        return np.where(over, n + 1, n), np.where(over, s - 1.0, s)
 
     def distance(self, s1: FlowState, s2: FlowState) -> float:
         """Metric on the suspension respecting the (p,1)~(f(p),0) gluing."""
         (p, a), (q, b) = s1, s2
-        direct = np.hypot(torus_distance(p, q), a - b)
-        up = np.hypot(torus_distance(self.base.apply(p), q), (a - 1.0) - b)
-        down = np.hypot(torus_distance(p, self.base.apply(q)), a - (b - 1.0))
-        return float(min(direct, up, down))
+        return float(self._distances(p.coords, a, q.coords, b))
+
+    def _distances(self, P: np.ndarray, a, Q: np.ndarray, b) -> np.ndarray:
+        """Rowwise glued distance: direct, or crossing the roof up or down."""
+        direct = np.hypot(torus_distance_array(P, Q), a - b)
+        up = np.hypot(torus_distance_array(self.base.apply_array(P), Q), (a - 1.0) - b)
+        down = np.hypot(torus_distance_array(P, self.base.apply_array(Q)), a - (b - 1.0))
+        return np.minimum(np.minimum(direct, up), down)
 
 
 def cat_map() -> ToralAutomorphism:

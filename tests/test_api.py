@@ -3,7 +3,8 @@ no check in the library relies on `assert`, which `python -O` strips; the
 CLI maps errors to exit codes in `main` alone and starts without importing
 networkx, scipy or mpmath, which load on first use inside named accessors;
 KD-tree ball queries stay in closure's neighbour helpers; rows change basis
-only through the splitting's methods."""
+only through the splitting's methods; the flow code reads the base shadow
+on arrays and never re-iterates a point."""
 
 import ast
 import hashlib
@@ -106,6 +107,25 @@ def test_basis_changes_only_in_the_splitting_and_newton():
                   if isinstance(node, ast.Attribute) and node.attr in ("basis", "basis_inv")
                   and owner.get(id(node)) not in owners]
     assert not found, f"basis changes outside the splitting: {found}"
+
+
+def test_flow_code_reads_the_base_shadow():
+    # the flow shadow is the suspension of the base shadow window: no flow
+    # function flows or iterates a single point, and the sampling and the
+    # shadow run on arrays with no Python loop
+    tree = ast.parse(Path(shadowbench.__file__).with_name("shadowing.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    flow_code = ("FlowPseudoTrajectory", "suspend_pseudo_orbit", "flow_defect", "flow_shadow")
+    found = [f"{name}:{node.lineno} {callee}" for name in flow_code
+             for node in ast.walk(defs[name]) if isinstance(node, ast.Call)
+             for callee in [getattr(node.func, "attr", getattr(node.func, "id", None))]
+             if callee in ("flow_at", "iterate", "TorusPoint")]
+    found += [f"{name}:{node.lineno} loop" for name in ("suspend_pseudo_orbit", "flow_shadow")
+              for node in ast.walk(defs[name])
+              if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                                   ast.DictComp, ast.GeneratorExp))]
+    assert not found, f"per-point work in the flow code: {found}"
 
 
 def _fresh(code: str) -> str:

@@ -697,7 +697,113 @@ class TestExpansivity:
         assert torus_distance(r1.point, r2.point) < 1e-9
 
 
+def suspend_loop(po, h):
+    """Reference: the samples of `suspend_pseudo_orbit` as nested loops over
+    base points and fiber steps."""
+    m = round(1.0 / h)
+    base, fibers = [], []
+    for j in range(len(po)):
+        for k in range(m if j < len(po) - 1 else 1):
+            base.append(po.points[j])
+            fibers.append(k * h)
+    return np.array(base), np.array(fibers)
+
+
+def flow_defect_loop(flow, traj):
+    """Reference: `flow_defect` as a scalar loop over samples and offsets,
+    flowing each state with iterated scalar maps and measuring it with the
+    glued metric on `TorusPoint`s."""
+    def state(i):
+        return TorusPoint(traj.base_points[i]), float(traj.fibers[i])
+
+    def distance(s1, s2):
+        (p, a), (q, b) = s1, s2
+        return float(min(np.hypot(torus_distance(p, q), a - b),
+                         np.hypot(torus_distance(flow.base.apply(p), q), (a - 1.0) - b),
+                         np.hypot(torus_distance(p, flow.base.apply(q)), a - (b - 1.0))))
+
+    n = len(traj)
+    steps = int(np.ceil(1.0 / traj.h)) - 1
+    worst = 0.0
+    for i in range(n):
+        point, s = state(i)
+        for k in range(-steps, steps + 1):
+            if k == 0 or not 0 <= i + k < n:
+                continue
+            total = s + k * traj.h
+            m = int(np.floor(total))
+            new_s = total - m
+            if new_s >= 1.0:
+                new_s, m = new_s - 1.0, m + 1
+            worst = max(worst, distance(state(i + k), (flow.base.iterate(point, m), new_s)))
+    return worst
+
+
 class TestFlowShadowing:
+    @pytest.mark.parametrize("system", ["cat", "golden", "product"])
+    def test_suspension_and_defect_match_the_loops(self, system, request):
+        flow = SuspensionFlow.over(request.getfixturevalue(system))
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            po = PseudoOrbit.from_map(flow.base, noisy_orbit(flow.base, rng, 15, 1e-3),
+                                      start_index=-7)
+            for h in (1, 0.5, 0.25, 0.1):
+                traj = suspend_pseudo_orbit(flow, po, h)
+                base, fibers = suspend_loop(po, h)
+                assert traj.base_points.tobytes() == base.tobytes()
+                assert traj.fibers.tobytes() == fibers.tobytes()
+                assert traj.defect == flow_defect_loop(flow, traj)
+                # fibers off the grid cross the roof at other offsets
+                jittered = np.clip(traj.fibers + rng.uniform(-0.02, 0.02, len(traj)), 0.0, 0.999)
+                off_grid = replace(traj, fibers=jittered)
+                assert flow_defect(flow, off_grid) == flow_defect_loop(flow, off_grid)
+
+    @pytest.mark.parametrize("window", [40, 60])
+    def test_long_window_reads_the_base_shadow(self, cat, window):
+        # flowing the index-0 shadow point out to |t| = window lost
+        # lambda_u^|t| in precision, and these windows were refused
+        flow = SuspensionFlow.over(cat)
+        rng = np.random.default_rng(100)
+        po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 2 * window + 1, 1e-5),
+                                  start_index=-window)
+        traj = suspend_pseudo_orbit(flow, po, h=0.5)
+        delta = 2 * cat.splitting.shadow_bound(adapted=False) * 1e-5
+        res = flow_shadow(flow, traj, delta=delta)
+        assert abs(res.sup_distance - res.base_result.sup_distance) <= 1e-12
+        assert res.sup_distance < delta
+
+    def test_samples_before_the_first_integer_time(self, cat):
+        flow = SuspensionFlow.over(cat)
+        orbit = cat.orbit_segment(TorusPoint((0.3, 0.55)), -1, 4)
+        # t = -0.5, 0, 0.5, ..., 4: the first sample sits on f^-1 of the window
+        base = np.concatenate([orbit[:1], np.repeat(orbit[1:-1], 2, axis=0), orbit[-1:]])
+        fibers = np.concatenate([[0.5], np.tile([0.0, 0.5], 4), [0.0]])
+        traj = FlowPseudoTrajectory(base, fibers, h=0.5, t0=-0.5)
+        res = flow_shadow(flow, traj, delta=1e-6)
+        assert res.sup_distance < 1e-12
+        assert res.base_result.start_index == 0
+
+    def test_integer_times_must_be_consecutive(self, cat):
+        flow = SuspensionFlow.over(cat)
+        # h = 0.3 lands on t = 0 and t = 3 only
+        traj = FlowPseudoTrajectory(np.zeros((11, 2)), np.zeros(11), h=0.3)
+        with pytest.raises(ValueError, match="consecutive"):
+            flow_shadow(flow, traj, delta=0.1)
+
+    @pytest.mark.parametrize("fiber", [1.7, -0.3, 1.0])
+    def test_fiber_outside_the_unit_interval_refused(self, cat, fiber):
+        flow = SuspensionFlow.over(cat)
+        po = PseudoOrbit.from_map(cat, cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 2))
+        traj = suspend_pseudo_orbit(flow, po, h=0.5)
+        bad = traj.fibers.copy()
+        bad[1] = fiber
+        with pytest.raises(ValueError, match=r"fibers must lie in \[0, 1\)"):
+            replace(traj, fibers=bad)
+
+    def test_one_fiber_per_base_point(self):
+        with pytest.raises(ValueError, match="one fiber per base point"):
+            FlowPseudoTrajectory(np.zeros((3, 2)), np.zeros(2), h=0.5)
+
     def test_exact_trajectory_identity_reparameterization(self, cat):
         flow = SuspensionFlow.over(cat)
         orbit = cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 10)

@@ -321,6 +321,12 @@ class TestSuspensionFlow:
             assert torus_distance(p1, p2) < 1e-10
             assert min(abs(s1 - s2), 1 - abs(s1 - s2)) < 1e-10
 
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_refused(self, cat, t):
+        flow = SuspensionFlow.over(cat)
+        with pytest.raises(ValueError, match="flow time must be finite"):
+            flow.flow_at((TorusPoint((0.3, 0.7)), 0.25), t)
+
     def test_suspension_distance_respects_gluing(self, cat):
         flow = SuspensionFlow.over(cat)
         p = TorusPoint((0.3, 0.7))
