@@ -102,6 +102,8 @@ class SetApprox:
     def __init__(self, points: np.ndarray, resolution: float, label: str = "",
                  _validate: bool = True):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if _validate and not np.isfinite(pts).all():
+            raise ValueError("points must have finite coordinates")
         # a view, so that freezing it leaves the caller's array writeable
         pts = wrap(pts) if _validate else pts.view()
         if pts.size == 0:

@@ -226,10 +226,14 @@ class GridSet:
     def minus_ball(self, center: np.ndarray, radius: float) -> "GridSet":
         """Remove cells whose center lies within `radius` of `center` (torus
         metric)."""
+        center = np.asarray(center, float)
+        if not (np.isfinite(radius) and np.isfinite(center).all()):
+            raise ValueError(f"ball needs a finite center and radius, "
+                             f"got {center.tolist()} and {radius}")
         if radius <= 0:
             return self
         centers = (np.indices(self.mask.shape).reshape(self.dim, -1).T + 0.5) * self.width
-        d = torus_distance_array(centers, np.asarray(center, float)[None, :])
+        d = torus_distance_array(centers, center[None, :])
         keep = (d >= radius).reshape(self.mask.shape)
         return GridSet(self.dim, self.depth, self.mask & keep)
 
@@ -302,6 +306,8 @@ def maximal_invariant_set(map: ToralAutomorphism, U: GridSet, n_iter: int) -> Gr
     the current cell set; the result is a superset of the true invariant set
     that shrinks (or stalls) with n_iter.  Idempotent at the fixed point.
     """
+    if n_iter < 0:
+        raise ValueError(f"n_iter must be nonnegative, got {n_iter}")
     if U.count == 0:
         raise ValueError("empty grid")
     mask = U.mask
@@ -483,18 +489,7 @@ def _eig_2x2_extended(mp, matrix: np.ndarray, stable: bool):
 
 def _family_from_segment(map: ToralAutomorphism, seg: np.ndarray, n_window: int,
                          a: float) -> NonPremaxWitness:
-    rows = [wrap(seg)]
-    fwd = wrap(seg)
-    for _ in range(n_window):
-        fwd = map.apply_array(fwd)
-        rows.append(fwd)
-    bwd_rows = []
-    bwd = wrap(seg)
-    for _ in range(n_window):
-        bwd = map.apply_inverse_array(bwd)
-        bwd_rows.append(bwd)
-    xi = np.stack(bwd_rows[::-1] + rows)
-    return NonPremaxWitness(xi, -n_window, a)
+    return NonPremaxWitness(map._orbit(wrap(seg), -n_window, n_window), -n_window, a)
 
 
 def constant_family(map: ToralAutomorphism, x0: TorusPoint, n_window: int,

@@ -33,7 +33,6 @@ from .torus import (
     ToralAutomorphism,
     TorusPoint,
     minimal_lift,
-    torus_distance,
     torus_distance_array,
     wrap,
 )
@@ -552,20 +551,14 @@ def expansivity_test(map: ToralAutomorphism, p: TorusPoint, q: TorusPoint,
 
     Callers should keep `a` below the splitting's expansivity estimate; a
     True result over a window N >= log(a / d(p,q)) / log(lambda_s) then
-    certifies p and q coincide up to the identification tolerance.
+    certifies p and q coincide up to the identification tolerance.  Both
+    orbits are iterated in floats, each point as its own row, so that every
+    step rounds as a scalar step does.
     """
-    if torus_distance(p, q) >= a:
-        return False
-    fp, fq = p, q
-    bp, bq = p, q
-    for _ in range(N):
-        fp, fq = map.apply(fp), map.apply(fq)
-        if torus_distance(fp, fq) >= a:
-            return False
-        bp, bq = map.apply_inverse(bp), map.apply_inverse(bq)
-        if torus_distance(bp, bq) >= a:
-            return False
-    return True
+    if N < 0:
+        raise ValueError(f"window N must be nonnegative, got {N}")
+    P, Q = (map._orbit(x.coords[None], -N, N) for x in (p, q))
+    return not (torus_distance_array(P, Q) >= a).any()
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +617,7 @@ def flow_defect(flow: SuspensionFlow, traj: FlowPseudoTrajectory) -> float:
     P, fib = traj.base_points, traj.fibers
     steps = int(np.ceil(1.0 / traj.h)) - 1
     # s in [0, 1) and |tau| < 1: phi_tau moves the base point to f^-1(p), p or f(p)
-    moves = np.stack([flow.base.apply_inverse_array(P), P, flow.base.apply_array(P)])
+    moves = flow.base._orbit(P, -1, 1)
     worst = 0.0
     for k in range(-steps, steps + 1):  # k = 0 compares each sample with itself: 0
         i = np.arange(max(0, -k), len(traj) - max(0, k))  # samples with i + k in range

@@ -79,7 +79,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A point of T^d.  Coordinates are wrapped into [0, 1) on construction.
+    """A point of T^d.  Coordinates must be finite and are wrapped into
+    [0, 1) on construction.
 
     An exact-rational coordinate tuple is kept alongside the float array when
     the point is built from Fractions, so integer-matrix dynamics can be
@@ -98,7 +99,10 @@ class TorusPoint:
             arr = np.array([float(c) for c in exact])
         else:
             exact = None
-            arr = wrap(np.array([float(c) for c in entries]))
+            arr = np.array([float(c) for c in entries])
+            if not np.isfinite(arr).all():
+                raise ValueError("points must have finite coordinates")
+            arr = wrap(arr)
         object.__setattr__(self, "coords", _readonly(arr))
         object.__setattr__(self, "exact", exact)
 
@@ -340,22 +344,16 @@ class ToralAutomorphism:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def _apply_matrix(self, M: np.ndarray, p: TorusPoint) -> TorusPoint:
-        if p.dim != self.dim:
-            raise ValueError(f"dimension mismatch: map is {self.dim}-d, point is {p.dim}-d")
-        if p.exact is not None:
-            new = tuple(
-                sum(Fraction(int(M[i, j])) * p.exact[j] for j in range(self.dim)) % 1
-                for i in range(self.dim)
-            )
-            return TorusPoint(new)
-        return TorusPoint(wrap(M @ p.coords))
+    def _apply_matrix(self, M: np.ndarray, exact: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        """One exact step x -> Mx mod 1 of a Fraction coordinate tuple."""
+        return tuple(sum(Fraction(int(M[i, j])) * exact[j] for j in range(self.dim)) % 1
+                     for i in range(self.dim))
 
     def apply(self, p: TorusPoint) -> TorusPoint:
-        return self._apply_matrix(self.matrix, p)
+        return self.iterate(p, 1)
 
     def apply_inverse(self, p: TorusPoint) -> TorusPoint:
-        return self._apply_matrix(self.inverse_matrix, p)
+        return self.iterate(p, -1)
 
     def apply_array(self, P: np.ndarray) -> np.ndarray:
         """Map an (n, d) coordinate array forward, wrapped into [0, 1)."""
@@ -364,27 +362,43 @@ class ToralAutomorphism:
     def apply_inverse_array(self, P: np.ndarray) -> np.ndarray:
         return wrap(np.asarray(P, dtype=float) @ self.inverse_matrix.T.astype(float))
 
+    def _orbit(self, P: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
+        """Rows f^j(P) for j = n_min..n_max of an (m, d) array, in shape
+        (n_max - n_min + 1, m, d): the one loop over float map steps, each an
+        `apply_array` or `apply_inverse_array` of all m rows."""
+        if n_min > 0 or n_max < 0:
+            raise ValueError(f"orbit window must contain index 0, got [{n_min}, {n_max}]")
+        if P.ndim != 2 or P.shape[1] != self.dim:
+            raise ValueError(f"dimension mismatch: map is {self.dim}-d, points are {P.shape}")
+        out = np.empty((n_max - n_min + 1,) + P.shape)
+        out[-n_min] = P
+        for j in range(-n_min, n_max - n_min):
+            out[j + 1] = self.apply_array(out[j])
+        for j in range(-n_min, 0, -1):
+            out[j - 1] = self.apply_inverse_array(out[j])
+        return out
+
     def iterate(self, p: TorusPoint, n: int) -> TorusPoint:
-        step = self.apply if n >= 0 else self.apply_inverse
-        for _ in range(abs(n)):
-            p = step(p)
-        return p
+        """f^n(p): exact steps for an exact point, else one row of `_orbit`
+        in windows of at most 1024 steps, so that memory stays bounded."""
+        if p.dim != self.dim:
+            raise ValueError(f"dimension mismatch: map is {self.dim}-d, point is {p.dim}-d")
+        if p.exact is not None:
+            M, exact = (self.matrix if n >= 0 else self.inverse_matrix), p.exact
+            for _ in range(abs(n)):
+                exact = self._apply_matrix(M, exact)
+            return TorusPoint(exact)
+        row, left = p.coords[None], abs(n)
+        while left:
+            k = min(left, 1024)
+            row = self._orbit(row, 0, k)[-1] if n > 0 else self._orbit(row, -k, 0)[0]
+            left -= k
+        return TorusPoint(row[0])
 
     def orbit_segment(self, p: TorusPoint, n_min: int, n_max: int) -> np.ndarray:
-        """Coordinates of f^j(p) for j = n_min..n_max inclusive."""
-        if n_min > 0 or n_max < 0:
-            raise ValueError("orbit window must contain index 0")
-        fwd = [p.coords]
-        q = p
-        for _ in range(n_max):
-            q = self.apply(q)
-            fwd.append(q.coords)
-        bwd = []
-        q = p
-        for _ in range(-n_min):
-            q = self.apply_inverse(q)
-            bwd.append(q.coords)
-        return np.array(bwd[::-1] + fwd)
+        """Coordinates of f^j(p) for j = n_min..n_max inclusive, iterated in
+        floats from `p.coords` (an exact point included)."""
+        return self._orbit(p.coords[None], n_min, n_max)[:, 0]
 
     @property
     def lipschitz(self) -> float:
@@ -400,6 +414,8 @@ class ToralAutomorphism:
         Enumerates integer right-hand sides m with x = (M^p - I)^{-1} m in
         [0,1)^d; the count equals |det(M^p - I)|.
         """
+        if not (isinstance(period, Integral) and period >= 1):
+            raise ValueError(f"period must be a positive integer, got {period!r}")
         Mp = np.linalg.matrix_power(self.matrix.astype(object), period)
         D = Mp - np.eye(self.dim, dtype=object)
         detD, inv = _det_and_inverse(D)

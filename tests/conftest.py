@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from shadowbench.torus import cat_map, crovisier_product, default_product, golden_map
+from shadowbench.torus import (
+    ToralAutomorphism,
+    cat_map,
+    crovisier_product,
+    default_product,
+    golden_map,
+    two_fixed_point_map,
+)
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +29,17 @@ def product():
 @pytest.fixture(scope="session")
 def crovisier():
     return crovisier_product()
+
+
+@pytest.fixture(scope="session")
+def orbit_maps():
+    """Maps the float orbit kernel is pinned on: 2-D and 4-D, entries up to 5.
+    On the three with an entry of 3 or more, a row in a batch can round apart
+    from the same row stepped alone."""
+    return {"cat": cat_map(), "golden": golden_map(), "two_fixed": two_fixed_point_map(),
+            "5332": ToralAutomorphism([[5, 3], [3, 2]]),
+            "crovisier": crovisier_product().as_automorphism(),
+            "product": default_product().as_automorphism()}
 
 
 @pytest.fixture

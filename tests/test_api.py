@@ -4,7 +4,8 @@ CLI maps errors to exit codes in `main` alone and starts without importing
 networkx, scipy or mpmath, which load on first use inside named accessors;
 KD-tree ball queries stay in closure's neighbour helpers; rows change basis
 only through the splitting's methods; the flow code reads the base shadow
-on arrays and never re-iterates a point."""
+on arrays and never re-iterates a point; float map steps loop in one
+kernel."""
 
 import ast
 import hashlib
@@ -126,6 +127,30 @@ def test_flow_code_reads_the_base_shadow():
               if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp,
                                    ast.DictComp, ast.GeneratorExp))]
     assert not found, f"per-point work in the flow code: {found}"
+
+
+def test_one_float_orbit_loop():
+    # the float map is stepped in ToralAutomorphism._orbit alone: no other
+    # loop body steps a map or builds a point per step
+    steps = {"apply_array", "apply_inverse_array", "apply", "apply_inverse", "iterate",
+             "TorusPoint"}
+    found, in_kernel = [], []
+    for name in ("torus.py", "shadowing.py", "maximality.py"):
+        tree = ast.parse(Path(shadowbench.__file__).with_name(name).read_text())
+        kernel = {id(node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "ToralAutomorphism"
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "_orbit"
+                  for node in ast.walk(fn)}
+        for loop in ast.walk(tree):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for call in (node for stmt in loop.body + loop.orelse for node in ast.walk(stmt)):
+                callee = isinstance(call, ast.Call) and getattr(
+                    call.func, "attr", getattr(call.func, "id", None))
+                if callee in steps:
+                    (in_kernel if id(loop) in kernel else found).append(
+                        f"{name}:{call.lineno} {callee}")
+    assert in_kernel and not found, f"map steps in loops outside the orbit kernel: {found}"
 
 
 def _fresh(code: str) -> str:

@@ -241,6 +241,15 @@ class TestCrovisierCommand:
         assert code == 1
         assert payload["error"]["message"] == "v_radius must be nonnegative, got nan"
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n-iter", "-1"], "n_iter must be nonnegative, got -1"),
+        (["--q", "nan", "0"], "points must have finite coordinates"),
+    ])
+    def test_bad_grid_input_exit_one(self, capsys, args, message):
+        code, error = run_error(["crovisier", "--depth", "2"] + args, capsys)
+        assert code == 1 and error["kind"] == "input"
+        assert error["message"] == message
+
     def test_refusal_in_closure_exit_two(self, monkeypatch, capsys):
         # unreachable with the gate at inf short of a NaN defect, but one
         # policy maps a refusal to 2 wherever it is raised

@@ -296,6 +296,12 @@ def complete_net():
 
 
 class TestSetApprox:
+    @pytest.mark.parametrize("rows", [[[np.nan, 0.1]], [[0.1, 0.2], [np.inf, 0.5]]])
+    def test_validated_net_refuses_non_finite_rows(self, rows):
+        # a one-point net skips the pair check, so NaN needs its own
+        with pytest.raises(ValueError, match="points must have finite coordinates"):
+            SetApprox(rows, 0.1)
+
     def test_net_condition_enforced(self):
         with pytest.raises(ValueError, match="net condition"):
             SetApprox(np.array([[0.0, 0.0], [0.001, 0.0]]), resolution=0.1)

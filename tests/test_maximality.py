@@ -301,6 +301,12 @@ class TestGridSet:
         assert not g.contains(TorusPoint((0.5, 0.5)))
         assert g.contains(TorusPoint((0.0, 0.0)))
 
+    @pytest.mark.parametrize("center, radius", [
+        ([0.5, 0.5], np.nan), ([0.5, 0.5], np.inf), ([np.nan, 0.5], 0.1), ([0.5, np.inf], 0.0)])
+    def test_minus_ball_refuses_non_finite(self, center, radius):
+        with pytest.raises(ValueError, match="ball needs a finite center and radius"):
+            GridSet.full(2, 2).minus_ball(center, radius)
+
     def test_rle_roundtrip(self, rng):
         mask = rng.random((16, 16)) < 0.4
         if not mask.any():
@@ -319,6 +325,10 @@ class TestGridSet:
 
 
 class TestMaximalInvariantSet:
+    def test_negative_n_iter_refused(self, cat):
+        with pytest.raises(ValueError, match="n_iter must be nonnegative, got -1"):
+            maximal_invariant_set(cat, GridSet.full(2, 2), -1)
+
     def test_full_torus_invariant(self, cat):
         U = GridSet.full(2, 4)
         out = maximal_invariant_set(cat, U, n_iter=10)
@@ -497,6 +507,20 @@ class TestCrovisierSet:
         assert 0 < out.count <= 8 ** 4
 
 
+def family_loop(map, seg, n_window):
+    """Reference: the rows of `_family_from_segment` as a forward and a
+    backward loop of batch steps over the whole segment."""
+    rows, fwd = [wrap(seg)], wrap(seg)
+    for _ in range(n_window):
+        fwd = map.apply_array(fwd)
+        rows.append(fwd)
+    bwd_rows, bwd = [], wrap(seg)
+    for _ in range(n_window):
+        bwd = map.apply_inverse_array(bwd)
+        bwd_rows.append(bwd)
+    return np.stack(bwd_rows[::-1] + rows)
+
+
 class TestWitness:
     def test_constant_family_inside_set(self, cat):
         lam = SetApprox(np.array([[0.0, 0.0]]), 0.01)
@@ -529,6 +553,20 @@ class TestWitness:
         report = verify_nonpremax_witness(crovisier.as_automorphism(), lam, fam,
                                           tol=1 / n)
         assert report.conditions() == (True, True, True, True), report.details
+
+    def test_families_match_the_loop(self, orbit_maps):
+        for name, f in orbit_maps.items():
+            for seed in (0, 1):
+                center = TorusPoint(np.random.default_rng(seed).random(f.dim))
+                for n_window in (0, 3, 12):
+                    fam = unstable_segment_family(f, center, 0.2, n_window, 7)
+                    v = f.splitting.unstable_basis[:, 0]
+                    seg = center.coords[None, :] + np.linspace(0.0, 0.2, 7)[:, None] * v[None, :]
+                    assert fam.xi.tobytes() == family_loop(f, seg, n_window).tobytes(), name
+                    fam = constant_family(f, center, n_window, 4, 0.2)
+                    seg = np.tile(center.coords, (4, 1))
+                    assert fam.xi.tobytes() == family_loop(f, seg, n_window).tobytes(), name
+                    assert fam.n_start == -n_window
 
     def test_witness_window_must_contain_zero(self):
         with pytest.raises(ValueError, match="contain n = 0"):

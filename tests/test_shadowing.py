@@ -657,6 +657,22 @@ class TestShiftEquivariance:
         assert torus_distance(lhs, rhs) < 1e-9
 
 
+def expansivity_loop(map, p, q, a, N):
+    """Reference: `expansivity_test` as a scalar loop, one `M @ p` step per
+    point and one distance per step, stopping at the first separation."""
+    if torus_distance(p, q) >= a:
+        return False
+    fp, fq, bp, bq = p, q, p, q
+    for _ in range(N):
+        fp, fq = (TorusPoint(wrap(map.matrix @ x.coords)) for x in (fp, fq))
+        if torus_distance(fp, fq) >= a:
+            return False
+        bp, bq = (TorusPoint(wrap(map.inverse_matrix @ x.coords)) for x in (bp, bq))
+        if torus_distance(bp, bq) >= a:
+            return False
+    return True
+
+
 class TestExpansivity:
     def test_identical_points(self, cat):
         p = TorusPoint((0.3, 0.4))
@@ -686,6 +702,31 @@ class TestExpansivity:
             direction = rng.standard_normal(2)
             q = TorusPoint(wrap(p.coords + 1e-3 * direction / np.linalg.norm(direction)))
             assert not expansivity_test(cat, p, q, a=0.1, N=50)
+
+    def test_verdicts_match_the_scalar_loop(self, orbit_maps):
+        verdicts = set()
+        for name, f in orbit_maps.items():
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                for x in rng.random((10, f.dim)):
+                    p = TorusPoint(x)
+                    q = TorusPoint(x + 10.0 ** rng.uniform(-9, -2) * rng.standard_normal(f.dim))
+                    for N in (0, 1, 5, 30):
+                        for a in (0.05, 0.1, 0.3):
+                            verdict = expansivity_test(f, p, q, a, N)
+                            assert verdict is expansivity_loop(f, p, q, a, N), (name, seed, N, a)
+                            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_negative_window_refused(self, cat):
+        p = TorusPoint((0.3, 0.4))
+        with pytest.raises(ValueError, match="window N must be nonnegative, got -1"):
+            expansivity_test(cat, p, p, a=0.1, N=-1)
+
+    def test_wrong_dimension_refused_at_window_zero(self, cat):
+        p3 = TorusPoint((0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match="dimension mismatch: map is 2-d"):
+            expansivity_test(cat, p3, p3, a=0.1, N=0)
 
     def test_uniqueness_of_shadowing_via_expansivity(self, cat, rng):
         # two shadow candidates for one pseudo-orbit must coincide

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -114,6 +115,110 @@ class TestApply:
         imgs = cat.apply_array(P)
         for row, img in zip(P, imgs):
             assert torus_distance(cat.apply(TorusPoint(row)), TorusPoint(img)) < 1e-12
+
+
+def scalar_step(M, p):
+    """Reference: one map step as `_apply_matrix` took it before the orbit
+    kernel, `M @ p` on a float point and Fraction sums on an exact one,
+    building a `TorusPoint` per step."""
+    if p.exact is not None:
+        d = len(M)
+        return TorusPoint(tuple(sum(Fraction(int(M[i, j])) * p.exact[j] for j in range(d)) % 1
+                                for i in range(d)))
+    return TorusPoint(wrap(M @ p.coords))
+
+
+def iterate_loop(map, p, n):
+    """Reference: `iterate` as a loop of scalar steps."""
+    M = map.matrix if n >= 0 else map.inverse_matrix
+    for _ in range(abs(n)):
+        p = scalar_step(M, p)
+    return p
+
+
+def orbit_segment_loop(map, p, n_min, n_max):
+    """Reference: `orbit_segment` as a forward and a backward scalar loop."""
+    fwd, q = [p.coords], p
+    for _ in range(n_max):
+        q = scalar_step(map.matrix, q)
+        fwd.append(q.coords)
+    bwd, q = [], p
+    for _ in range(-n_min):
+        q = scalar_step(map.inverse_matrix, q)
+        bwd.append(q.coords)
+    return np.array(bwd[::-1] + fwd)
+
+
+class TestOrbitKernel:
+    def test_steps_match_the_scalar_loops(self, orbit_maps):
+        # a one-row call rounds as the scalar step on every map, entries >= 3
+        # included, where a row in a batch may not
+        for name, f in orbit_maps.items():
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                for p in [TorusPoint(x) for x in rng.random((8, f.dim))]:
+                    assert (f.orbit_segment(p, -20, 20).tobytes()
+                            == orbit_segment_loop(f, p, -20, 20).tobytes()), name
+                    for n, got in ((1, f.apply(p)), (-1, f.apply_inverse(p)),
+                                   (7, f.iterate(p, 7)), (-7, f.iterate(p, -7))):
+                        assert got.coords.tobytes() == iterate_loop(f, p, n).coords.tobytes(), (name, n)
+
+    @pytest.mark.parametrize("n", [2500, -2500])
+    def test_long_iterates_match_the_scalar_loop(self, cat, n):
+        # iterate runs its window in pieces; the pieces join bit for bit
+        p = TorusPoint((0.31, 0.47))
+        assert cat.iterate(p, n).coords.tobytes() == iterate_loop(cat, p, n).coords.tobytes()
+
+    def test_exact_points_take_exact_steps(self, cat):
+        for p in cat.fixed_points(3):
+            for n in (-4, -3, 1, 3):
+                got, want = cat.iterate(p, n), iterate_loop(cat, p, n)
+                assert got.exact == want.exact and got.coords.tobytes() == want.coords.tobytes()
+            assert cat.iterate(p, 3) == p and cat.apply(cat.apply_inverse(p)) == p
+
+    def test_iterate_holds_a_bounded_window(self, cat, monkeypatch):
+        rows = []
+        kernel = ToralAutomorphism._orbit
+
+        def spy(self, P, n_min, n_max):
+            out = kernel(self, P, n_min, n_max)
+            rows.append(out.shape[0] * out.shape[1])
+            return out
+
+        p = TorusPoint((0.31, 0.47))
+        monkeypatch.setattr(ToralAutomorphism, "_orbit", spy)
+        cat.iterate(p, 10**5)
+        assert sum(rows) - len(rows) == 10**5 and max(rows) <= 1025
+        monkeypatch.undo()
+        # and in bytes: a window of 10**4 two-float rows would take 160 kB
+        tracemalloc.start()
+        try:
+            cat.iterate(p, -10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_wrong_dimension_refused_before_any_step(self, cat):
+        for p3 in (TorusPoint((0.1, 0.2, 0.3)), TorusPoint((Fraction(1, 2),) * 3)):
+            for call in (lambda: cat.iterate(p3, 0), lambda: cat.orbit_segment(p3, 0, 0),
+                         lambda: cat.apply(p3)):
+                with pytest.raises(ValueError, match="dimension mismatch: map is 2-d.*3"):
+                    call()
+
+    def test_orbit_window_must_contain_zero(self, cat):
+        with pytest.raises(ValueError, match=r"must contain index 0, got \[1, 3\]"):
+            cat.orbit_segment(TorusPoint((0.1, 0.2)), 1, 3)
+
+    @pytest.mark.parametrize("period", [0, -1, 1.5])
+    def test_fixed_point_period_must_be_positive(self, cat, period):
+        with pytest.raises(ValueError, match=f"period must be a positive integer, got {period}"):
+            cat.fixed_points(period)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_refused(self, bad):
+        with pytest.raises(ValueError, match="points must have finite coordinates"):
+            TorusPoint((bad, 0.1))
 
 
 class TestSplitting:
