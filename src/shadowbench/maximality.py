@@ -219,8 +219,11 @@ class GridSet:
         return (self.cells() + 0.5) * self.width
 
     def contains(self, point: TorusPoint | np.ndarray) -> bool:
-        coords = point.coords if isinstance(point, TorusPoint) else wrap(np.asarray(point, float))
-        idx = tuple(np.minimum((coords / self.width).astype(int), 2 ** self.depth - 1))
+        coords = np.asarray(point.coords if isinstance(point, TorusPoint) else point, float)
+        if coords.shape != (self.dim,) or not np.isfinite(coords).all():
+            raise ValueError(f"point must have {self.dim} finite coordinates, "
+                             f"got {coords.tolist()}")
+        idx = tuple(np.minimum((wrap(coords) / self.width).astype(int), 2 ** self.depth - 1))
         return bool(self.mask[idx])
 
     def minus_ball(self, center: np.ndarray, radius: float) -> "GridSet":

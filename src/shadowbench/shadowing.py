@@ -19,11 +19,11 @@ bounds because boundary effects decay exponentially.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "shift_pseudo",
     "expansivity_test",
     "FlowPseudoTrajectory",
-    "Reparameterization",
     "FlowShadowResult",
     "suspend_pseudo_orbit",
     "flow_defect",
@@ -553,12 +552,26 @@ def expansivity_test(map: ToralAutomorphism, p: TorusPoint, q: TorusPoint,
     True result over a window N >= log(a / d(p,q)) / log(lambda_s) then
     certifies p and q coincide up to the identification tolerance.  Both
     orbits are iterated in floats, each point as its own row, so that every
-    step rounds as a scalar step does.
+    step rounds as a scalar step does.  Each direction runs in windows of
+    1, 2, 4, ... steps, each from the last rows of the one before, and the
+    test stops at the first window with a separation.
     """
     if N < 0:
         raise ValueError(f"window N must be nonnegative, got {N}")
-    P, Q = (map._orbit(x.coords[None], -N, N) for x in (p, q))
-    return not (torus_distance_array(P, Q) >= a).any()
+    for sign in (1, -1):
+        rows, left, k = (p.coords[None], q.coords[None]), N, 1
+        while True:
+            k = min(k, left)  # at N = 0, one window of index 0 alone
+            window = (0, k) if sign > 0 else (-k, 0)
+            # rows f^0 .. f^(sign k) of each point, the farthest last
+            P, Q = (map._orbit(x, *window)[::sign] for x in rows)
+            if (torus_distance_array(P, Q) >= a).any():
+                return False
+            left -= k
+            if not left:
+                break
+            rows, k = (P[-1], Q[-1]), 2 * k
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +581,12 @@ def expansivity_test(map: ToralAutomorphism, p: TorusPoint, q: TorusPoint,
 @dataclass(frozen=True)
 class FlowPseudoTrajectory:
     """Sampled epsilon-pseudotrajectory of a suspension flow: states at the
-    uniform grid t_i = t0 + i*h with h <= 1."""
+    uniform grid t_i = t0 + i*h with h <= 1; `flow_defect` measures it."""
 
     base_points: np.ndarray     # (n, d)
     fibers: np.ndarray          # (n,)
     h: float
     t0: float = 0.0
-    defect: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.h <= 1:
@@ -607,8 +619,7 @@ def suspend_pseudo_orbit(flow: SuspensionFlow, po: PseudoOrbit, h: float) -> Flo
     # m samples per base point; the last one contributes t = end only
     base = np.concatenate([np.repeat(po.points[:-1], m, axis=0), po.points[-1:]])
     fibers = np.append(np.tile(np.arange(m) * h, len(po) - 1), 0.0)
-    traj = FlowPseudoTrajectory(base, fibers, h, t0=float(po.start_index), defect=0.0)
-    return replace(traj, defect=flow_defect(flow, traj))
+    return FlowPseudoTrajectory(base, fibers, h, t0=float(po.start_index))
 
 
 def flow_defect(flow: SuspensionFlow, traj: FlowPseudoTrajectory) -> float:
@@ -628,53 +639,16 @@ def flow_defect(flow: SuspensionFlow, traj: FlowPseudoTrajectory) -> float:
 
 
 @dataclass(frozen=True)
-class Reparameterization:
-    """Increasing piecewise-linear time change with chord slopes within
-    `distortion` of 1.  Breakpoints are (t, alpha(t)) pairs."""
-
-    breakpoints: tuple[tuple[float, float], ...]
-    distortion: float
-
-    def __post_init__(self):
-        ts = [t for t, _ in self.breakpoints]
-        vals = [a for _, a in self.breakpoints]
-        if len(ts) < 2:
-            raise ValueError("need at least two breakpoints")
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])) or any(
-            a2 <= a1 for a1, a2 in zip(vals, vals[1:])
-        ):
-            raise ValueError("reparameterization must be strictly increasing")
-
-    def __call__(self, t: float) -> float:
-        ts = np.array([b[0] for b in self.breakpoints])
-        vals = np.array([b[1] for b in self.breakpoints])
-        return float(np.interp(t, ts, vals))
-
-    def inverse(self) -> "Reparameterization":
-        return Reparameterization(
-            tuple((a, t) for t, a in self.breakpoints), self.distortion
-        )
-
-    def max_slope_deviation(self) -> float:
-        """Max |chord slope - 1| over breakpoint pairs.  Chord slopes are
-        convex combinations of adjacent-segment slopes, so adjacent pairs
-        realize the extremes."""
-        ts = np.array([b[0] for b in self.breakpoints])
-        vals = np.array([b[1] for b in self.breakpoints])
-        slopes = np.diff(vals) / np.diff(ts)
-        return float(np.max(np.abs(slopes - 1.0)))
-
-    @classmethod
-    def identity(cls, knots: Sequence[float]) -> "Reparameterization":
-        return cls(tuple((float(t), float(t)) for t in knots), 0.0)
-
-
-@dataclass(frozen=True)
 class FlowShadowResult:
-    state: FlowState
-    reparameterization: Reparameterization
-    sup_distance: float
+    """The suspension of the base shadow window `base_result`, at glued
+    distance `sup_distance` from the samples; `state` is its time-0 state."""
+
     base_result: ShadowResult = field(repr=False)
+    sup_distance: float
+
+    @property
+    def state(self) -> FlowState:
+        return self.base_result.point, 0.0
 
 
 def flow_shadow(flow: SuspensionFlow, traj: FlowPseudoTrajectory, delta: float, *,
@@ -684,8 +658,9 @@ def flow_shadow(flow: SuspensionFlow, traj: FlowPseudoTrajectory, delta: float, 
     Extracts the base-map pseudo-orbit at integer sample times, shadows it
     with the exact series, and suspends the result.  With a constant roof no
     time shift is needed, so alpha is the identity with knots at the integer
-    times, of distortion 0.  The achieved suspension distance on the sample
-    grid must come in below delta, which must be positive.
+    times `base_result.pseudo_orbit.indices()`.  The achieved suspension
+    distance on the sample grid must come in below delta, which must be
+    positive.
     """
     if not delta > 0:  # NaN included
         raise ValueError(f"delta must be positive, got {delta}")
@@ -710,10 +685,7 @@ def flow_shadow(flow: SuspensionFlow, traj: FlowPseudoTrajectory, delta: float, 
     worst = float(np.max(flow._distances(traj.base_points, traj.fibers, shadow, s)))
     if worst >= delta:
         raise ShadowingRefusal(worst, delta)
-
-    alpha = Reparameterization.identity(int_times)
-    return FlowShadowResult(state=(result.point, 0.0), reparameterization=alpha,
-                            sup_distance=worst, base_result=result)
+    return FlowShadowResult(result, worst)
 
 
 # ---------------------------------------------------------------------------

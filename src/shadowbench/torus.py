@@ -331,6 +331,10 @@ class ToralAutomorphism:
     # operators that depend on the map alone, built on first use by the
     # shadowers; held by the instance, so they die with it
     _memo: dict = field(init=False, repr=False, compare=False)
+    # the float transposes that `apply_array` and `apply_inverse_array`
+    # multiply by, built once
+    _step_T: np.ndarray = field(init=False, repr=False, compare=False)
+    _inverse_step_T: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[int]]):
         M, inv = _unimodular(matrix)
@@ -339,6 +343,9 @@ class ToralAutomorphism:
         object.__setattr__(self, "inverse_matrix", _readonly(_integer_inverse(inv)))
         object.__setattr__(self, "splitting", splitting)
         object.__setattr__(self, "_memo", {})
+        # copies keep the transpose's layout, so every product rounds as before
+        object.__setattr__(self, "_step_T", _readonly(self.matrix.T.astype(float)))
+        object.__setattr__(self, "_inverse_step_T", _readonly(self.inverse_matrix.T.astype(float)))
 
     @property
     def dim(self) -> int:
@@ -357,10 +364,10 @@ class ToralAutomorphism:
 
     def apply_array(self, P: np.ndarray) -> np.ndarray:
         """Map an (n, d) coordinate array forward, wrapped into [0, 1)."""
-        return wrap(np.asarray(P, dtype=float) @ self.matrix.T.astype(float))
+        return wrap(np.asarray(P, dtype=float) @ self._step_T)
 
     def apply_inverse_array(self, P: np.ndarray) -> np.ndarray:
-        return wrap(np.asarray(P, dtype=float) @ self.inverse_matrix.T.astype(float))
+        return wrap(np.asarray(P, dtype=float) @ self._inverse_step_T)
 
     def _orbit(self, P: np.ndarray, n_min: int, n_max: int) -> np.ndarray:
         """Rows f^j(P) for j = n_min..n_max of an (m, d) array, in shape

@@ -117,7 +117,8 @@ def test_flow_code_reads_the_base_shadow():
     tree = ast.parse(Path(shadowbench.__file__).with_name("shadowing.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    flow_code = ("FlowPseudoTrajectory", "suspend_pseudo_orbit", "flow_defect", "flow_shadow")
+    flow_code = ("FlowPseudoTrajectory", "suspend_pseudo_orbit", "flow_defect",
+                 "FlowShadowResult", "flow_shadow")
     found = [f"{name}:{node.lineno} {callee}" for name in flow_code
              for node in ast.walk(defs[name]) if isinstance(node, ast.Call)
              for callee in [getattr(node.func, "attr", getattr(node.func, "id", None))]

@@ -307,6 +307,14 @@ class TestGridSet:
         with pytest.raises(ValueError, match="ball needs a finite center and radius"):
             GridSet.full(2, 2).minus_ball(center, radius)
 
+    @pytest.mark.parametrize("point", [
+        [np.nan, 0.1], [0.1, -np.inf], [0.1, 0.2, 0.3], TorusPoint((0.1, 0.2, 0.3))])
+    def test_contains_refuses_bad_points_by_name(self, point):
+        # NaN used to become an int index and a 3-D point three indices:
+        # both raised IndexError
+        with pytest.raises(ValueError, match=r"point must have 2 finite coordinates, got \["):
+            GridSet.full(2, 2).contains(point)
+
     def test_rle_roundtrip(self, rng):
         mask = rng.random((16, 16)) < 0.4
         if not mask.any():

@@ -1,0 +1,73 @@
+"""The deterministic outputs, pinned by SHA-256: every file of the `suite
+--scale quick` trees at seeds 0 and 7, and the stdout of `crovisier --depth
+4 --closure --max-iter 2` at seeds 0 and 11.  A one-bit change to any of
+them fails here.
+
+The digests hold for the numpy and BLAS build they were taken with, whose
+version is recorded beside them; on another numpy the tests skip.  A change
+meant to move an output recomputes the digests it moves and states the
+diff.  The `full` seed 0 tree (about 9 s) is not pinned, to keep the suite
+fast.
+"""
+
+import hashlib
+
+import numpy
+import pytest
+
+from shadowbench.cli import EXIT_BUDGET, EXIT_OK, main
+
+NUMPY = "2.4.6"
+
+pytestmark = pytest.mark.skipif(
+    numpy.__version__ != NUMPY,
+    reason=f"output digests were taken with numpy {NUMPY}, installed is {numpy.__version__}")
+
+SUITE_QUICK = {
+    0: {
+        "closure.json": "0b1f3ad58d15627ed48922b6383154f2db4d24e905349b969c9f9bdf96b8cc33",
+        "closure_fixed-point.csv": "99803103486e7c786e3ca1d03536c3a4eaf5945047ea9e679cefcbca799d02e3",
+        "closure_three-cycle.csv": "811f9744ae2dea69e3ab7c881a4880ee8ee4cbc595190f2b6e5800f51f897d2c",
+        "closure_two-cycle.csv": "45cdd6b6ff738b38ad0ca191318772c4fb9a1cb1ea8731b610f3424e5925bee2",
+        "crovisier.csv": "c01493852c422ccfde1d55363ebd4582369b07e958f0ea5a7eb8f7ed52fd1452",
+        "crovisier.json": "9e172203faa4b050a0d362b27c88cbc6d9e80d01e47df4f980792466e8b15135",
+        "equivariance.json": "9d3eff94fcf3208e9371308a9f394661e51d6b2ca0d14dee10fddee9026b459d",
+        "sft.json": "c8df02245eadcc24b07821aac0dca8d3d04ceb9d4871544d96e72606113db95e",
+        "shadow.json": "eaf1259338ecb4914afeea9d590098a0db8ef84693fd125fb00edc49f7b47ff5",
+        "summary.json": "9f2e104ab6bd911a2c50e3744350d49983afec86f3cf6b6f227ed97d8b537124",
+    },
+    7: {
+        "closure.json": "0b1f3ad58d15627ed48922b6383154f2db4d24e905349b969c9f9bdf96b8cc33",
+        "closure_fixed-point.csv": "99803103486e7c786e3ca1d03536c3a4eaf5945047ea9e679cefcbca799d02e3",
+        "closure_three-cycle.csv": "811f9744ae2dea69e3ab7c881a4880ee8ee4cbc595190f2b6e5800f51f897d2c",
+        "closure_two-cycle.csv": "45cdd6b6ff738b38ad0ca191318772c4fb9a1cb1ea8731b610f3424e5925bee2",
+        "crovisier.csv": "e80fc676cab884a38eecb5eee16f1d3bfd6b3a6efaa9086c208d8e83696642f5",
+        "crovisier.json": "35ecdf841b33f50b2cbdb0b8e1f74cd14598141712793c578e6619e06cdc6b81",
+        "equivariance.json": "104e09e0c902ca6218e2b366b0d5f6ac2a9e95be9ea5647395d5a285bc3a1616",
+        "sft.json": "c8df02245eadcc24b07821aac0dca8d3d04ceb9d4871544d96e72606113db95e",
+        "shadow.json": "7e1047dc74d6fb30064d46de45002404db05b58d27653ff91d8c49a6d7800076",
+        "summary.json": "55564ec12f478f841d01ba45d1e14f55857490a187e05a5109ac216b190504c4",
+    },
+}
+
+# the closure runs out of its two steps: exit code 3
+CROVISIER_DEPTH_4 = {
+    0: "ae49ce346eeca5c40429a664c2210864de13b399bff15f9e77f156849781f758",
+    11: "ef271f6dabd875718e2cf7a0c5537e0dd084c3cc051abd844c373ef4d76597fb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_QUICK))
+def test_quick_suite_tree_is_pinned(seed, tmp_path):
+    assert main(["suite", "--out", str(tmp_path), "--scale", "quick", "--seed", str(seed)]) == EXIT_OK
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir())}
+    assert digests == SUITE_QUICK[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(CROVISIER_DEPTH_4))
+def test_crovisier_stdout_is_pinned(seed, capsys):
+    code = main(["crovisier", "--depth", "4", "--closure", "--max-iter", "2", "--seed", str(seed)])
+    assert code == EXIT_BUDGET
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CROVISIER_DEPTH_4[seed]

@@ -11,8 +11,8 @@ import scipy.sparse.linalg as spla
 from shadowbench.closure import SamplingParams, SetApprox, build_graph, sample_pseudo_orbits
 from shadowbench.shadowing import (
     FlowPseudoTrajectory,
+    FlowShadowResult,
     PseudoOrbit,
-    Reparameterization,
     ShadowResult,
     ShadowingRefusal,
     _adapted_blocks,
@@ -696,6 +696,22 @@ class TestExpansivity:
                 break
         assert 4 <= n <= 6
 
+    def test_stops_at_the_first_separation(self, cat, monkeypatch):
+        # the pair separates 4 to 6 steps forward, inside the third window
+        # (steps 3..7), so neither the rest of N nor the backward half is run
+        windows = []
+        kernel = ToralAutomorphism._orbit
+
+        def spy(self, P, n_min, n_max):
+            windows.append(n_max - n_min)
+            return kernel(self, P, n_min, n_max)
+
+        p = TorusPoint((0.3, 0.4))
+        q = TorusPoint(wrap(p.coords + 1e-3 * cat.splitting.unstable_basis[:, 0]))
+        monkeypatch.setattr(ToralAutomorphism, "_orbit", spy)
+        assert not expansivity_test(cat, p, q, a=0.1, N=1000)
+        assert windows == [1, 1, 2, 2, 4, 4]
+
     def test_generic_pair_fails(self, cat, rng):
         for _ in range(20):
             p = TorusPoint(rng.random(2))
@@ -781,6 +797,12 @@ def flow_defect_loop(flow, traj):
 
 
 class TestFlowShadowing:
+    def test_flow_objects_store_their_samples_and_base_shadow_only(self):
+        # the defect and the state are derived, so neither can go stale
+        assert [f.name for f in fields(FlowPseudoTrajectory)] == [
+            "base_points", "fibers", "h", "t0"]
+        assert [f.name for f in fields(FlowShadowResult)] == ["base_result", "sup_distance"]
+
     @pytest.mark.parametrize("system", ["cat", "golden", "product"])
     def test_suspension_and_defect_match_the_loops(self, system, request):
         flow = SuspensionFlow.over(request.getfixturevalue(system))
@@ -793,7 +815,7 @@ class TestFlowShadowing:
                 base, fibers = suspend_loop(po, h)
                 assert traj.base_points.tobytes() == base.tobytes()
                 assert traj.fibers.tobytes() == fibers.tobytes()
-                assert traj.defect == flow_defect_loop(flow, traj)
+                assert flow_defect(flow, traj) == flow_defect_loop(flow, traj)
                 # fibers off the grid cross the roof at other offsets
                 jittered = np.clip(traj.fibers + rng.uniform(-0.02, 0.02, len(traj)), 0.0, 0.999)
                 off_grid = replace(traj, fibers=jittered)
@@ -812,6 +834,7 @@ class TestFlowShadowing:
         res = flow_shadow(flow, traj, delta=delta)
         assert abs(res.sup_distance - res.base_result.sup_distance) <= 1e-12
         assert res.sup_distance < delta
+        assert res.base_result.pseudo_orbit.indices().tolist() == list(range(-window, window + 1))
 
     def test_samples_before_the_first_integer_time(self, cat):
         flow = SuspensionFlow.over(cat)
@@ -850,10 +873,12 @@ class TestFlowShadowing:
         orbit = cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 10)
         po = PseudoOrbit.from_map(cat, orbit)
         traj = suspend_pseudo_orbit(flow, po, h=0.25)
-        assert traj.defect < 1e-12
+        assert flow_defect(flow, traj) < 1e-12
         res = flow_shadow(flow, traj, delta=1e-6)
         assert res.sup_distance < 1e-10
-        assert res.reparameterization.max_slope_deviation() == 0.0
+        # alpha is the identity: the base window's indices are the integer times
+        assert res.state == (res.base_result.point, 0.0)
+        assert res.base_result.pseudo_orbit.indices().tolist() == list(range(11))
 
     def test_noisy_base_orbit_shadowed(self, cat, rng):
         flow = SuspensionFlow.over(cat)
@@ -862,7 +887,8 @@ class TestFlowShadowing:
         K = cat.splitting.shadow_bound(adapted=False)
         res = flow_shadow(flow, traj, delta=2 * K * 1e-3)
         assert res.sup_distance <= K * po.defect + 1e-9
-        assert res.reparameterization.distortion <= res.sup_distance + 1e-12
+        assert res.state == (res.base_result.point, 0.0)
+        assert res.base_result.pseudo_orbit.indices().tolist() == list(range(30))
 
     @pytest.mark.parametrize("attr, sample", [
         ("base_points", [np.nan, 0.4]),
@@ -902,18 +928,6 @@ class TestFlowShadowing:
         po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 12, 1e-3))
         traj = suspend_pseudo_orbit(flow, po, h=0.5)
         assert po.defect <= flow_defect(flow, traj) <= 3 * po.defect + 1e-12
-
-
-class TestReparameterization:
-    def test_strictly_increasing_enforced(self):
-        with pytest.raises(ValueError, match="increasing"):
-            Reparameterization(((0.0, 0.0), (1.0, -0.5)), 0.1)
-
-    def test_slope_deviation_and_inverse(self):
-        rep = Reparameterization(((0.0, 0.0), (1.0, 1.05), (2.0, 2.0)), 0.06)
-        assert rep.max_slope_deviation() == pytest.approx(0.05, abs=1e-12)
-        inv = rep.inverse()
-        assert inv(rep(0.7)) == pytest.approx(0.7, abs=1e-12)
 
 
 class TestSerialization:
