@@ -10,7 +10,9 @@ mathematical refusal (a precondition gate fired), 3 budget exhaustion.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,7 +27,6 @@ from .shadowing import (
     ShadowingRefusal,
     exact_shadow_linear,
     newton_shadow,
-    pseudo_orbit_points_from_csv,
     shadow_operator,
     shift_pseudo,
 )
@@ -89,6 +90,64 @@ class ExperimentConfig:
     def sampling(self) -> SamplingParams:
         return SamplingParams(max_cycle_len=self.max_cycle_len, n_paths=self.n_paths,
                               path_len=self.path_len, seed=self.seed)
+
+
+# the syntax of int() and float(), so that a row is checked before it is converted
+_DIGITS = r"\d(?:_?\d)*"
+_INT = re.compile(rf"\s*[+-]?{_DIGITS}\s*")
+_FLOAT = re.compile(rf"\s*[+-]?(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:e[+-]?{_DIGITS})?\s*"
+                    r"|\s*[+-]?(?:inf(?:inity)?|nan)\s*", re.IGNORECASE)
+
+
+def _read_rows(path: str | Path, header: str, indexed: bool) -> tuple[list[int], np.ndarray]:
+    """Indices and coordinates of `index,x0,x1,...` rows, or of `x0,x1,...`
+    rows indexed by line, skipping blank lines and a first line whose first
+    field starts with `header`; a malformed row is refused by line number."""
+    indices, rows = [], []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or lineno == 1 and row[0].strip().lower().startswith(header):
+                continue
+            coords = row[1:] if indexed else row
+            bad = [v for v in coords if not _FLOAT.fullmatch(v)]
+            problem = (f"invalid literal for int() with base 10: {row[0]!r}"
+                       if indexed and not _INT.fullmatch(row[0]) else
+                       f"could not convert string to float: {bad[0]!r}" if bad else
+                       "fewer than 2 coordinates" if len(coords) < 2 else
+                       f"{len(coords)} coordinates, the first row has {len(rows[0])}"
+                       if rows and len(coords) != len(rows[0]) else None)
+            if problem:
+                raise ValueError(f"malformed CSV row at line {lineno}: {problem}")
+            indices.append(int(row[0]) if indexed else lineno)
+            rows.append([float(v) for v in coords])
+    return indices, np.array(rows)
+
+
+def _read_pseudo_orbit(path: str | Path) -> tuple[np.ndarray, int]:
+    """The points of a pseudo-orbit file in index order, and its first index."""
+    indices, points = _read_rows(path, "index", indexed=True)
+    if not indices:
+        raise ValueError("empty pseudo-orbit file")
+    start = min(indices)
+    if sorted(indices) != list(range(start, start + len(indices))):
+        raise ValueError("pseudo-orbit indices must be consecutive")
+    return points[np.argsort(indices)], start
+
+
+def _read_net(path: str | Path, resolution: float, label: str = "") -> SetApprox:
+    """The r-net of the points of a point file, coarsened keep-first."""
+    return SetApprox.build(_read_rows(path, "x", indexed=False)[1], resolution, label)
+
+
+def _write_trace(trace: ClosureTrace, path: str | Path) -> None:
+    """The (j, nu_j, set size) rows of a closure trace; the last names the verdict."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["j", "nu_j", "set_size", "verdict"])
+        writer.writerow([0, "", len(trace.iterates[0]), ""])
+        for j, nu in enumerate(trace.nus, start=1):
+            tag = str(trace.verdict) if j == len(trace.nus) else ""
+            writer.writerow([j, repr(float(nu)), len(trace.iterates[j]), tag])
 
 
 def _emit(payload: dict, path: str | Path | None) -> None:
@@ -172,7 +231,7 @@ def _punctured_closure(system: ProductSystem, grid: GridSet, max_iter: int,
 
 def cmd_shadow(args) -> int:
     map = _load_map(args)
-    points, start = pseudo_orbit_points_from_csv(args.orbit)
+    points, start = _read_pseudo_orbit(args.orbit)
     po = PseudoOrbit.from_map(map, points, periodic=args.periodic,
                               start_index=0 if args.periodic else start)
     solver = newton_shadow if args.method == "newton" else exact_shadow_linear
@@ -187,11 +246,11 @@ def cmd_shadow(args) -> int:
 def cmd_closure(args) -> int:
     cfg = _load_config(args)
     map = _load_map(args)
-    sa = SetApprox.from_csv(args.points, cfg.resolution, label="Lambda_0")
+    sa = _read_net(args.points, cfg.resolution, label="Lambda_0")
     trace = iterate_closure(map, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
                             params=cfg.sampling())
     if args.out_csv:
-        trace.to_csv(args.out_csv)
+        _write_trace(trace, args.out_csv)
     _emit(trace.to_json_dict(include_iterates=args.include), args.out)
     return EXIT_BUDGET if trace.verdict.kind == "budget_exhausted" else EXIT_OK
 
@@ -199,7 +258,7 @@ def cmd_closure(args) -> int:
 def cmd_sft(args) -> int:
     if args.member is not None and args.window is None:
         raise ValueError("--member needs --window")
-    s = SubshiftPresentation.from_file(args.words, args.alphabet)
+    s = SubshiftPresentation.from_text(Path(args.words).read_text(), args.alphabet)
     payload: dict = {"alphabet": args.alphabet,
                      "generators": [g.to_text() for g in s.generators]}
     if args.language is not None:
@@ -230,7 +289,7 @@ def cmd_sft(args) -> int:
 def cmd_maximality(args) -> int:
     cfg = _load_config(args)
     map = _load_map(args)
-    sa = SetApprox.from_csv(args.points, cfg.resolution)
+    sa = _read_net(args.points, cfg.resolution)
     report = _lps(map, sa, cfg.resolution, args.eps, args.pair_delta, args.membership_tol)
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK
@@ -251,7 +310,7 @@ def cmd_crovisier(args) -> int:
         trace = _punctured_closure(system, grid, cfg.max_iter, cfg.sampling(),
                                    args.closure_delta, args.closure_u_radius)
         if args.out_csv:
-            trace.to_csv(args.out_csv)
+            _write_trace(trace, args.out_csv)
         payload["closure"] = trace.to_json_dict(include_iterates="none")
         if trace.verdict.kind == "budget_exhausted":
             exit_code = EXIT_BUDGET
@@ -350,7 +409,7 @@ def _suite_closure(cfg: ExperimentConfig, map, out_dir: Path, quick: bool) -> di
         trace = iterate_closure(map, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
                                 params=cfg.sampling())
         lps = _lps(map, trace.final, cfg.resolution)
-        trace.to_csv(out_dir / f"closure_{name}.csv")
+        _write_trace(trace, out_dir / f"closure_{name}.csv")
         results[name] = {
             "verdict": {"kind": trace.verdict.kind, "index": trace.verdict.index},
             "nus": list(trace.nus),
@@ -425,7 +484,7 @@ def _suite_crovisier(cfg: ExperimentConfig, out_dir: Path, quick: bool) -> dict:
         "dichotomy_pass_rate": trace.dichotomy_pass_rate(),
         "never_stabilized": trace.verdict.kind != "stabilized",
     }
-    trace.to_csv(out_dir / "crovisier.csv")
+    _write_trace(trace, out_dir / "crovisier.csv")
     _emit(result, out_dir / "crovisier.json")
     return result
 

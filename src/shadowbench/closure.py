@@ -18,15 +18,14 @@ query it, and tests cross-check it against the brute-force definition.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, islice, product
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .shadowing import PseudoOrbit, ShadowingRefusal, _defect_limit, _shadow_windows
+from .shadowing import (PseudoOrbit, ShadowingRefusal, _defect_limit, _shadow_windows,
+                        pseudo_orbit_defect)
 from .torus import ToralAutomorphism, torus_distance_array, wrap
 
 if TYPE_CHECKING:
@@ -162,28 +161,6 @@ class SetApprox:
         return SetApprox(np.vstack([self.points, kept]), self.resolution,
                          self.label if label is None else label, _validate=False), len(kept)
 
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{k}" for k in range(self.dim)])
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path: str | Path, resolution: float, label: str = "") -> "SetApprox":
-        pts = []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if lineno == 1 and row and row[0].strip().lower().startswith("x"):
-                    continue
-                if not row:
-                    continue
-                try:
-                    pts.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ValueError(f"malformed CSV row at line {lineno}: {exc}") from exc
-        return cls.build(np.array(pts), resolution, label)
-
 
 def _greedy_net(points: np.ndarray, threshold: float) -> np.ndarray:
     """Keep-first filter: drop any point within `threshold` (strictly) of an
@@ -265,6 +242,7 @@ def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
     """
     if not delta > 0:  # NaN included
         raise ValueError("positive delta required")
+    map._check_dim(sa.dim)
     images = map.apply_array(sa.points)
     # closed-ball hits, a superset of the edges, are counted chunk by chunk:
     # once their running total passes the cap the graph stays lazy
@@ -528,7 +506,10 @@ def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
     shadowed = [w for w in windows if w is not None]
     refused = len(windows) - len(shadowed)
     if sequences and not shadowed:
-        raise ShadowingRefusal(delta, limit)
+        smallest = min(pseudo_orbit_defect(map, sampled.points[seq], periodic=periodic)
+                       for seq, periodic in zip(sequences, sampled.periodic))
+        raise ShadowingRefusal(smallest, limit, f"all {len(sequences)} sampled pseudo-orbits "
+                               f"refused: smallest defect {smallest:.3e} >= delta_0 = {limit:.3e}")
     merged, added = sa.merge(np.vstack([sa.points[:0], *shadowed]), label=label)
     return merged, ClosureStepStats(len(sequences), refused, added, sampled.cycle_cap,
                                     sampled.connector_budget, sampled.lazy_graph)
@@ -639,15 +620,6 @@ class ClosureTrace:
         elif include_iterates == "final":
             out["final"] = self.final.points.tolist()
         return out
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "nu_j", "set_size", "verdict"])
-            writer.writerow([0, "", len(self.iterates[0]), ""])
-            for j, nu in enumerate(self.nus, start=1):
-                tag = str(self.verdict) if j == len(self.nus) else ""
-                writer.writerow([j, repr(float(nu)), len(self.iterates[j]), tag])
 
 
 _CONFIRM_STEPS = 3  # quiet steps after the first that confirm stabilization

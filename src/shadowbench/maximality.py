@@ -163,6 +163,7 @@ def local_product_check(map: ToralAutomorphism, sa: SetApprox, eps: float,
     for name, value in (("eps", eps), ("delta", delta), ("membership_tol", membership_tol)):
         if not value > 0:  # NaN included
             raise ValueError(f"{name} must be positive, got {value}")
+    map._check_dim(sa.dim)
     pts = sa.points
     pairs = _pairs(sa, delta)
     ii = np.concatenate([pairs[:, 0], pairs[:, 1]])

@@ -18,11 +18,9 @@ bounds because boundary effects decay exponentially.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -60,15 +58,16 @@ __all__ = [
 
 
 class ShadowingRefusal(ValueError):
-    """The pseudo-orbit defect exceeds the admissible gate delta_0, so the
-    shadowing bound is not guaranteed and the solver declines."""
+    """A measured `defect` is not below its admissible `limit`, so the
+    shadowing bound is not guaranteed and the solver declines.  By default
+    these are a pseudo-orbit's defect and the gate delta_0; a refusal that
+    compares other quantities names them in `message`."""
 
-    def __init__(self, defect: float, limit: float):
+    def __init__(self, defect: float, limit: float, message: str | None = None):
         self.defect = defect
         self.limit = limit
-        super().__init__(
-            f"defect too large: {defect:.3e} >= delta_0 = {limit:.3e}; shadowing bound not guaranteed"
-        )
+        super().__init__(message or f"defect too large: {defect:.3e} >= delta_0 = {limit:.3e}; "
+                                    "shadowing bound not guaranteed")
 
 
 def _points_array(points: Iterable) -> np.ndarray:
@@ -134,6 +133,7 @@ def pseudo_orbit_defect(map: ToralAutomorphism, points: Iterable, *,
 
 
 def _defect(map: ToralAutomorphism, pts: np.ndarray, periodic: bool) -> float:
+    map._check_dim(pts.shape[1])
     if len(pts) < 2 and not periodic:
         if len(pts) < 1:
             raise ValueError("need at least one point")
@@ -684,47 +684,6 @@ def flow_shadow(flow: SuspensionFlow, traj: FlowPseudoTrajectory, delta: float, 
     shadow = rows[n.astype(int) - int_times[0] + 1]
     worst = float(np.max(flow._distances(traj.base_points, traj.fibers, shadow, s)))
     if worst >= delta:
-        raise ShadowingRefusal(worst, delta)
+        raise ShadowingRefusal(worst, delta, f"flow shadow too far: sampled sup distance "
+                                             f"{worst:.3e} >= delta = {delta:.3e}")
     return FlowShadowResult(result, worst)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def pseudo_orbit_to_csv(po: PseudoOrbit, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + [f"x{k}" for k in range(po.dim)])
-        for j, row in zip(po.indices(), po.points):
-            writer.writerow([int(j)] + [repr(float(v)) for v in row])
-
-
-def pseudo_orbit_points_from_csv(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read (points, start_index) from an index/coordinates CSV.
-
-    Raises ValueError naming the offending line on malformed rows.
-    """
-    rows: list[tuple[int, list[float]]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0].strip().lower() == "index":
-                continue
-            if not row:
-                continue
-            try:
-                idx = int(row[0])
-                coords = [float(v) for v in row[1:]]
-                if len(coords) < 2:
-                    raise ValueError("fewer than 2 coordinates")
-            except ValueError as exc:
-                raise ValueError(f"malformed CSV row at line {lineno}: {exc}") from exc
-            rows.append((idx, coords))
-    if not rows:
-        raise ValueError("empty pseudo-orbit file")
-    rows.sort(key=lambda r: r[0])
-    indices = [r[0] for r in rows]
-    if indices != list(range(indices[0], indices[0] + len(indices))):
-        raise ValueError("pseudo-orbit indices must be consecutive")
-    return np.array([r[1] for r in rows]), indices[0]

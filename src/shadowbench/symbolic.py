@@ -19,7 +19,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from itertools import chain
-from pathlib import Path
 from typing import Sequence
 
 __all__ = [
@@ -71,8 +70,9 @@ class PeriodicWord:
     """Eventually periodic bi-infinite word (...LLL core RRR...).
 
     With offset zero the core occupies indices [0, len(core)); the offset
-    shifts the origin, so the shift map is free.  Words compare by the
-    sequences they denote, not by representation.
+    shifts the origin, so the shift map is free.  `agrees_with` compares
+    the sequences two words denote; `==` compares representations, so two
+    words can denote one sequence and still differ.
     """
 
     left_cycle: tuple[int, ...]
@@ -243,12 +243,12 @@ class SubshiftPresentation:
                 raise ValueError("generator alphabet mismatch")
 
     @classmethod
-    def from_file(cls, path: str | Path, alphabet_size: int) -> "SubshiftPresentation":
-        """Read one generator per line in `PeriodicWord.from_text` form; blank
+    def from_text(cls, text: str, alphabet_size: int) -> "SubshiftPresentation":
+        """Parse one generator per line in `PeriodicWord.from_text` form; blank
         lines and `#` comments are skipped.  Raises ValueError naming the
         offending line."""
         words = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -323,18 +323,18 @@ def _integer_inverse(inv: list[list[Fraction]]) -> np.ndarray:
 @dataclass(frozen=True)
 class ToralAutomorphism:
     """Integer matrix with |det| = 1 and no eigenvalue on the unit circle,
-    acting on T^d by x -> Mx mod 1."""
+    acting on T^d by x -> Mx mod 1.  Maps compare and hash by the matrix."""
 
     matrix: np.ndarray
     inverse_matrix: np.ndarray = field(repr=False)
     splitting: HyperbolicSplitting = field(repr=False)
     # operators that depend on the map alone, built on first use by the
     # shadowers; held by the instance, so they die with it
-    _memo: dict = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False)
     # the float transposes that `apply_array` and `apply_inverse_array`
     # multiply by, built once
-    _step_T: np.ndarray = field(init=False, repr=False, compare=False)
-    _inverse_step_T: np.ndarray = field(init=False, repr=False, compare=False)
+    _step_T: np.ndarray = field(init=False, repr=False)
+    _inverse_step_T: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, matrix: np.ndarray | Sequence[Sequence[int]]):
         M, inv = _unimodular(matrix)
@@ -347,9 +347,23 @@ class ToralAutomorphism:
         object.__setattr__(self, "_step_T", _readonly(self.matrix.T.astype(float)))
         object.__setattr__(self, "_inverse_step_T", _readonly(self.inverse_matrix.T.astype(float)))
 
+    def __eq__(self, other) -> bool:
+        # the matrix determines the inverse, the splitting and the operators
+        if not isinstance(other, ToralAutomorphism):
+            return NotImplemented
+        return bool(np.array_equal(self.matrix, other.matrix))
+
+    def __hash__(self):
+        return hash(self.matrix.tobytes())
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def _check_dim(self, dim: int) -> None:
+        """Refuse points of dimension `dim` unless the map acts on them."""
+        if dim != self.dim:
+            raise ValueError(f"dimension mismatch: map is {self.dim}-d, points are {dim}-d")
 
     def _apply_matrix(self, M: np.ndarray, exact: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         """One exact step x -> Mx mod 1 of a Fraction coordinate tuple."""
@@ -388,8 +402,7 @@ class ToralAutomorphism:
     def iterate(self, p: TorusPoint, n: int) -> TorusPoint:
         """f^n(p): exact steps for an exact point, else one row of `_orbit`
         in windows of at most 1024 steps, so that memory stays bounded."""
-        if p.dim != self.dim:
-            raise ValueError(f"dimension mismatch: map is {self.dim}-d, point is {p.dim}-d")
+        self._check_dim(p.dim)
         if p.exact is not None:
             M, exact = (self.matrix if n >= 0 else self.inverse_matrix), p.exact
             for _ in range(abs(n)):

@@ -5,7 +5,7 @@ networkx, scipy or mpmath, which load on first use inside named accessors;
 KD-tree ball queries stay in closure's neighbour helpers; rows change basis
 only through the splitting's methods; the flow code reads the base shadow
 on arrays and never re-iterates a point; float map steps loop in one
-kernel."""
+kernel; only the CLI touches files."""
 
 import ast
 import hashlib
@@ -152,6 +152,23 @@ def test_one_float_orbit_loop():
                     (in_kernel if id(loop) in kernel else found).append(
                         f"{name}:{call.lineno} {callee}")
     assert in_kernel and not found, f"map steps in loops outside the orbit kernel: {found}"
+
+
+def test_only_the_cli_touches_files():
+    # file formats sit behind cli.py: the library takes arrays, objects and
+    # text, never paths
+    found = []
+    for path in sorted(Path(shadowbench.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno} import {name}" for name in names
+                      if name.split(".")[0] in ("csv", "pathlib")]
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                found.append(f"{path.name}:{node.lineno} open()")
+    assert not found, f"file access outside cli.py: {found}"
 
 
 def _fresh(code: str) -> str:

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -7,8 +8,18 @@ import pytest
 
 from shadowbench import cli
 from shadowbench.cli import main
-from shadowbench.shadowing import PseudoOrbit, ShadowingRefusal, pseudo_orbit_to_csv
+from shadowbench.closure import SetApprox, iterate_closure
+from shadowbench.shadowing import PseudoOrbit, ShadowingRefusal
 from shadowbench.torus import TorusPoint, cat_map, crovisier_product, system_to_config
+
+
+def pseudo_orbit_to_csv(po: PseudoOrbit, path) -> None:
+    """Write a pseudo-orbit file: a header, then `index,x0,x1,...` rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index"] + [f"x{k}" for k in range(po.dim)])
+        for j, row in zip(po.indices(), po.points):
+            writer.writerow([int(j)] + [repr(float(v)) for v in row])
 
 
 @pytest.fixture
@@ -40,6 +51,82 @@ def run_error(args, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1, lines
     return code, json.loads(lines[0])["error"]
+
+
+class TestFiles:
+    """The readers of pseudo-orbit and point files and the trace writer."""
+
+    def test_csv_roundtrip(self, cat, rng, tmp_path):
+        po = PseudoOrbit.from_map(cat, rng.random((20, 2)), start_index=-5)
+        path = tmp_path / "po.csv"
+        pseudo_orbit_to_csv(po, path)
+        pts, start = cli._read_pseudo_orbit(path)
+        assert start == -5
+        assert np.array_equal(pts, po.points)
+
+    def test_malformed_row_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,x0,x1\n0,0.1,0.2\n1,nope,0.3\n")
+        with pytest.raises(ValueError, match="line 3"):
+            cli._read_pseudo_orbit(path)
+
+    def test_pseudo_orbit_rows_come_in_index_order(self, tmp_path):
+        path = tmp_path / "po.csv"
+        path.write_text("index,x0,x1\n1,0.3,0.4\n\n0,0.1,0.2\n")
+        pts, start = cli._read_pseudo_orbit(path)
+        assert start == 0 and pts.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("index,x0,x1\n0,0.1,0.2\nx,0.1,0.3\n",
+         "malformed CSV row at line 3: invalid literal for int() with base 10: 'x'"),
+        ("index,x0,x1\n0,0.1,0.2\n1,0.3\n", "malformed CSV row at line 3: fewer than 2 coordinates"),
+        ("index,x0,x1\n0,0.1,0.2\n\n1,0.3,0.4,0.5\n",
+         "malformed CSV row at line 4: 3 coordinates, the first row has 2"),
+        ("index,x0,x1\n0,0.1,0.2\n2,0.3,0.4\n", "pseudo-orbit indices must be consecutive"),
+        ("index,x0,x1\n\n", "empty pseudo-orbit file"),
+    ], ids=["bad-index", "short", "ragged", "gap", "empty"])
+    def test_pseudo_orbit_file_refused(self, tmp_path, text, message):
+        path = tmp_path / "po.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            cli._read_pseudo_orbit(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("command", ["closure", "maximality"])
+    @pytest.mark.parametrize("text, problem", [
+        ("x0,x1\n0.1,0.2\n0.5\n", "fewer than 2 coordinates"),
+        ("x0,x1\n0.1,0.2\n0.5,0.3,0.4\n", "3 coordinates, the first row has 2"),
+        ("x0,x1\n0.1,0.2\n1e-1,inf_\n", "could not convert string to float: 'inf_'"),
+    ], ids=["short", "ragged", "bad-float"])
+    def test_point_file_row_refused_by_line(self, tmp_path, capsys, command, text, problem):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        code, error = run_error([command, "--points", str(path)], capsys)
+        assert code == 1 and error["kind"] == "input"
+        assert error["message"] == f"malformed CSV row at line 3: {problem}"
+
+    @pytest.mark.parametrize("argv", [["shadow", "--orbit"], ["closure", "--points"],
+                                      ["maximality", "--points"]],
+                             ids=["shadow", "closure", "maximality"])
+    def test_dimension_mismatch_named(self, tmp_path, capsys, argv):
+        path = tmp_path / "rows.csv"
+        if argv[0] == "shadow":
+            path.write_text("index,x0,x1,x2\n0,0.1,0.2,0.3\n1,0.5,0.6,0.7\n")
+        else:
+            path.write_text("x0,x1,x2\n0.1,0.2,0.3\n0.5,0.6,0.7\n")
+        code, error = run_error([*argv, str(path)], capsys)
+        assert code == 1 and error["kind"] == "input"
+        assert error["message"] == "dimension mismatch: map is 2-d, points are 3-d"
+
+    def test_trace_csv(self, cat, tmp_path):
+        trace = iterate_closure(cat, SetApprox(np.array([[0.0, 0.0]]), 0.01),
+                                delta=0.05, u_radius=0.2, max_iter=6)
+        path = tmp_path / "trace.csv"
+        cli._write_trace(trace, path)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["j,nu_j,set_size,verdict", "0,,1,"]
+        assert lines[2:] == [f"{j},0.0,1," for j in range(1, len(trace.nus))] + [
+            f"{len(trace.nus)},0.0,1,stabilized(0)"]
 
 
 class TestShadowCommand:
@@ -197,6 +284,11 @@ class TestSftCommand:
         code, payload = run(["sft", "--words", str(words), "--alphabet", "2",
                              "--language", "2"], capsys)
         assert code == 1 and "line 2" in payload["error"]["message"]
+
+    def test_comments_only_word_file(self, tmp_path, capsys):
+        words = self._write(tmp_path, ["# no generator", ""])
+        code, error = run_error(["sft", "--words", str(words), "--alphabet", "2"], capsys)
+        assert code == 1 and error["message"] == "no words in file"
 
 
 class TestMaximalityCommand:

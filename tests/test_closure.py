@@ -473,6 +473,11 @@ class TestNeighbourRule:
 
 
 class TestBuildGraph:
+    def test_wrong_dimension_named(self, cat):
+        sa = SetApprox(np.array([[0.1, 0.2, 0.3]]), 0.01)
+        with pytest.raises(ValueError, match="map is 2-d, points are 3-d"):
+            build_graph(cat, sa, 0.05)
+
     def test_edge_at_exactly_delta_is_no_edge(self):
         cat, sa, delta = exact_delta_net()
         g = build_graph(cat, sa, delta)
@@ -968,15 +973,12 @@ class TestIterateClosure:
                                 params=SamplingParams(seed=1, n_paths=6))
         assert trace.verdict.kind in ("budget_exhausted", "stabilized")
 
-    def test_trace_serialization(self, cat, tmp_path):
+    def test_trace_serialization(self, cat):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
         trace = iterate_closure(cat, sa, delta=0.05, u_radius=0.2, max_iter=6)
         d = trace.to_json_dict()
         assert d["verdict"]["kind"] == "stabilized"
         assert len(d["nus"]) == len(trace.nus)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        assert path.read_text().splitlines()[0] == "j,nu_j,set_size,verdict"
 
     def test_trace_rejects_misaligned_increments(self):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
@@ -1004,9 +1006,11 @@ class TestRefusalAndEscape:
         sa = SetApprox(np.vstack([x, y]), 0.01)
         delta = 0.2
         assert delta > cat.splitting.max_shadow_defect
-        with pytest.raises(ShadowingRefusal):
+        with pytest.raises(ShadowingRefusal, match=r"all \d+ sampled pseudo-orbits refused: "
+                                                   r"smallest defect \S+ >= delta_0") as info:
             shadowing_closure(cat, sa, delta=delta,
                               params=SamplingParams(seed=0, n_paths=8, path_len=4))
+        assert info.value.defect >= info.value.limit == cat.splitting.max_shadow_defect
 
     def test_gate_override_lets_loose_closure_run(self, cat):
         x = np.array([0.1, 0.3])

@@ -153,6 +153,11 @@ class TestLocalProductCheck:
             local_product_check(cat, sa, **knobs)
         assert not isinstance(info.value, BracketError)
 
+    def test_wrong_dimension_named(self, cat):
+        sa = SetApprox(np.array([[0.1, 0.2, 0.3]]), 0.01)
+        with pytest.raises(ValueError, match="map is 2-d, points are 3-d"):
+            local_product_check(cat, sa, 0.1, 0.05, 0.02)
+
     def test_pair_at_exactly_delta_is_not_tested(self, cat):
         # d(x, y) = 0.25 exactly: not a pair at delta 0.25, two ordered pairs above it
         sa = SetApprox(np.array([[0.0, 0.0], [0.25, 0.0]]), 0.02)

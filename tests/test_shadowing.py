@@ -32,8 +32,6 @@ from shadowbench.shadowing import (
     flow_shadow,
     newton_shadow,
     pseudo_orbit_defect,
-    pseudo_orbit_points_from_csv,
-    pseudo_orbit_to_csv,
     shadow_operator,
     shift_pseudo,
     suspend_pseudo_orbit,
@@ -84,6 +82,13 @@ class TestDefect:
     def test_needs_two_points(self, cat):
         with pytest.raises(ValueError):
             pseudo_orbit_defect(cat, np.zeros((0, 2)))
+
+    def test_wrong_dimension_named(self, cat):
+        pts = np.full((4, 3), 0.25)
+        with pytest.raises(ValueError, match="map is 2-d, points are 3-d"):
+            PseudoOrbit.from_map(cat, pts)
+        with pytest.raises(ValueError, match="map is 2-d, points are 3-d"):
+            pseudo_orbit_defect(cat, pts)
 
 
 class TestExactShadow:
@@ -923,24 +928,18 @@ class TestFlowShadowing:
             flow_shadow(flow, traj, delta=delta)
         assert not isinstance(info.value, ShadowingRefusal)
 
+    def test_refusal_names_the_sup_distance(self, cat, rng):
+        flow = SuspensionFlow.over(cat)
+        po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 12, 1e-3))
+        traj = suspend_pseudo_orbit(flow, po, h=0.5)
+        with pytest.raises(ShadowingRefusal, match=r"flow shadow too far: sampled sup distance "
+                                                   r"\S+ >= delta = 1\.000e-06$") as info:
+            flow_shadow(flow, traj, delta=1e-6)
+        assert info.value.defect >= info.value.limit == 1e-6
+
     def test_flow_defect_matches_base_defect_scale(self, cat, rng):
         flow = SuspensionFlow.over(cat)
         po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 12, 1e-3))
         traj = suspend_pseudo_orbit(flow, po, h=0.5)
         assert po.defect <= flow_defect(flow, traj) <= 3 * po.defect + 1e-12
 
-
-class TestSerialization:
-    def test_csv_roundtrip(self, cat, rng, tmp_path):
-        po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 20, 1e-3), start_index=-5)
-        path = tmp_path / "po.csv"
-        pseudo_orbit_to_csv(po, path)
-        pts, start = pseudo_orbit_points_from_csv(path)
-        assert start == -5
-        assert np.allclose(pts, po.points, atol=1e-15)
-
-    def test_malformed_row_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("index,x0,x1\n0,0.1,0.2\n1,nope,0.3\n")
-        with pytest.raises(ValueError, match="line 3"):
-            pseudo_orbit_points_from_csv(path)

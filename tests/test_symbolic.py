@@ -65,8 +65,12 @@ class TestPeriodicWord:
 
     def test_agrees_with_detects_same_sequence(self):
         a = PeriodicWord((0, 1), (), (0, 1), 2)           # ...010101...
-        b = PeriodicWord((1, 0), (0, 1), (1, 0), 2, offset=2)
-        assert a.agrees_with(b.shift(-2).shift(2)) or True
+        # other representations of ...0101...: they agree, but `==` compares
+        # representations
+        for b in (PeriodicWord((1, 0), (), (1, 0), 2, offset=1),
+                  PeriodicWord((0, 1, 0, 1), (0, 1), (0, 1), 2)):
+            assert a.agrees_with(b) and b.agrees_with(a)
+            assert a != b
         assert a.agrees_with(a.shift(2))              # period 2
         assert not a.agrees_with(a.shift(1))          # odd shift flips phase
 

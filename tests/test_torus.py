@@ -116,6 +116,15 @@ class TestApply:
         for row, img in zip(P, imgs):
             assert torus_distance(cat.apply(TorusPoint(row)), TorusPoint(img)) < 1e-12
 
+    def test_maps_compare_and_hash_by_matrix(self, cat, golden, product):
+        twin = cat_map()
+        assert cat == twin and hash(cat) == hash(twin) and len({cat, twin, golden}) == 2
+        assert cat != golden and cat != "cat"
+        assert twin._memo is not cat._memo  # each map keeps its own operators
+        assert ProductSystem(product.factor_a, product.factor_b) == product
+        assert SuspensionFlow.over(twin) == SuspensionFlow.over(cat)
+        assert SuspensionFlow.over(golden) != SuspensionFlow.over(cat)
+
 
 def scalar_step(M, p):
     """Reference: one map step as `_apply_matrix` took it before the orbit
