@@ -120,7 +120,10 @@ class SetApprox:
 
     @classmethod
     def build(cls, points: Iterable, resolution: float, label: str = "") -> "SetApprox":
-        pts = wrap(np.atleast_2d(np.asarray(list(points), dtype=float)))
+        pts = np.atleast_2d(np.asarray(list(points), dtype=float))
+        if not np.isfinite(pts).all():
+            raise ValueError("points must have finite coordinates")
+        pts = wrap(pts)
         kept = _greedy_net(pts, resolution / 2.0) if pts.size else pts
         return cls(kept, resolution, label, _validate=False)
 
@@ -200,7 +203,9 @@ class TransitionGraph:
     Dense graphs beyond `edge_cap` stay lazy: `edges` is None and neighbor
     queries go through the KD-tree on demand.  `n_edges` is the exact edge
     count of a materialized graph; on a lazy graph it is the running count
-    of closed-ball hits at the query chunk that took it past `edge_cap`.
+    of closed-ball hits at the query chunk that took it past `edge_cap`.  A
+    graph built from a lazy parent past its own cap is lazy without counting,
+    and its `n_edges` is the parent's count.
     """
 
     set: SetApprox
@@ -233,16 +238,33 @@ class TransitionGraph:
 
 
 def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
-                edge_cap: int = 2_000_000) -> TransitionGraph:
+                edge_cap: int = 2_000_000,
+                parent: TransitionGraph | None = None) -> TransitionGraph:
     """Transition graph of the net under the map at tolerance delta.
 
     Callers should keep delta above the net resolution, otherwise the graph
     can be edgeless even on an invariant net.  For an f-invariant net with
     resolution r < delta every node has out-degree >= 1.
+
+    `parent` is the graph of a net whose rows are the first rows of `sa`, at
+    the same delta.  When it is lazy past `edge_cap`, the graph is lazy too,
+    with the parent's images and count: the larger net gives each of the
+    parent's image rows at least as many closed-ball hits.
     """
     if not delta > 0:  # NaN included
         raise ValueError("positive delta required")
     map._check_dim(sa.dim)
+    if parent is not None:
+        if parent.delta != delta:
+            raise ValueError(f"parent graph is at delta {parent.delta}, not {delta}")
+        known = len(parent.set)
+        if not np.array_equal(sa.points[:known], parent.set.points):
+            raise ValueError("the net does not extend the parent graph's net")
+        if not parent.materialized and parent.n_edges > edge_cap:
+            # the parent's rows are never stepped again, so they keep the
+            # roundings of the batch they were stepped in
+            images = np.vstack([parent.images, map.apply_array(sa.points[known:])])
+            return TransitionGraph(sa, delta, images, None, parent.n_edges)
     images = map.apply_array(sa.points)
     # closed-ball hits, a superset of the edges, are counted chunk by chunk:
     # once their running total passes the cap the graph stays lazy
@@ -483,9 +505,12 @@ class ClosureStepStats:
 
 
 def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
-                  params: SamplingParams, *, max_defect: float | None,
-                  label: str) -> tuple[SetApprox, ClosureStepStats]:
-    graph = build_graph(map, sa, delta)
+                  params: SamplingParams, *, max_defect: float | None, label: str,
+                  parent: TransitionGraph | None = None,
+                  ) -> tuple[SetApprox, ClosureStepStats, TransitionGraph]:
+    """One closure step; `parent` is the graph of the step that made `sa`
+    (see `build_graph`), and the graph of `sa` comes back for the next."""
+    graph = build_graph(map, sa, delta, parent=parent)
     sampled = sample_pseudo_orbits(graph, params=params)
     limit = _defect_limit(map.splitting, max_defect)
 
@@ -512,7 +537,7 @@ def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
                                f"refused: smallest defect {smallest:.3e} >= delta_0 = {limit:.3e}")
     merged, added = sa.merge(np.vstack([sa.points[:0], *shadowed]), label=label)
     return merged, ClosureStepStats(len(sequences), refused, added, sampled.cycle_cap,
-                                    sampled.connector_budget, sampled.lazy_graph)
+                                    sampled.connector_budget, sampled.lazy_graph), graph
 
 
 def shadowing_closure(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
@@ -526,8 +551,8 @@ def shadowing_closure(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
     result always contains the input points.  Refused pseudo-orbits are
     skipped; if every sample is refused the call errors.
     """
-    merged, _ = _closure_step(map, sa, delta, params or SamplingParams(),
-                              max_defect=max_defect, label=sa.label)
+    merged, _, _ = _closure_step(map, sa, delta, params or SamplingParams(),
+                                 max_defect=max_defect, label=sa.label)
     return merged
 
 
@@ -650,12 +675,14 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
     stats: list[ClosureStepStats] = []
     verdict: Verdict | None = None
     quiet_run = 0
+    graph: TransitionGraph | None = None
 
     for i in range(1, max_iter + 1):
         step_params = replace(p, seed=p.seed * 1_000_003 + i)
         current = iterates[-1]
-        new_sa, st = _closure_step(map, current, delta, step_params,
-                                   max_defect=max_defect, label=f"Lambda_{i}")
+        new_sa, st, graph = _closure_step(map, current, delta, step_params,
+                                          max_defect=max_defect, label=f"Lambda_{i}",
+                                          parent=graph)
         added = new_sa.points[len(current):]
         nu = float(np.max(current.distance_to(added))) if len(added) else 0.0
         iterates.append(new_sa)

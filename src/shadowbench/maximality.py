@@ -182,6 +182,13 @@ def local_product_check(map: ToralAutomorphism, sa: SetApprox, eps: float,
 # grids
 
 
+def _side(depth: int) -> int:
+    """Cells per axis at subdivision depth k: 2^k."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    return 2 ** depth
+
+
 @dataclass(frozen=True)
 class GridSet:
     """Cell set at dyadic subdivision depth k: cell width 2^-k per axis,
@@ -192,8 +199,7 @@ class GridSet:
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        n = 2 ** self.depth
-        expected = (n,) * self.dim
+        expected = (_side(self.depth),) * self.dim
         if self.mask.shape != expected:
             raise ValueError(f"mask shape {self.mask.shape} != {expected}")
         m = np.asarray(self.mask, dtype=bool)
@@ -202,8 +208,7 @@ class GridSet:
 
     @classmethod
     def full(cls, dim: int, depth: int) -> "GridSet":
-        n = 2 ** depth
-        return cls(dim, depth, np.ones((n,) * dim, dtype=bool))
+        return cls(dim, depth, np.ones((_side(depth),) * dim, dtype=bool))
 
     @property
     def width(self) -> float:
@@ -270,7 +275,7 @@ class GridSet:
 
     @classmethod
     def from_rle(cls, d: dict) -> "GridSet":
-        n = 2 ** d["depth"]
+        n = _side(d["depth"])
         flat = np.zeros(n ** d["dim"], dtype=bool)
         for start, length in d["runs"]:
             flat[start: start + length] = True

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +106,17 @@ class TestFiles:
         code, error = run_error([command, "--points", str(path)], capsys)
         assert code == 1 and error["kind"] == "input"
         assert error["message"] == f"malformed CSV row at line 3: {problem}"
+
+    @pytest.mark.parametrize("command", ["closure", "maximality"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_point_row_refused(self, tmp_path, capsys, command, value):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"x0,x1\n0.1,0.2\n{value},0.3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, error = run_error([command, "--points", str(path)], capsys)
+        assert code == 1 and error["kind"] == "input"
+        assert error["message"] == "points must have finite coordinates"
 
     @pytest.mark.parametrize("argv", [["shadow", "--orbit"], ["closure", "--points"],
                                       ["maximality", "--points"]],
@@ -336,6 +349,7 @@ class TestCrovisierCommand:
     @pytest.mark.parametrize("args, message", [
         (["--n-iter", "-1"], "n_iter must be nonnegative, got -1"),
         (["--q", "nan", "0"], "points must have finite coordinates"),
+        (["--depth", "-1"], "depth must be >= 0, got -1"),
     ])
     def test_bad_grid_input_exit_one(self, capsys, args, message):
         code, error = run_error(["crovisier", "--depth", "2"] + args, capsys)
@@ -456,6 +470,7 @@ def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "shadowbench", "crovisier", "--depth", "3",
          "--v-radius", "0", "--n-iter", "1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert result.returncode == 0
     assert json.loads(result.stdout)["cells"] == 8 ** 4

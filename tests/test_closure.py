@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 from itertools import compress, islice, permutations
 from itertools import product as iproduct
@@ -302,6 +303,14 @@ class TestSetApprox:
         with pytest.raises(ValueError, match="points must have finite coordinates"):
             SetApprox(rows, 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_build_refuses_non_finite_rows(self, bad):
+        # refused before wrapping, which would warn on an infinite row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="points must have finite coordinates"):
+                SetApprox.build([[0.1, 0.2], [bad, 0.5]], 0.1)
+
     def test_net_condition_enforced(self):
         with pytest.raises(ValueError, match="net condition"):
             SetApprox(np.array([[0.0, 0.0], [0.001, 0.0]]), resolution=0.1)
@@ -571,6 +580,120 @@ class TestBuildGraph:
         assert 0 < sum(queried) <= closure._COUNT_CHUNK
 
 
+def lazy_chain_net(rng):
+    """About 400 net points under the cat map at delta 0.1: each image row
+    has about 12 closed-ball hits, so the count passes a cap of 2000 in its
+    second chunk."""
+    return SetApprox.build(rng.random((400, 2)), 0.01), 0.1, 2000
+
+
+def count_pass_spy(monkeypatch) -> list[int]:
+    """Rows of each count query of `build_graph`, one query per count pass."""
+    queried = []
+
+    class CountingTree(cKDTree):
+        def query_ball_point(self, x, *args, **kwargs):
+            if kwargs.get("return_length"):
+                queried.append(len(np.atleast_2d(x)))
+            return super().query_ball_point(x, *args, **kwargs)
+
+    monkeypatch.setattr(closure, "_torus_tree",
+                        lambda points: CountingTree(wrap(points), boxsize=1.0))
+    monkeypatch.setattr(closure, "_COUNT_CHUNK", 10**9)
+    return queried
+
+
+class TestInheritedVerdict:
+    """A child of a lazy parent past the cap is lazy without counting: its
+    net keeps the parent's rows first and it queries with the parent's image
+    rows, so its count over the parent's chunks can only be larger."""
+
+    @pytest.fixture
+    def chain(self, cat, rng):
+        sa, delta, cap = lazy_chain_net(rng)
+        parent = build_graph(cat, sa, delta, edge_cap=cap)
+        child, added = sa.merge(rng.random((50, 2)))
+        assert not parent.materialized and added > 0
+        return sa, child, delta, cap, parent
+
+    def test_child_inherits_images_and_count(self, cat, chain):
+        _, child, delta, cap, parent = chain
+        g = build_graph(cat, child, delta, edge_cap=cap, parent=parent)
+        assert not g.materialized and g.set is child and g.n_edges == parent.n_edges
+        assert g.images.tobytes() == cat.apply_array(child.points).tobytes()
+
+    def test_count_without_parent_agrees(self, cat, chain):
+        _, child, delta, cap, parent = chain
+        assert not build_graph(cat, child, delta, edge_cap=cap).materialized
+        # the parent's chunks: the rows its running count covered to pass the cap
+        total = rows = 0
+        while total <= cap:
+            total += int(np.sum(parent.set.tree.query_ball_point(
+                parent.images[rows:rows + closure._COUNT_CHUNK], r=delta, return_length=True)))
+            rows += closure._COUNT_CHUNK
+        assert total == parent.n_edges and rows < len(parent.set)
+        over_child = np.sum(child.tree.query_ball_point(parent.images[:rows], r=delta,
+                                                        return_length=True))
+        assert over_child >= parent.n_edges
+
+    def test_one_count_pass_per_lazy_chain(self, cat, rng, monkeypatch):
+        queried = count_pass_spy(monkeypatch)
+        sa, delta, cap = lazy_chain_net(rng)
+
+        def run():
+            return iterate_closure(cat, sa, delta, u_radius=1.0, max_iter=3, max_defect=np.inf,
+                                   params=SamplingParams(n_paths=4, path_len=10))
+
+        monkeypatch.setattr(closure, "build_graph", partial(build_graph, edge_cap=cap))
+        inherited = run()
+        assert len(inherited.nus) == 3 and all(s.lazy_graph for s in inherited.step_stats)
+        assert len(queried) == 1
+        assert len(inherited.final) > len(sa)
+        # every step counting on its own reaches the same verdicts and nets
+        queried.clear()
+        monkeypatch.setattr(closure, "build_graph",
+                            lambda *args, parent=None: build_graph(*args, edge_cap=cap))
+        counted = run()
+        assert len(queried) == 3
+        assert counted.nus == inherited.nus and counted.step_stats == inherited.step_stats
+        assert [s.points.tobytes() for s in counted.iterates] == [
+            s.points.tobytes() for s in inherited.iterates]
+
+    @pytest.mark.parametrize("cap", ["parent_count", "huge"])
+    def test_cap_at_or_above_parent_count_counts_again(self, cat, chain, monkeypatch, cap):
+        _, child, delta, _, parent = chain
+        cap = parent.n_edges if cap == "parent_count" else 10**9
+        queried = count_pass_spy(monkeypatch)
+        g = build_graph(cat, child, delta, edge_cap=cap, parent=parent)
+        assert len(queried) == 1
+        fresh = build_graph(cat, child, delta, edge_cap=cap)
+        assert (g.materialized, g.n_edges) == (fresh.materialized, fresh.n_edges)
+        assert g.images.tobytes() == fresh.images.tobytes()
+        assert g.materialized == (cap == 10**9)
+
+    def test_materialized_parent_changes_nothing(self, cat, chain):
+        sa, child, delta, _, _ = chain
+        parent = build_graph(cat, sa, delta)
+        g = build_graph(cat, child, delta, parent=parent)
+        fresh = build_graph(cat, child, delta)
+        assert parent.materialized and g.materialized
+        assert g.edges.tobytes() == fresh.edges.tobytes() and g.n_edges == fresh.n_edges
+
+    @pytest.mark.parametrize("case, message", [
+        ("delta", "parent graph is at delta 0.1, not 0.2"),
+        ("other_net", "the net does not extend the parent graph's net"),
+        ("shorter_net", "the net does not extend the parent graph's net"),
+    ])
+    def test_parent_it_cannot_extend_refused(self, cat, chain, rng, case, message):
+        sa, child, delta, cap, parent = chain
+        net, at = {"delta": (child, 2 * delta),
+                   "other_net": (SetApprox.build(rng.random((500, 2)), 0.01), delta),
+                   "shorter_net": (SetApprox(sa.points[:-1], 0.01), delta)}[case]
+        with pytest.raises(ValueError) as info:
+            build_graph(cat, net, at, edge_cap=cap, parent=parent)
+        assert str(info.value) == message
+
+
 class TestSamplePseudoOrbits:
     def test_single_self_loop(self, cat):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
@@ -755,7 +878,7 @@ class TestSamplingCaps:
         sa, delta = complete_net()
         g = build_graph(cat, sa, delta, edge_cap=edge_cap)
         sampled = sample_pseudo_orbits(g, params=params)
-        _, stats = closure._closure_step(cat, sa, delta, params, max_defect=np.inf, label="")
+        _, stats, _ = closure._closure_step(cat, sa, delta, params, max_defect=np.inf, label="")
         assert self._fired(sampled) == self._fired(stats) == expected
         assert sampled.partial == stats.partial_sampling == any(expected)
         assert stats.n_sampled == len(sampled.sequences) == len(sampled.orbits)
@@ -862,7 +985,8 @@ class TestShadowingClosure:
         monkeypatch.setattr(PseudoOrbit, "__post_init__", counted)
         sa = SetApprox.build(np.vstack([[[0.0, 0.0]], homoclinic_points(cat, n_window=3)]), 0.02)
         params = SamplingParams(seed=5, n_paths=8, max_cycle_len=10)
-        merged, stats = closure._closure_step(cat, sa, 0.05, params, max_defect=None, label="")
+        merged, stats, _ = closure._closure_step(cat, sa, 0.05, params, max_defect=None,
+                                                 label="")
         assert stats.n_sampled > 0 and len(merged) > len(sa)
         assert calls == []
         # the sampler builds none either; the derived view builds one per sample
