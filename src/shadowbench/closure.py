@@ -153,7 +153,10 @@ class SetApprox:
 
         Returns the merged net and the number of points actually added.
         """
-        cand = wrap(np.atleast_2d(np.asarray(new_points, dtype=float)))
+        cand = np.atleast_2d(np.asarray(new_points, dtype=float))
+        if not np.isfinite(cand).all():
+            raise ValueError("points must have finite coordinates")
+        cand = wrap(cand)
         threshold = self.resolution / 2.0
         kept = self.points[:0]
         if cand.size:

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "PeriodicWord",
@@ -57,6 +57,8 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     """Primitive root of a cycle, rotated to its lexicographic minimum:
     the canonical key of the periodic orbit it generates."""
     c = tuple(cycle)
+    if not c:
+        raise ValueError("cycle must be nonempty")
     n = len(c)
     for p in range(1, n + 1):
         if n % p == 0 and c == c[p:] + c[:p]:
@@ -168,6 +170,10 @@ class PeriodicWord:
         return PeriodicWord(left, tuple(core), right, self.alphabet_size, offset=-lo)
 
     def to_text(self) -> str:
+        top = max((*self.left_cycle, *self.core, *self.right_cycle))
+        if top >= len(_DIGITS):
+            raise ValueError(f"symbol {top} has no text form, which writes only "
+                             f"the {len(_DIGITS)} symbols 0-9 and a-z")
         c = self.canonical()
         enc = lambda syms: "".join(_DIGITS[s] for s in syms)
         tail = f"@{c.offset}" if c.offset else ""
@@ -206,6 +212,8 @@ def shift_metric_with_bound(a: PeriodicWord, b: PeriodicWord,
         raise ValueError("alphabet mismatch")
     if precision > 50:
         raise ValueError("precision beyond 50 is not exactly representable")
+    if precision < 0:
+        raise ValueError(f"precision must be >= 0, got {precision}")
     total = 0.0
     n = 2 * precision + 1
     for i, (x, y) in enumerate(zip(a.window(-precision, n), b.window(-precision, n)),
@@ -267,21 +275,29 @@ class SubshiftPresentation:
         return set().union(*(g.limit_cycles() for g in self.generators))
 
 
-def _blocks(s: SubshiftPresentation, k: int) -> set[tuple[int, ...]]:
-    """The set of length-k words occurring in the presented set.
+_Row = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-    Each generator is unrolled one tail period plus k - 1 symbols past its
-    core on both sides, which visits every window position class (the
-    offset moves no block); zipping k shifted slices of that yields its
-    k-blocks.
+
+def _rows(words: Iterable[PeriodicWord]) -> Iterator[_Row]:
+    """(left_cycle, core, right_cycle) of each word: all `_blocks` reads."""
+    return ((w.left_cycle, w.core, w.right_cycle) for w in words)
+
+
+def _blocks(rows: Iterable[_Row], k: int) -> set[tuple[int, ...]]:
+    """The set of length-k words occurring in the orbit closure of the
+    eventually periodic words with these (left_cycle, core, right_cycle)
+    rows.
+
+    Each row is unrolled one tail period plus k - 1 symbols past its core
+    on both sides, which visits every window position class (an offset
+    moves no block); zipping k shifted slices of that yields its k-blocks.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     m = k - 1
     words: set[tuple[int, ...]] = set()
-    for g in s.generators:
-        L, R = g.left_cycle, g.right_cycle
-        unrolled = ((L * (2 + m // len(L)))[-len(L) - m:] + g.core
+    for L, core, R in rows:
+        unrolled = ((L * (2 + m // len(L)))[-len(L) - m:] + core
                     + (R * (2 + m // len(R)))[:len(R) + m])
         count = len(unrolled) - m
         words.update(zip(*[unrolled[i:i + count] for i in range(k)]))
@@ -290,7 +306,7 @@ def _blocks(s: SubshiftPresentation, k: int) -> set[tuple[int, ...]]:
 
 def language(s: SubshiftPresentation, k: int) -> tuple[tuple[int, ...], ...]:
     """All length-k words occurring in the presented set, sorted."""
-    return tuple(sorted(_blocks(s, k)))
+    return tuple(sorted(_blocks(_rows(s.generators), k)))
 
 
 @dataclass(frozen=True)
@@ -303,6 +319,8 @@ class SFT:
     words: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         words = self.words
         if (not set(map(len, words)) <= {self.k}
                 or min(chain.from_iterable(words), default=0) < 0
@@ -319,6 +337,8 @@ class SFT:
     def admits_cycle(self, cycle: Sequence[int]) -> bool:
         """Does cycle^infinity belong to M_W?  Checks the cyclic windows."""
         c = tuple(cycle)
+        if not c:
+            raise ValueError("cycle must be nonempty")
         unrolled = _cyclic(c, 0, len(c) + self.k - 1)
         return all(unrolled[i:i + self.k] in self.words for i in range(len(c)))
 
@@ -369,15 +389,14 @@ def sft_closure(s: SubshiftPresentation, k: int) -> SFT:
     """The symbolic shadowing closure at scale delta = 2^-(k+1): sequences
     2^-(k+1)-shadowable by pseudo-orbits in the set are exactly those whose
     k-blocks occur in it, so the closure is the SFT over language(s, k)."""
-    return SFT(s.alphabet_size, k, frozenset(_blocks(s, k)))
+    return SFT(s.alphabet_size, k, frozenset(_blocks(_rows(s.generators), k)))
 
 
 def is_member(t: SFT, w: PeriodicWord) -> bool:
     """True iff every k-subword of the unrolled word is admissible."""
     if w.alphabet_size != t.alphabet_size:
         raise ValueError("alphabet mismatch")
-    probe = SubshiftPresentation(t.alphabet_size, (w,))
-    return _blocks(probe, t.k) <= t.words
+    return _blocks(_rows((w,)), t.k) <= t.words
 
 
 def _first_choice_walks(first: dict, forward: bool) -> dict:
@@ -419,10 +438,9 @@ def _first_choice_walks(first: dict, forward: bool) -> dict:
     return memo
 
 
-def as_presentation(t: SFT) -> SubshiftPresentation:
-    """A presentation whose language reproduces the SFT's admissible set:
-    one generator through every admissible word, extended along first-choice
-    de Bruijn edges into cycles on both sides.
+def _generator_rows(t: SFT) -> list[_Row]:
+    """The (left_cycle, core, right_cycle) rows of `as_presentation(t)`'s
+    generators, in the same order.
 
     Words that cannot extend to bi-infinite paths occur in no element of
     M_W and are dropped first: the edges into blocks no edge leaves, and out
@@ -441,13 +459,21 @@ def as_presentation(t: SFT) -> SubshiftPresentation:
         raise ValueError("SFT admits no bi-infinite words; empty presentation")
     left = _first_choice_walks(pred, forward=False)
     right = _first_choice_walks(succ, forward=True)
-    n = t.alphabet_size
-    gens = []
+    rows = []
     for w in words:
         back, left_cycle = left[w[:-1]]
         ahead, right_cycle = right[w[1:]]
-        gens.append(PeriodicWord(left_cycle, back + w + ahead, right_cycle, n))
-    return SubshiftPresentation(n, tuple(gens))
+        rows.append((left_cycle, back + w + ahead, right_cycle))
+    return rows
+
+
+def as_presentation(t: SFT) -> SubshiftPresentation:
+    """A presentation whose language reproduces the SFT's admissible set:
+    one generator through every admissible word on a bi-infinite path,
+    extended along first-choice de Bruijn edges into cycles on both sides
+    (the rows of `_generator_rows`)."""
+    n = t.alphabet_size
+    return SubshiftPresentation(n, tuple(PeriodicWord(*row, n) for row in _generator_rows(t)))
 
 
 def _check_period_bound(period_bound: int | None) -> None:
@@ -487,7 +513,7 @@ def is_locally_maximal(s: SubshiftPresentation, kmax: int,
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     _check_period_bound(period_bound)
     have = s.periodic_cycles()
-    top = _blocks(s, kmax)
+    top = _blocks(_rows(s.generators), kmax)
     cyc: tuple[int, ...] | None = ()
     for k in range(1, kmax + 1):
         t = SFT(s.alphabet_size, k, frozenset(w[:k] for w in top))
@@ -500,10 +526,14 @@ def is_locally_maximal(s: SubshiftPresentation, kmax: int,
 def stabilization_check(s: SubshiftPresentation, k: int) -> bool:
     """Does the symbolic shadowing closure stabilize after one step?
     Re-presenting the closure SFT and closing again must reproduce the same
-    admissible set; this is expected to hold universally and exactly."""
+    admissible set; this is expected to hold universally and exactly.
+
+    The second closure reads the generator rows of `as_presentation` as
+    they are: the closure's words are checked words, so a row symbol
+    outside the alphabet or a block of another length would only make the
+    two sets differ, and the check read False."""
     first = sft_closure(s, k)
-    second = sft_closure(as_presentation(first), k)
-    return first.words == second.words
+    return first.words == _blocks(_generator_rows(first), k)
 
 
 def symbolic_shadow(t: SFT, pseudo: Sequence[PeriodicWord], delta: float,

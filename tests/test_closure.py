@@ -311,6 +311,14 @@ class TestSetApprox:
             with pytest.raises(ValueError, match="points must have finite coordinates"):
                 SetApprox.build([[0.1, 0.2], [bad, 0.5]], 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_merge_refuses_non_finite_rows(self, bad):
+        sa = SetApprox(lattice(3, 0.3, 2)[:5], 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="points must have finite coordinates"):
+                sa.merge([[0.15, 0.2], [bad, 0.5]])
+
     def test_net_condition_enforced(self):
         with pytest.raises(ValueError, match="net condition"):
             SetApprox(np.array([[0.0, 0.0], [0.001, 0.0]]), resolution=0.1)

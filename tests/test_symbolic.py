@@ -5,6 +5,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
+from shadowbench import symbolic
 from shadowbench.symbolic import (
     SFT,
     PeriodicWord,
@@ -21,6 +22,7 @@ from shadowbench.symbolic import (
     stabilization_check,
     symbolic_shadow,
 )
+from shadowbench.symbolic import _generator_rows
 
 
 def W(*cycles, n=2):
@@ -808,6 +810,82 @@ class TestDeBruijnKernelsMatchReference:
                 with pytest.raises(ValueError) as err:
                     SFT(n, k, order)
                 assert str(err.value) == message
+
+
+def two_closure_check(s, k):
+    """The stabilization check through a built presentation: re-present the
+    window-k closure as words, close it again and compare."""
+    first = sft_closure(s, k)
+    return sft_closure(as_presentation(first), k).words == first.words
+
+
+class TestStabilizationOnRows:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_two_closures(self, seed):
+        for s, k in kernel_cases(seed):
+            assert stabilization_check(s, k) == two_closure_check(s, k)
+            t = sft_closure(s, k)
+            gens = as_presentation(t).generators
+            assert [fields(g)[:3] for g in gens] == _generator_rows(t)
+            assert {fields(g)[3:] for g in gens} == {(t.alphabet_size, 0)}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_flipped_cycle_symbol_reads_false(self, monkeypatch, k):
+        walks = symbolic._first_choice_walks
+
+        def flip_one_cycle(first, forward):
+            memo = walks(first, forward)
+            if forward:
+                node = min(memo)
+                emitted, cycle = memo[node]
+                memo[node] = (emitted, (1 - cycle[0],) + cycle[1:])
+            return memo
+
+        s = golden_mean_presentation()
+        assert stabilization_check(s, k)
+        monkeypatch.setattr(symbolic, "_first_choice_walks", flip_one_cycle)
+        assert not stabilization_check(s, k)
+        assert not two_closure_check(s, k)
+
+    def test_builds_no_words_or_presentations(self, monkeypatch):
+        cases = kernel_cases(0, n_presentations=10)
+        built = []
+        for cls in (PeriodicWord, SubshiftPresentation):
+            def spy(self, check=cls.__post_init__):
+                built.append(type(self).__name__)
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        for s, k in cases:
+            assert stabilization_check(s, k)
+        assert built == []
+        as_presentation(sft_closure(*cases[0]))  # the spy does see them built
+        assert set(built) == {"PeriodicWord", "SubshiftPresentation"}
+
+
+class TestDegenerateInputsRefused:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_sft_window_below_one(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            SFT(2, k, frozenset())
+
+    def test_negative_precision(self):
+        a, b = PeriodicWord.constant(0, 2), PeriodicWord.constant(1, 2)
+        with pytest.raises(ValueError, match="precision must be >= 0, got -1"):
+            shift_metric_with_bound(a, b, -1)
+        with pytest.raises(ValueError, match="precision must be >= 0, got -1"):
+            shift_metric(a, b, -1)
+        assert shift_metric_with_bound(a, b, 0) == (1.0, 4.0)
+
+    def test_empty_cycle(self):
+        with pytest.raises(ValueError, match="cycle must be nonempty"):
+            canonical_cycle(())
+        with pytest.raises(ValueError, match="cycle must be nonempty"):
+            SFT(2, 1, frozenset({(0,)})).admits_cycle(())
+
+    def test_text_form_symbol_limit(self):
+        with pytest.raises(ValueError, match="symbol 37 has no text form.* 36 symbols"):
+            PeriodicWord((37,), (), (0,), 40).to_text()
+        assert PeriodicWord((35,), (), (0,), 40).to_text() == "(z)(0)"
 
 
 class TestEssentialGraph:
