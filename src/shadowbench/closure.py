@@ -18,9 +18,9 @@ query it, and tests cross-check it against the brute-force definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, compress, islice, product
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,9 +143,19 @@ class SetApprox:
     def __repr__(self):
         return f"SetApprox({len(self)} points, r={self.resolution}, label={self.label!r})"
 
+    def _rows(self, points) -> np.ndarray:
+        """`points` as finite rows of the net's dimension, wrapped."""
+        rows = np.atleast_2d(np.asarray(points, dtype=float))
+        if rows.shape[1] != self.dim:
+            raise ValueError(f"dimension mismatch: net is {self.dim}-d, "
+                             f"points are {rows.shape[1]}-d")
+        if not np.isfinite(rows).all():
+            raise ValueError("points must have finite coordinates")
+        return wrap(rows)
+
     def distance_to(self, queries: np.ndarray) -> np.ndarray:
         """Torus distance from each query point to the net."""
-        d, _ = self.tree.query(wrap(np.atleast_2d(queries)), k=1)
+        d, _ = self.tree.query(self._rows(queries), k=1)
         return d
 
     def merge(self, new_points: np.ndarray, label: str | None = None) -> tuple["SetApprox", int]:
@@ -153,10 +163,7 @@ class SetApprox:
 
         Returns the merged net and the number of points actually added.
         """
-        cand = np.atleast_2d(np.asarray(new_points, dtype=float))
-        if not np.isfinite(cand).all():
-            raise ValueError("points must have finite coordinates")
-        cand = wrap(cand)
+        cand = self._rows(new_points)
         threshold = self.resolution / 2.0
         kept = self.points[:0]
         if cand.size:
@@ -183,18 +190,21 @@ def _greedy_net(points: np.ndarray, threshold: float) -> np.ndarray:
 
 def directed_hausdorff(A: SetApprox | np.ndarray, B: SetApprox | np.ndarray) -> float:
     """sup over a in A of the torus distance from a to B."""
-    pa = A.points if isinstance(A, SetApprox) else wrap(np.atleast_2d(A))
-    tb = B.tree if isinstance(B, SetApprox) else _torus_tree(np.atleast_2d(B))
-    d, _ = tb.query(pa, k=1)
+    pa, pb = (X.points if isinstance(X, SetApprox) else np.atleast_2d(np.asarray(X, dtype=float))
+              for X in (A, B))
+    if pa.size == 0 or pb.size == 0:
+        raise ValueError("Hausdorff distance needs nonempty sets")
+    if pa.shape[1] != pb.shape[1]:
+        raise ValueError("dimension mismatch")
+    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
+        raise ValueError("points must have finite coordinates")
+    tb = B.tree if isinstance(B, SetApprox) else _torus_tree(pb)
+    d, _ = tb.query(pa if isinstance(A, SetApprox) else wrap(pa), k=1)
     return float(np.max(d))
 
 
 def hausdorff(A: SetApprox, B: SetApprox) -> float:
     """Hausdorff distance between two nets under the torus metric."""
-    if len(A) == 0 or len(B) == 0:
-        raise ValueError("Hausdorff distance needs nonempty sets")
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
     return max(directed_hausdorff(A, B), directed_hausdorff(B, A))
 
 
@@ -291,11 +301,16 @@ class SamplingParams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         for name in ("max_cycle_len", "path_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_paths < 0:
-            raise ValueError(f"n_paths must be >= 0, got {self.n_paths}")
+        for name in ("n_paths", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 # fixed caps of `sample_pseudo_orbits`; hitting the first two flags a sample partial
@@ -437,34 +452,46 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
     if graph.n_nodes == 0:
         raise ValueError("empty graph")
     p = params or SamplingParams()
-    rng = np.random.default_rng(p.seed)
-    sequences: list[list[int]] = []
-    periodic: list[bool] = []
-    cycle_cap = connector_budget = False
+    return _with_walks(graph, _graph_families(graph, p), p)
 
-    if graph.materialized:
-        succ = _successors(graph.edges, graph.n_nodes)
-        cycles = list(islice(_simple_cycles(succ, p.max_cycle_len), _CYCLE_CAP + 1))
-        if len(cycles) > _CYCLE_CAP:
-            cycles = cycles[:_CYCLE_CAP]
-            cycle_cap = True
-        cycles.sort()
-        sequences.extend(map(list, cycles))
-        periodic.extend([True] * len(cycles))
 
-        per_pair = (islice(_connectors(succ, c1, c2, p.path_len), _CONNECTORS_PER_PAIR)
-                    for c1, c2 in product(cycles, repeat=2) if c1 != c2)
-        found = list(islice(chain.from_iterable(per_pair), _CONNECTOR_BUDGET))
-        sequences.extend(found)
-        periodic.extend([False] * len(found))
-        connector_budget = len(found) == _CONNECTOR_BUDGET
-        neighbor = succ.__getitem__
-    else:
+@dataclass(frozen=True)
+class _Families:
+    """The part of a sample read from the graph alone, with `max_cycle_len`
+    and `path_len` but no seed: the sorted cycles and then the connectors of
+    a materialized graph, or the self-loop nodes of a lazy one, the caps
+    that fired, and the successor rule the walks step by."""
+
+    sequences: tuple[list[int], ...]
+    periodic: tuple[bool, ...]
+    cycle_cap: bool
+    connector_budget: bool
+    neighbor: Callable[[int], Sequence[int]] = field(repr=False)
+
+
+def _graph_families(graph: TransitionGraph, p: SamplingParams) -> _Families:
+    if not graph.materialized:
         loops = graph.self_loop_nodes()[:_CYCLE_CAP].tolist()
-        sequences.extend([i] for i in loops)
-        periodic.extend([True] * len(loops))
-        neighbor = graph.out_neighbors
+        return _Families(tuple([i] for i in loops), (True,) * len(loops), False, False,
+                         graph.out_neighbors)
+    succ = _successors(graph.edges, graph.n_nodes)
+    cycles = list(islice(_simple_cycles(succ, p.max_cycle_len), _CYCLE_CAP + 1))
+    cycle_cap = len(cycles) > _CYCLE_CAP
+    cycles = sorted(cycles[:_CYCLE_CAP])
+    per_pair = (islice(_connectors(succ, c1, c2, p.path_len), _CONNECTORS_PER_PAIR)
+                for c1, c2 in product(cycles, repeat=2) if c1 != c2)
+    found = list(islice(chain.from_iterable(per_pair), _CONNECTOR_BUDGET))
+    return _Families((*map(list, cycles), *found), (True,) * len(cycles) + (False,) * len(found),
+                     cycle_cap, len(found) == _CONNECTOR_BUDGET, succ.__getitem__)
 
+
+def _with_walks(graph: TransitionGraph, families: _Families, p: SamplingParams) -> SampledOrbits:
+    """The families followed by `p.n_paths` random walks seeded by `p.seed`;
+    on a lazy graph each new cycle a walk closes comes just before it."""
+    rng = np.random.default_rng(p.seed)
+    sequences = list(families.sequences)
+    periodic = list(families.periodic)
+    neighbor = families.neighbor
     walk_cycles: set[tuple[int, ...]] = set()
     for _ in range(p.n_paths):
         node = int(rng.integers(graph.n_nodes))
@@ -486,7 +513,7 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
             periodic.append(False)
 
     return SampledOrbits(graph.set.points, graph.delta, tuple(sequences), tuple(periodic),
-                         cycle_cap=cycle_cap, connector_budget=connector_budget,
+                         cycle_cap=families.cycle_cap, connector_budget=families.connector_budget,
                          lazy_graph=not graph.materialized)
 
 
@@ -507,23 +534,51 @@ class ClosureStepStats:
         return self.cycle_cap or self.connector_budget or self.lazy_graph
 
 
+@dataclass(frozen=True)
+class _StepGraph:
+    """What a closure step hands the next one: its graph, the graph's
+    families and how many of those the defect gate refused."""
+
+    graph: TransitionGraph
+    families: _Families
+    n_refused: int
+
+
 def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
                   params: SamplingParams, *, max_defect: float | None, label: str,
-                  parent: TransitionGraph | None = None,
-                  ) -> tuple[SetApprox, ClosureStepStats, TransitionGraph]:
-    """One closure step; `parent` is the graph of the step that made `sa`
-    (see `build_graph`), and the graph of `sa` comes back for the next."""
-    graph = build_graph(map, sa, delta, parent=parent)
-    sampled = sample_pseudo_orbits(graph, params=params)
+                  parent: _StepGraph | None = None,
+                  ) -> tuple[SetApprox, ClosureStepStats, _StepGraph]:
+    """One closure step.  `parent` is what the step that made `sa` returned,
+    at the same map, delta, max_defect and params but the seed; the step
+    returns its own for the next.
+
+    A step whose net has no rows beyond its parent graph's net (the parent
+    step added nothing) reuses that graph and its families, and runs,
+    shadows and merges only the seeded walks.  That is exact: the families
+    depend on the graph, `max_cycle_len` and `path_len` alone; each window
+    is bit for bit the one its orbit gets alone, so the parent's gate
+    verdicts and windows hold again; and the parent added nothing, so every
+    admitted family window lies strictly within r/2 of this same net and
+    the merge would drop it again.  Otherwise the graph is built from the
+    parent's (see `build_graph`) and everything is sampled and shadowed.
+    """
     limit = _defect_limit(map.splitting, max_defect)
+    reused = parent is not None and np.array_equal(sa.points, parent.graph.set.points)
+    if reused:
+        graph, families = parent.graph, parent.families
+    else:
+        graph = build_graph(map, sa, delta, parent=None if parent is None else parent.graph)
+        families = _graph_families(graph, params)
+    sampled = _with_walks(graph, families, params)
+    n_families = len(families.sequences)
 
     # orbits of one length and kind are gathered from the net (whose rows
     # are wrapped already) and shadowed together; the windows go back in
     # sample order, since the merge keeps the first point of a cluster
     sequences = sampled.sequences
     groups: dict[tuple[int, bool], list[int]] = {}
-    for i, (seq, periodic) in enumerate(zip(sequences, sampled.periodic)):
-        groups.setdefault((len(seq), periodic), []).append(i)
+    for i in range(n_families if reused else 0, len(sequences)):
+        groups.setdefault((len(sequences[i]), sampled.periodic[i]), []).append(i)
     windows: list[np.ndarray | None] = [None] * len(sequences)
     for (n, periodic), members in groups.items():
         idx = np.fromiter(chain.from_iterable(sequences[i] for i in members), dtype=np.intp,
@@ -531,16 +586,20 @@ def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
         found, admitted = _shadow_windows(map, sampled.points[idx], periodic, limit)
         for i, window in zip(compress(members, admitted), found):
             windows[i] = window
-    shadowed = [w for w in windows if w is not None]
-    refused = len(windows) - len(shadowed)
-    if sequences and not shadowed:
+    family_refused = (parent.n_refused if reused
+                      else sum(w is None for w in windows[:n_families]))
+    refused = family_refused + sum(w is None for w in windows[n_families:])
+    if sequences and refused == len(sequences):
         smallest = min(pseudo_orbit_defect(map, sampled.points[seq], periodic=periodic)
                        for seq, periodic in zip(sequences, sampled.periodic))
         raise ShadowingRefusal(smallest, limit, f"all {len(sequences)} sampled pseudo-orbits "
                                f"refused: smallest defect {smallest:.3e} >= delta_0 = {limit:.3e}")
-    merged, added = sa.merge(np.vstack([sa.points[:0], *shadowed]), label=label)
-    return merged, ClosureStepStats(len(sequences), refused, added, sampled.cycle_cap,
-                                    sampled.connector_budget, sampled.lazy_graph), graph
+    # the graph's net holds the rows of `sa`, with its tree already built
+    merged, added = graph.set.merge(
+        np.vstack([sa.points[:0], *(w for w in windows if w is not None)]), label=label)
+    stats = ClosureStepStats(len(sequences), refused, added, sampled.cycle_cap,
+                             sampled.connector_budget, sampled.lazy_graph)
+    return merged, stats, _StepGraph(graph, families, family_refused)
 
 
 def shadowing_closure(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
@@ -628,6 +687,9 @@ class ClosureTrace:
         return sum(r["holds"] for r in rows) / len(rows)
 
     def to_json_dict(self, include_iterates: str = "final") -> dict:
+        if include_iterates not in ("none", "final", "all"):
+            raise ValueError(f"include_iterates must be 'none', 'final' or 'all', "
+                             f"got {include_iterates!r}")
         out = {
             "delta": self.delta,
             "u_radius": self.u_radius,
@@ -678,14 +740,14 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
     stats: list[ClosureStepStats] = []
     verdict: Verdict | None = None
     quiet_run = 0
-    graph: TransitionGraph | None = None
+    step: _StepGraph | None = None
 
     for i in range(1, max_iter + 1):
         step_params = replace(p, seed=p.seed * 1_000_003 + i)
         current = iterates[-1]
-        new_sa, st, graph = _closure_step(map, current, delta, step_params,
-                                          max_defect=max_defect, label=f"Lambda_{i}",
-                                          parent=graph)
+        new_sa, st, step = _closure_step(map, current, delta, step_params,
+                                         max_defect=max_defect, label=f"Lambda_{i}",
+                                         parent=step)
         added = new_sa.points[len(current):]
         nu = float(np.max(current.distance_to(added))) if len(added) else 0.0
         iterates.append(new_sa)

@@ -208,6 +208,12 @@ class TestClosureCommand:
         assert code == 1
         assert "max_cycle_len must be >= 1, got 0" in payload["error"]["message"]
 
+    def test_negative_seed_named(self, fixed_point_csv, capsys):
+        code, payload = run(["closure", "--points", str(fixed_point_csv), "--seed", "-1"],
+                            capsys)
+        assert code == 1 and payload["error"]["kind"] == "input"
+        assert "seed must be >= 0, got -1" in payload["error"]["message"]
+
     @pytest.mark.parametrize("flag", ["--delta", "--resolution", "--u-radius"])
     def test_nan_knob_exit_one(self, fixed_point_csv, capsys, flag):
         # a NaN delta would read as stabilized at index 0 without sampling an orbit

@@ -30,7 +30,9 @@ from shadowbench.closure import (
     sample_pseudo_orbits,
     shadowing_closure,
 )
-from shadowbench.shadowing import PseudoOrbit, exact_shadow_linear, newton_shadow
+from shadowbench.cli import ExperimentConfig, closure_battery
+from shadowbench.shadowing import (PseudoOrbit, ShadowingRefusal, exact_shadow_linear,
+                                   newton_shadow)
 from shadowbench.torus import (
     ToralAutomorphism,
     TorusPoint,
@@ -319,6 +321,21 @@ class TestSetApprox:
             with pytest.raises(ValueError, match="points must have finite coordinates"):
                 sa.merge([[0.15, 0.2], [bad, 0.5]])
 
+    @pytest.mark.parametrize("call", ["merge", "distance_to"])
+    def test_rows_of_another_dimension_refused(self, call):
+        sa = SetApprox(lattice(3, 0.3, 2)[:5], 0.1)
+        with pytest.raises(ValueError) as info:
+            getattr(sa, call)([[0.15, 0.2, 0.3]])
+        assert str(info.value) == "dimension mismatch: net is 2-d, points are 3-d"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_distance_to_refuses_non_finite_rows(self, bad):
+        sa = SetApprox(lattice(3, 0.3, 2)[:5], 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="points must have finite coordinates"):
+                sa.distance_to([[0.15, 0.2], [bad, 0.5]])
+
     def test_net_condition_enforced(self):
         with pytest.raises(ValueError, match="net condition"):
             SetApprox(np.array([[0.0, 0.0], [0.001, 0.0]]), resolution=0.1)
@@ -453,6 +470,23 @@ class TestHausdorff:
             assert dab == pytest.approx(dba, abs=1e-12)
             assert hausdorff(A, C) <= dab + hausdorff(B, C) + 1e-12
             assert dab == pytest.approx(brute_hausdorff(A.points, B.points), abs=1e-12)
+
+    @pytest.mark.parametrize("A, B, message", [
+        (np.empty((0, 2)), [[0.1, 0.2]], "Hausdorff distance needs nonempty sets"),
+        ([[0.1, 0.2]], np.empty((0, 2)), "Hausdorff distance needs nonempty sets"),
+        ([[0.1, 0.2]], [[0.1, 0.2, 0.3]], "dimension mismatch"),
+        ([[0.1, 0.2, 0.3]], SetApprox(np.array([[0.1, 0.2]]), 0.05), "dimension mismatch"),
+        ([[np.nan, 0.1]], SetApprox(np.array([[0.1, 0.2]]), 0.05),
+         "points must have finite coordinates"),
+        (SetApprox(np.array([[0.1, 0.2]]), 0.05), [[np.inf, 0.1]],
+         "points must have finite coordinates"),
+    ], ids=["empty-A", "empty-B", "2d-3d", "3d-net", "nan-A", "inf-B"])
+    def test_directed_refuses_as_hausdorff_does(self, A, B, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                directed_hausdorff(A, B)
+        assert str(info.value) == message
 
     def test_kdtree_matches_brute_force_near_wrap(self, rng):
         a = SetApprox.build(rng.random((20, 2)) * 0.02, 0.001)
@@ -700,6 +734,31 @@ class TestInheritedVerdict:
         with pytest.raises(ValueError) as info:
             build_graph(cat, net, at, edge_cap=cap, parent=parent)
         assert str(info.value) == message
+
+
+class TestSamplingParams:
+    @pytest.mark.parametrize("field, value", [
+        ("n_paths", 2.5), ("max_cycle_len", 8.0), ("path_len", "40"), ("seed", None),
+        ("seed", True), ("n_paths", np.float64(2.0)), ("max_cycle_len", np.bool_(True)),
+    ])
+    def test_non_integer_field_refused_by_name(self, field, value):
+        with pytest.raises(ValueError) as info:
+            SamplingParams(**{field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integers_accepted(self):
+        p = SamplingParams(max_cycle_len=np.int32(3), n_paths=np.int64(2),
+                           path_len=np.uint8(5), seed=np.int64(7))
+        assert (p.max_cycle_len, p.n_paths, p.path_len, p.seed) == (3, 2, 5, 7)
+
+    @pytest.mark.parametrize("field, value, bound", [
+        ("max_cycle_len", 0, ">= 1"), ("path_len", -1, ">= 1"), ("n_paths", -1, ">= 0"),
+        ("seed", -1, ">= 0"),
+    ])
+    def test_out_of_range_field_refused_by_name(self, field, value, bound):
+        with pytest.raises(ValueError) as info:
+            SamplingParams(**{field: value})
+        assert str(info.value) == f"{field} must be {bound}, got {value}"
 
 
 class TestSamplePseudoOrbits:
@@ -1112,6 +1171,16 @@ class TestIterateClosure:
         assert d["verdict"]["kind"] == "stabilized"
         assert len(d["nus"]) == len(trace.nus)
 
+    def test_trace_refuses_unknown_iterate_choice(self, cat):
+        sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
+        trace = iterate_closure(cat, sa, delta=0.05, u_radius=0.2, max_iter=1)
+        assert "final" not in trace.to_json_dict("none")
+        assert len(trace.to_json_dict("all")["iterates"]) == 2
+        with pytest.raises(ValueError) as info:
+            trace.to_json_dict("bogus")
+        assert str(info.value) == ("include_iterates must be 'none', 'final' or 'all', "
+                                   "got 'bogus'")
+
     def test_trace_rejects_misaligned_increments(self):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
         with pytest.raises(ValueError, match="one increment"):
@@ -1125,6 +1194,139 @@ class TestIterateClosure:
         rows = trace.dichotomy(slack=0.5)
         for row in rows:
             assert row["holds"], f"dichotomy failed at {row}"
+
+
+def without_reuse(monkeypatch, build=build_graph):
+    """Every closure step from scratch: `_closure_step` is handed no parent
+    step and `build_graph` (here `build`) ignores any parent graph."""
+    step = closure._closure_step
+    monkeypatch.setattr(closure, "build_graph", lambda *args, parent=None: build(*args))
+    monkeypatch.setattr(closure, "_closure_step",
+                        lambda *args, parent=None, **kwargs: step(*args, **kwargs))
+
+
+def trace_record(trace):
+    return ([(s.points.tobytes(), s.label) for s in trace.iterates], trace.nus,
+            trace.step_stats, trace.verdict, trace.to_json_dict("all"))
+
+
+def quiet_steps(trace) -> int:
+    """Steps whose net is the one their parent step's graph was built on."""
+    return sum(s.n_added == 0 for s in trace.step_stats[:-1])
+
+
+class TestQuietStepReuse:
+    """A step whose net did not change reuses its parent step's graph and
+    families and shadows only its walks; every trace equals the one of
+    steps run from scratch, bit for bit."""
+
+    @staticmethod
+    def _both(monkeypatch, nets, run, build=build_graph):
+        monkeypatch.setattr(closure, "build_graph", build)
+        reused = [run(sa) for sa in nets]
+        without_reuse(monkeypatch, build)
+        fresh = [run(sa) for sa in nets]
+        assert sum(map(quiet_steps, reused)) > 0
+        for a, b in zip(reused, fresh):
+            assert trace_record(a) == trace_record(b)
+        return reused
+
+    def test_battery_nets(self, cat, monkeypatch):
+        cfg = ExperimentConfig(seed=0)
+        nets = [sa for _, sa in closure_battery(cat, cfg.resolution)]
+        traces = self._both(monkeypatch, nets, lambda sa: iterate_closure(
+            cat, sa, cfg.delta, cfg.u_radius, cfg.max_iter, params=cfg.sampling()))
+        assert len(traces) == 10
+        assert all(t.verdict.kind == "stabilized" for t in traces)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_nets(self, cat, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        nets = [SetApprox.build(rng.random((n, 2)), 0.02) for n in (3, 12, 40)]
+        self._both(monkeypatch, nets, lambda sa: iterate_closure(
+            cat, sa, 0.05, 1.0, 8, params=SamplingParams(n_paths=6, path_len=12, seed=seed)))
+
+    def test_gate_refusing_cycles_in_quiet_steps(self, cat, monkeypatch):
+        cfg = ExperimentConfig(seed=0)
+        nets = [sa for _, sa in closure_battery(cat, cfg.resolution)][4:]
+        traces = self._both(monkeypatch, nets, lambda sa: iterate_closure(
+            cat, sa, cfg.delta, cfg.u_radius, cfg.max_iter, params=cfg.sampling(),
+            max_defect=0.03))
+        refused_when_quiet = [s.n_refused for t in traces
+                              for before, s in zip(t.step_stats, t.step_stats[1:])
+                              if before.n_added == 0]
+        assert min(refused_when_quiet) > 0
+
+    def test_lazy_graph(self, cat, monkeypatch):
+        cfg = ExperimentConfig(seed=0)
+        nets = [sa for _, sa in closure_battery(cat, cfg.resolution)]
+        traces = self._both(monkeypatch, nets, lambda sa: iterate_closure(
+            cat, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
+            params=SamplingParams(n_paths=8, path_len=20, seed=3)),
+            build=partial(build_graph, edge_cap=0))
+        assert all(s.lazy_graph for t in traces for s in t.step_stats)
+
+    def test_only_unchanged_nets_skip_families_and_shadowing(self, cat, monkeypatch):
+        log = []  # per step: graphs built, families enumerated, orbits shadowed
+        step, build = closure._closure_step, closure.build_graph
+        families, shadow = closure._graph_families, closure._shadow_windows
+
+        def spy_step(*args, **kwargs):
+            log.append({"built": 0, "families": None, "shadowed": 0})
+            return step(*args, **kwargs)
+
+        def spy_build(*args, **kwargs):
+            log[-1]["built"] += 1
+            return build(*args, **kwargs)
+
+        def spy_families(*args):
+            out = families(*args)
+            log[-1]["families"] = len(out.sequences)
+            return out
+
+        def spy_shadow(map, X, *args):
+            log[-1]["shadowed"] += len(X)
+            return shadow(map, X, *args)
+
+        for name, spy in [("_closure_step", spy_step), ("build_graph", spy_build),
+                          ("_graph_families", spy_families), ("_shadow_windows", spy_shadow)]:
+            monkeypatch.setattr(closure, name, spy)
+        window = homoclinic_points(cat, n_window=3)
+        sa = SetApprox.build(np.vstack([[[0.0, 0.0]], window]), 0.02)
+        trace = iterate_closure(cat, sa, delta=0.05, u_radius=0.35, max_iter=25,
+                                params=SamplingParams(seed=5, n_paths=8, max_cycle_len=10))
+        assert len(log) == len(trace.step_stats)
+        unchanged = [False] + [s.n_added == 0 for s in trace.step_stats[:-1]]
+        assert sum(unchanged) >= 3 and not all(unchanged[1:])
+        for entry, stats, reused in zip(log, trace.step_stats, unchanged):
+            if reused:
+                assert entry["built"] == 0 and entry["families"] is None
+                assert entry["shadowed"] == stats.n_sampled - n_families > 0
+            else:
+                n_families = entry["families"]
+                assert entry["built"] == 1 and n_families > 0
+                assert entry["shadowed"] == stats.n_sampled
+
+    def test_all_refused_in_reused_step(self, cat, monkeypatch):
+        # edges 0 -> 0 (defect above the gate) and 0 -> 1 (below): seed 1
+        # walks 0 -> 1, which adds nothing; seed 0 walks from node 1, which
+        # has no successor, so its one sample is the refused self-loop
+        x = np.array([0.1, 0.3])
+        sa = SetApprox(np.vstack([x, wrap(cat.matrix.astype(float) @ x + 0.001)]), 0.02)
+        delta = 0.5
+        p1, p0 = SamplingParams(n_paths=1, path_len=2, seed=1), SamplingParams(
+            n_paths=1, path_len=2, seed=0)
+        merged, stats, parent = closure._closure_step(cat, sa, delta, p1, max_defect=None,
+                                                      label="")
+        assert (stats.n_sampled, stats.n_refused, stats.n_added) == (2, 1, 0)
+        with pytest.raises(ShadowingRefusal) as fresh:
+            closure._closure_step(cat, merged, delta, p0, max_defect=None, label="")
+        monkeypatch.setattr(closure, "_graph_families", None)  # a reused step reads none
+        with pytest.raises(ShadowingRefusal) as reused:
+            closure._closure_step(cat, merged, delta, p0, max_defect=None, label="",
+                                  parent=parent)
+        assert str(reused.value) == str(fresh.value)
+        assert (reused.value.defect, reused.value.limit) == (fresh.value.defect, fresh.value.limit)
 
 
 class TestRefusalAndEscape:
