@@ -81,6 +81,9 @@ class ExperimentConfig:
         problems = [f"{name} must be positive, got {getattr(self, name)}"
                     for name in ("delta", "resolution", "u_radius")
                     if not getattr(self, name) > 0]  # NaN included
+        # an infinite u_radius is allowed: it means no escape test
+        problems += [f"{name} must be finite, got inf" for name in ("delta", "resolution")
+                     if getattr(self, name) == np.inf]
         if self.max_iter < 1:
             problems.append(f"max_iter must be >= 1, got {self.max_iter}")
         if problems:

@@ -49,6 +49,15 @@ __all__ = [
 
 # query points per step of the bounded edge count in `build_graph`
 _COUNT_CHUNK = 128
+# closed-ball hits past which a transition graph stays lazy
+_EDGE_CAP = 2_000_000
+
+
+def _check_delta(delta: float) -> None:
+    if not delta > 0:  # NaN included
+        raise ValueError("positive delta required")
+    if delta == np.inf:
+        raise ValueError("delta must be finite, got inf")
 
 
 def _torus_tree(points: np.ndarray) -> cKDTree:
@@ -109,6 +118,8 @@ class SetApprox:
             raise ValueError("set approximation must be nonempty")
         if not resolution > 0:  # NaN included
             raise ValueError("resolution must be positive")
+        if resolution == np.inf:
+            raise ValueError("resolution must be finite, got inf")
         pts.flags.writeable = False
         self.points = pts
         self.resolution = float(resolution)
@@ -213,12 +224,12 @@ class TransitionGraph:
     """Edges (i, j) with d(f(x_i), x_j) < delta over a net: the finite
     presentation of the delta-pseudo-orbit space.
 
-    Dense graphs beyond `edge_cap` stay lazy: `edges` is None and neighbor
-    queries go through the KD-tree on demand.  `n_edges` is the exact edge
-    count of a materialized graph; on a lazy graph it is the running count
-    of closed-ball hits at the query chunk that took it past `edge_cap`.  A
-    graph built from a lazy parent past its own cap is lazy without counting,
-    and its `n_edges` is the parent's count.
+    Dense graphs beyond `_EDGE_CAP` closed-ball hits stay lazy: `edges` is
+    None and neighbor queries go through the KD-tree on demand.  `n_edges`
+    is the exact edge count of a materialized graph; on a lazy graph it is
+    the running count of closed-ball hits at the query chunk that took it
+    past the cap.  A closure step whose parent graph is lazy makes its own
+    lazy without counting, with the parent's `n_edges`.
     """
 
     set: SetApprox
@@ -250,34 +261,16 @@ class TransitionGraph:
         return bool(np.all(torus_distance_array(img, self.set.points[self.edges[:, 1]]) < self.delta))
 
 
-def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
-                edge_cap: int = 2_000_000,
-                parent: TransitionGraph | None = None) -> TransitionGraph:
+def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float) -> TransitionGraph:
     """Transition graph of the net under the map at tolerance delta.
 
     Callers should keep delta above the net resolution, otherwise the graph
     can be edgeless even on an invariant net.  For an f-invariant net with
-    resolution r < delta every node has out-degree >= 1.
-
-    `parent` is the graph of a net whose rows are the first rows of `sa`, at
-    the same delta.  When it is lazy past `edge_cap`, the graph is lazy too,
-    with the parent's images and count: the larger net gives each of the
-    parent's image rows at least as many closed-ball hits.
+    resolution r < delta every node has out-degree >= 1.  The graph stays
+    lazy once its closed-ball hits pass `_EDGE_CAP`.
     """
-    if not delta > 0:  # NaN included
-        raise ValueError("positive delta required")
+    _check_delta(delta)
     map._check_dim(sa.dim)
-    if parent is not None:
-        if parent.delta != delta:
-            raise ValueError(f"parent graph is at delta {parent.delta}, not {delta}")
-        known = len(parent.set)
-        if not np.array_equal(sa.points[:known], parent.set.points):
-            raise ValueError("the net does not extend the parent graph's net")
-        if not parent.materialized and parent.n_edges > edge_cap:
-            # the parent's rows are never stepped again, so they keep the
-            # roundings of the batch they were stepped in
-            images = np.vstack([parent.images, map.apply_array(sa.points[known:])])
-            return TransitionGraph(sa, delta, images, None, parent.n_edges)
     images = map.apply_array(sa.points)
     # closed-ball hits, a superset of the edges, are counted chunk by chunk:
     # once their running total passes the cap the graph stays lazy
@@ -285,7 +278,7 @@ def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float, *,
     for start in range(0, len(images), _COUNT_CHUNK):
         total += int(np.sum(sa.tree.query_ball_point(images[start:start + _COUNT_CHUNK],
                                                      r=delta, return_length=True)))
-        if total > edge_cap:
+        if total > _EDGE_CAP:
             return TransitionGraph(sa, delta, images, None, total)
     sources, targets = _balls(sa.tree, images, delta)
     return TransitionGraph(sa, delta, images, np.column_stack([sources, targets]), len(sources))
@@ -550,25 +543,33 @@ def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
                   ) -> tuple[SetApprox, ClosureStepStats, _StepGraph]:
     """One closure step.  `parent` is what the step that made `sa` returned,
     at the same map, delta, max_defect and params but the seed; the step
-    returns its own for the next.
-
-    A step whose net has no rows beyond its parent graph's net (the parent
-    step added nothing) reuses that graph and its families, and runs,
-    shadows and merges only the seeded walks.  That is exact: the families
-    depend on the graph, `max_cycle_len` and `path_len` alone; each window
-    is bit for bit the one its orbit gets alone, so the parent's gate
-    verdicts and windows hold again; and the parent added nothing, so every
-    admitted family window lies strictly within r/2 of this same net and
-    the merge would drop it again.  Otherwise the graph is built from the
-    parent's (see `build_graph`) and everything is sampled and shadowed.
+    returns its own for the next.  `sa` is the parent step's merge, so its
+    first rows are the parent graph's net.  The step's graph is
+    - the parent's, with its families, when the net is unchanged (the parent
+      step added nothing); only the seeded walks are run, shadowed and
+      merged.  That is exact: the families depend on the graph,
+      `max_cycle_len` and `path_len` alone; each window is bit for bit the
+      one its orbit gets alone, so the parent's gate verdicts and windows
+      hold again; and the parent added nothing, so every admitted family
+      window lies strictly within r/2 of this same net and the merge would
+      drop it again;
+    - lazy without a count pass, with the parent's images and count, when
+      the parent graph is lazy: the larger net gives each of the parent's
+      image rows at least as many closed-ball hits.  The parent's rows keep
+      the roundings of the batch they were stepped in;
+    - else the one `build_graph` makes.
     """
     limit = _defect_limit(map.splitting, max_defect)
     reused = parent is not None and np.array_equal(sa.points, parent.graph.set.points)
     if reused:
-        graph, families = parent.graph, parent.families
+        graph = parent.graph
+    elif parent is not None and not parent.graph.materialized:
+        prev = parent.graph
+        images = np.vstack([prev.images, map.apply_array(sa.points[len(prev.set):])])
+        graph = TransitionGraph(sa, delta, images, None, prev.n_edges)
     else:
-        graph = build_graph(map, sa, delta, parent=None if parent is None else parent.graph)
-        families = _graph_families(graph, params)
+        graph = build_graph(map, sa, delta)
+    families = parent.families if reused else _graph_families(graph, params)
     sampled = _with_walks(graph, families, params)
     n_families = len(families.sequences)
 
@@ -626,8 +627,7 @@ def gamma_for(map: ToralAutomorphism, delta: float) -> float:
     its inverse (for a linear map, the larger operator norm).  The 10%
     margin keeps the paper-side inequalities strict.
     """
-    if not delta > 0:  # NaN included
-        raise ValueError("positive delta required")
+    _check_delta(delta)
     L = max(map.lipschitz, 1.0)
     return delta / (4.0 * L) * 0.9
 
@@ -730,6 +730,8 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
     """
     if not u_radius > 0:  # NaN included, which no escape test would ever fire
         raise ValueError("positive u_radius required")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p = params or SamplingParams()
@@ -767,7 +769,7 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
             quiet_run = 0
 
     if verdict is None:
-        verdict = Verdict("budget_exhausted", max_iter)
+        verdict = Verdict("budget_exhausted", int(max_iter))
 
     return ClosureTrace(tuple(iterates), tuple(nus), gamma, verdict,
                         delta, u_radius, tol, tuple(stats))

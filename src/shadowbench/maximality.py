@@ -340,6 +340,9 @@ def crovisier_set(product: ProductSystem, q: TorusPoint, r: TorusPoint,
     """
     if not v_radius >= 0:  # NaN included; 0 removes no cell
         raise ValueError(f"v_radius must be nonnegative, got {v_radius}")
+    # A^0 fixes every q, so the precondition would hold vacuously
+    if isinstance(q_period, bool) or not isinstance(q_period, (int, np.integer)) or q_period < 1:
+        raise ValueError(f"q_period must be an integer >= 1, got {q_period!r}")
     A, B = product.factor_a, product.factor_b
     if torus_distance(A.iterate(q, q_period), q) > 1e-9:
         raise ValueError(f"q is not fixed by A^{q_period}")

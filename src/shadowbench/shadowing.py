@@ -477,8 +477,12 @@ def _newton_lu(map: ToralAutomorphism, n: int, periodic: bool) -> spla.SuperLU:
     return _memoized(map, ("newton_lu", n, periodic), build)
 
 
-def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12,
-                  max_iter: int = 20, max_defect: float | None = None) -> ShadowResult:
+_NEWTON_TOL = 1e-12      # residual sup norm at which a Newton solve has converged
+_NEWTON_MAX_ITER = 20
+
+
+def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *,
+                  max_defect: float | None = None) -> ShadowResult:
     """Newton solve of the orbit equations y_{j+1} = f(y_j).
 
     Unknowns are lifted displacements v_j from the pseudo-orbit; segments get
@@ -506,8 +510,8 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
     res = residual_rows(v)
     res_norm = float(np.max(np.linalg.norm(res, axis=1))) if len(res) else 0.0
     iterations = 0
-    converged = res_norm < tol
-    while not converged and iterations < max_iter:
+    converged = res_norm < _NEWTON_TOL
+    while not converged and iterations < _NEWTON_MAX_ITER:
         rhs = np.zeros(n * d)
         rhs[: n_eq * d] = -res.ravel()
         if not po.periodic:
@@ -518,7 +522,7 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *, tol: float = 1e-12
         res = residual_rows(v)
         res_norm = float(np.max(np.linalg.norm(res, axis=1))) if len(res) else 0.0
         iterations += 1
-        converged = res_norm < tol
+        converged = res_norm < _NEWTON_TOL
 
     return ShadowResult(map, po, wrap(po.points + v), converged=converged,
                         iterations=max(iterations, 1), method="newton")

@@ -223,6 +223,21 @@ class TestClosureCommand:
         name = flag[2:].replace("-", "_")
         assert f"{name} must be positive, got nan" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("flag", ["--delta", "--resolution"])
+    def test_infinite_knob_exit_one(self, fixed_point_csv, capsys, flag):
+        # an infinite resolution collapses Lambda_0 to one point; either knob
+        # would read as stabilized at index 0
+        code, payload = run(["closure", "--points", str(fixed_point_csv), flag, "inf"],
+                            capsys)
+        assert code == 1 and payload["error"]["kind"] == "input"
+        name = flag[2:]
+        assert f"{name} must be finite, got inf" in payload["error"]["message"]
+
+    def test_infinite_u_radius_is_no_escape_test(self, fixed_point_csv, capsys):
+        code, payload = run(["closure", "--points", str(fixed_point_csv), "--u-radius", "inf"],
+                            capsys)
+        assert code == 0 and payload["verdict"] == {"kind": "stabilized", "index": 0}
+
     def test_nan_in_config_file_exit_one(self, fixed_point_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": float("nan")}))
@@ -356,6 +371,8 @@ class TestCrovisierCommand:
         (["--n-iter", "-1"], "n_iter must be nonnegative, got -1"),
         (["--q", "nan", "0"], "points must have finite coordinates"),
         (["--depth", "-1"], "depth must be >= 0, got -1"),
+        (["--q", "0.3", "0.1", "--q-period", "0"], "q_period must be an integer >= 1, got 0"),
+        (["--q-period", "-2"], "q_period must be an integer >= 1, got -2"),
     ])
     def test_bad_grid_input_exit_one(self, capsys, args, message):
         code, error = run_error(["crovisier", "--depth", "2"] + args, capsys)

@@ -1,7 +1,7 @@
 import warnings
-from functools import partial
 from itertools import compress, islice, permutations
 from itertools import product as iproduct
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -363,6 +363,12 @@ class TestSetApprox:
         with pytest.raises(ValueError, match="resolution"):
             SetApprox.build(np.array([[0.1, 0.2]]), resolution)
 
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_infinite_resolution_refused_by_name(self, validate):
+        with pytest.raises(ValueError) as info:
+            SetApprox(np.array([[0.1, 0.2]]), np.inf, _validate=validate)
+        assert str(info.value) == "resolution must be finite, got inf"
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("kind", NET_KINDS)
     def test_build_matches_brute_keep_first(self, kind, d):
@@ -536,9 +542,10 @@ class TestBuildGraph:
         assert g.verify_edges(cat)
         assert g.out_neighbors(0).tolist() == [0]
 
-    def test_lazy_neighbors_at_exactly_delta(self):
+    def test_lazy_neighbors_at_exactly_delta(self, monkeypatch):
         cat, sa, delta = exact_delta_net()
-        g = build_graph(cat, sa, delta, edge_cap=0)
+        monkeypatch.setattr(closure, "_EDGE_CAP", 0)
+        g = build_graph(cat, sa, delta)
         assert not g.materialized
         assert g.out_neighbors(0).tolist() == [0]
 
@@ -561,9 +568,10 @@ class TestBuildGraph:
         g = build_graph(cat, sa, delta=0.8)  # above the torus diameter
         assert g.n_edges == 25
 
-    def test_lazy_above_edge_cap(self, cat, rng):
+    def test_lazy_above_edge_cap(self, cat, rng, monkeypatch):
+        monkeypatch.setattr(closure, "_EDGE_CAP", 10)
         sa = SetApprox.build(rng.random((40, 2)), 0.01)
-        g = build_graph(cat, sa, delta=0.8, edge_cap=10)
+        g = build_graph(cat, sa, delta=0.8)
         assert not g.materialized and g.n_edges == 1600
         assert len(g.out_neighbors(0)) == 40
 
@@ -598,7 +606,8 @@ class TestBuildGraph:
                                                     return_length=True)))
         edge_cap = data.draw(st.one_of(st.sampled_from([max(exact - 1, 0), exact, exact + 1]),
                                        st.integers(0, exact + 1)), label="edge_cap")
-        g = build_graph(cat, sa, delta=delta, edge_cap=edge_cap)
+        with patch.object(closure, "_EDGE_CAP", edge_cap):
+            g = build_graph(cat, sa, delta=delta)
         assert g.materialized == (exact <= edge_cap)
         if g.materialized:
             assert g.n_edges == len(g.edges) == len(comprehension_edges(sa, g.images, delta))
@@ -617,7 +626,8 @@ class TestBuildGraph:
                             lambda points: CountingTree(wrap(points), boxsize=1.0))
         sa = SetApprox(lattice(64, 1 / 64, 2), 0.01)  # many chunks of query points
         queried.clear()
-        g = build_graph(cat, sa, delta=0.05, edge_cap=100)
+        monkeypatch.setattr(closure, "_EDGE_CAP", 100)
+        g = build_graph(cat, sa, delta=0.05)
         assert not g.materialized and g.n_edges > 100
         assert 0 < sum(queried) <= closure._COUNT_CHUNK
 
@@ -645,28 +655,42 @@ def count_pass_spy(monkeypatch) -> list[int]:
     return queried
 
 
+def child_graph(map, parent, child, delta):
+    """The graph a closure step on `child` takes from a parent step whose
+    graph is `parent`."""
+    params = SamplingParams(n_paths=4, path_len=10)
+    step = closure._StepGraph(parent, closure._graph_families(parent, params), 0)
+    _, _, out = closure._closure_step(map, child, delta, params, max_defect=np.inf, label="",
+                                      parent=step)
+    return out.graph
+
+
 class TestInheritedVerdict:
-    """A child of a lazy parent past the cap is lazy without counting: its
-    net keeps the parent's rows first and it queries with the parent's image
-    rows, so its count over the parent's chunks can only be larger."""
+    """A closure step whose parent graph is lazy makes a lazy graph without
+    counting: its net keeps the parent's rows first and it queries with the
+    parent's image rows, so its count over the parent's chunks can only be
+    larger."""
 
     @pytest.fixture
-    def chain(self, cat, rng):
+    def chain(self, cat, rng, monkeypatch):
         sa, delta, cap = lazy_chain_net(rng)
-        parent = build_graph(cat, sa, delta, edge_cap=cap)
+        monkeypatch.setattr(closure, "_EDGE_CAP", cap)
+        parent = build_graph(cat, sa, delta)
         child, added = sa.merge(rng.random((50, 2)))
         assert not parent.materialized and added > 0
         return sa, child, delta, cap, parent
 
-    def test_child_inherits_images_and_count(self, cat, chain):
-        _, child, delta, cap, parent = chain
-        g = build_graph(cat, child, delta, edge_cap=cap, parent=parent)
+    def test_child_inherits_images_and_count(self, cat, chain, monkeypatch):
+        _, child, delta, _, parent = chain
+        queried = count_pass_spy(monkeypatch)
+        g = child_graph(cat, parent, child, delta)
+        assert not queried
         assert not g.materialized and g.set is child and g.n_edges == parent.n_edges
         assert g.images.tobytes() == cat.apply_array(child.points).tobytes()
 
     def test_count_without_parent_agrees(self, cat, chain):
         _, child, delta, cap, parent = chain
-        assert not build_graph(cat, child, delta, edge_cap=cap).materialized
+        assert not build_graph(cat, child, delta).materialized
         # the parent's chunks: the rows its running count covered to pass the cap
         total = rows = 0
         while total <= cap:
@@ -681,59 +705,33 @@ class TestInheritedVerdict:
     def test_one_count_pass_per_lazy_chain(self, cat, rng, monkeypatch):
         queried = count_pass_spy(monkeypatch)
         sa, delta, cap = lazy_chain_net(rng)
+        monkeypatch.setattr(closure, "_EDGE_CAP", cap)
 
         def run():
             return iterate_closure(cat, sa, delta, u_radius=1.0, max_iter=3, max_defect=np.inf,
                                    params=SamplingParams(n_paths=4, path_len=10))
 
-        monkeypatch.setattr(closure, "build_graph", partial(build_graph, edge_cap=cap))
         inherited = run()
         assert len(inherited.nus) == 3 and all(s.lazy_graph for s in inherited.step_stats)
         assert len(queried) == 1
         assert len(inherited.final) > len(sa)
         # every step counting on its own reaches the same verdicts and nets
         queried.clear()
-        monkeypatch.setattr(closure, "build_graph",
-                            lambda *args, parent=None: build_graph(*args, edge_cap=cap))
+        without_reuse(monkeypatch)
         counted = run()
         assert len(queried) == 3
         assert counted.nus == inherited.nus and counted.step_stats == inherited.step_stats
         assert [s.points.tobytes() for s in counted.iterates] == [
             s.points.tobytes() for s in inherited.iterates]
 
-    @pytest.mark.parametrize("cap", ["parent_count", "huge"])
-    def test_cap_at_or_above_parent_count_counts_again(self, cat, chain, monkeypatch, cap):
-        _, child, delta, _, parent = chain
-        cap = parent.n_edges if cap == "parent_count" else 10**9
-        queried = count_pass_spy(monkeypatch)
-        g = build_graph(cat, child, delta, edge_cap=cap, parent=parent)
-        assert len(queried) == 1
-        fresh = build_graph(cat, child, delta, edge_cap=cap)
-        assert (g.materialized, g.n_edges) == (fresh.materialized, fresh.n_edges)
-        assert g.images.tobytes() == fresh.images.tobytes()
-        assert g.materialized == (cap == 10**9)
-
-    def test_materialized_parent_changes_nothing(self, cat, chain):
+    def test_materialized_parent_changes_nothing(self, cat, chain, monkeypatch):
         sa, child, delta, _, _ = chain
+        monkeypatch.setattr(closure, "_EDGE_CAP", 2_000_000)
         parent = build_graph(cat, sa, delta)
-        g = build_graph(cat, child, delta, parent=parent)
+        g = child_graph(cat, parent, child, delta)
         fresh = build_graph(cat, child, delta)
         assert parent.materialized and g.materialized
         assert g.edges.tobytes() == fresh.edges.tobytes() and g.n_edges == fresh.n_edges
-
-    @pytest.mark.parametrize("case, message", [
-        ("delta", "parent graph is at delta 0.1, not 0.2"),
-        ("other_net", "the net does not extend the parent graph's net"),
-        ("shorter_net", "the net does not extend the parent graph's net"),
-    ])
-    def test_parent_it_cannot_extend_refused(self, cat, chain, rng, case, message):
-        sa, child, delta, cap, parent = chain
-        net, at = {"delta": (child, 2 * delta),
-                   "other_net": (SetApprox.build(rng.random((500, 2)), 0.01), delta),
-                   "shorter_net": (SetApprox(sa.points[:-1], 0.01), delta)}[case]
-        with pytest.raises(ValueError) as info:
-            build_graph(cat, net, at, edge_cap=cap, parent=parent)
-        assert str(info.value) == message
 
 
 class TestSamplingParams:
@@ -804,9 +802,10 @@ class TestSamplePseudoOrbits:
 
     @pytest.mark.parametrize("field, value", [("max_cycle_len", -1), ("max_cycle_len", 0),
                                               ("path_len", 0), ("n_paths", -1)])
-    def test_invalid_params_rejected_on_lazy_graph(self, cat, rng, field, value):
+    def test_invalid_params_rejected_on_lazy_graph(self, cat, rng, monkeypatch, field, value):
         # a lazy graph never enumerates cycles, so only the params can refuse
-        g = build_graph(cat, SetApprox.build(rng.random((40, 2)), 0.02), 0.3, edge_cap=0)
+        monkeypatch.setattr(closure, "_EDGE_CAP", 0)
+        g = build_graph(cat, SetApprox.build(rng.random((40, 2)), 0.02), 0.3)
         assert not g.materialized
         with pytest.raises(ValueError, match=field):
             sample_pseudo_orbits(g, params=SamplingParams(**{field: value}))
@@ -819,11 +818,13 @@ class TestSamplePseudoOrbits:
         homoclinic = SetApprox.build(np.vstack([[[0.0, 0.0]], window]), 0.004)
         complete, delta = complete_net()
         random_net = SetApprox.build(np.random.default_rng(3).random((40, 2)), 0.02)
+        with patch.object(closure, "_EDGE_CAP", 0):
+            lazy = [build_graph(cat, homoclinic, 0.05), build_graph(cat, random_net, 0.3)]
         return [
             (build_graph(cat, homoclinic, 0.05), dict(max_cycle_len=12, n_paths=8)),
             (build_graph(cat, complete, delta), dict(max_cycle_len=5, n_paths=8)),
-            (build_graph(cat, homoclinic, 0.05, edge_cap=0), dict(n_paths=8)),
-            (build_graph(cat, random_net, 0.3, edge_cap=0), dict(n_paths=8, path_len=12)),
+            (lazy[0], dict(n_paths=8)),
+            (lazy[1], dict(n_paths=8, path_len=12)),
         ]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -941,9 +942,9 @@ class TestSamplingCaps:
     def _fired(cls, record):
         return tuple(getattr(record, name) for name in cls.FLAGS)
 
-    def _check(self, cat, params, expected, edge_cap=2_000_000):
+    def _check(self, cat, params, expected):
         sa, delta = complete_net()
-        g = build_graph(cat, sa, delta, edge_cap=edge_cap)
+        g = build_graph(cat, sa, delta)
         sampled = sample_pseudo_orbits(g, params=params)
         _, stats, _ = closure._closure_step(cat, sa, delta, params, max_defect=np.inf, label="")
         assert self._fired(sampled) == self._fired(stats) == expected
@@ -964,8 +965,8 @@ class TestSamplingCaps:
         self._check(cat, SamplingParams(max_cycle_len=2, n_paths=2), (False, True, False))
 
     def test_lazy_graph(self, cat, monkeypatch):
-        monkeypatch.setattr(closure, "build_graph", partial(build_graph, edge_cap=0))
-        self._check(cat, SamplingParams(n_paths=2), (False, False, True), edge_cap=0)
+        monkeypatch.setattr(closure, "_EDGE_CAP", 0)
+        self._check(cat, SamplingParams(n_paths=2), (False, False, True))
 
     def test_trace_keeps_one_partial_key(self, cat):
         sa, delta = complete_net()
@@ -1079,6 +1080,11 @@ class TestGamma:
         with pytest.raises(ValueError, match="positive delta"):
             gamma_for(cat, float("nan"))
 
+    def test_infinite_delta_refused_by_name(self, cat):
+        with pytest.raises(ValueError) as info:
+            gamma_for(cat, np.inf)
+        assert str(info.value) == "delta must be finite, got inf"
+
 
 class TestIterateClosure:
     @pytest.mark.parametrize("delta, u_radius, message", [
@@ -1100,6 +1106,19 @@ class TestIterateClosure:
         with pytest.raises(ValueError, match="max_iter must be >= 1"):
             iterate_closure(cat, sa, 0.05, 0.35, max_iter)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0), "3", None])
+    def test_non_integer_max_iter_refused_by_name(self, cat, max_iter):
+        sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02, label="2cyc")
+        with pytest.raises(ValueError) as info:
+            iterate_closure(cat, sa, 0.05, 0.35, max_iter)
+        assert str(info.value) == f"max_iter must be an integer, got {max_iter!r}"
+
+    def test_numpy_integer_max_iter_accepted(self, cat):
+        sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02, label="2cyc")
+        trace = iterate_closure(cat, sa, 0.05, 0.35, np.int64(1))
+        assert trace.verdict == Verdict("budget_exhausted", 1)
+        assert type(trace.to_json_dict()["verdict"]["index"]) is int
+
     def test_lambda_0_gets_one_tree(self, cat, monkeypatch):
         # the escape test queries the tree the first step built over Lambda_0
         window = homoclinic_points(cat, n_window=4)
@@ -1117,6 +1136,12 @@ class TestIterateClosure:
         sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02)
         with pytest.raises(ValueError, match="positive delta"):
             build_graph(cat, sa, float("nan"))
+
+    def test_build_graph_refuses_infinite_delta(self, cat):
+        sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02)
+        with pytest.raises(ValueError) as info:
+            build_graph(cat, sa, np.inf)
+        assert str(info.value) == "delta must be finite, got inf"
 
     def test_fixed_point_stabilizes_immediately(self, cat):
         sa = SetApprox(np.array([[0.0, 0.0]]), 0.01, label="fp")
@@ -1196,11 +1221,10 @@ class TestIterateClosure:
             assert row["holds"], f"dichotomy failed at {row}"
 
 
-def without_reuse(monkeypatch, build=build_graph):
+def without_reuse(monkeypatch):
     """Every closure step from scratch: `_closure_step` is handed no parent
-    step and `build_graph` (here `build`) ignores any parent graph."""
+    step."""
     step = closure._closure_step
-    monkeypatch.setattr(closure, "build_graph", lambda *args, parent=None: build(*args))
     monkeypatch.setattr(closure, "_closure_step",
                         lambda *args, parent=None, **kwargs: step(*args, **kwargs))
 
@@ -1221,10 +1245,9 @@ class TestQuietStepReuse:
     steps run from scratch, bit for bit."""
 
     @staticmethod
-    def _both(monkeypatch, nets, run, build=build_graph):
-        monkeypatch.setattr(closure, "build_graph", build)
+    def _both(monkeypatch, nets, run):
         reused = [run(sa) for sa in nets]
-        without_reuse(monkeypatch, build)
+        without_reuse(monkeypatch)
         fresh = [run(sa) for sa in nets]
         assert sum(map(quiet_steps, reused)) > 0
         for a, b in zip(reused, fresh):
@@ -1260,10 +1283,10 @@ class TestQuietStepReuse:
     def test_lazy_graph(self, cat, monkeypatch):
         cfg = ExperimentConfig(seed=0)
         nets = [sa for _, sa in closure_battery(cat, cfg.resolution)]
+        monkeypatch.setattr(closure, "_EDGE_CAP", 0)
         traces = self._both(monkeypatch, nets, lambda sa: iterate_closure(
             cat, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
-            params=SamplingParams(n_paths=8, path_len=20, seed=3)),
-            build=partial(build_graph, edge_cap=0))
+            params=SamplingParams(n_paths=8, path_len=20, seed=3)))
         assert all(s.lazy_graph for t in traces for s in t.step_stats)
 
     def test_only_unchanged_nets_skip_families_and_shadowing(self, cat, monkeypatch):

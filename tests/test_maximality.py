@@ -500,6 +500,21 @@ class TestCrovisierSet:
             crovisier_set(crovisier, TorusPoint((0.3, 0.3)), TorusPoint((0.0, 0.0)),
                           v_radius=0.1, depth=3, n_iter=2)
 
+    @pytest.mark.parametrize("q_period", [0, -2, 1.0, True, np.float64(1.0), "1"])
+    def test_q_period_must_be_an_integer_at_least_one(self, crovisier, q_period):
+        # A^0 fixes every q: the precondition would hold vacuously
+        with pytest.raises(ValueError) as info:
+            crovisier_set(crovisier, TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0)),
+                          v_radius=0.1, depth=3, n_iter=2, q_period=q_period)
+        assert str(info.value) == f"q_period must be an integer >= 1, got {q_period!r}"
+
+    def test_numpy_integer_q_period_accepted(self, crovisier):
+        q, r = TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0))
+        out = crovisier_set(crovisier, q, r, v_radius=0.1, depth=3, n_iter=2,
+                            q_period=np.int64(2))
+        expected = crovisier_set(crovisier, q, r, v_radius=0.1, depth=3, n_iter=2)
+        assert np.array_equal(out.mask, expected.mask)
+
     def test_nan_radius_rejected(self, crovisier):
         with pytest.raises(ValueError, match="v_radius must be nonnegative, got nan"):
             crovisier_set(crovisier, TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0)),

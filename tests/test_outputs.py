@@ -1,13 +1,13 @@
 """The deterministic outputs, pinned by SHA-256: every file of the `suite
---scale quick` trees at seeds 0 and 7, and the stdout of `crovisier --depth
-4 --closure --max-iter 2` at seeds 0 and 11.  A one-bit change to any of
-them fails here.
+--scale quick` trees at seeds 0 and 7 and of the `suite --scale full` tree
+at seed 0, and the stdout of `crovisier --depth 4 --closure --max-iter 2`
+at seeds 0 and 11.  A one-bit change to any of them fails here.
 
 The digests hold for the numpy and BLAS build they were taken with, whose
 version is recorded beside them; on another numpy the tests skip.  A change
 meant to move an output recomputes the digests it moves and states the
-diff.  The `full` seed 0 tree (about 9 s) is not pinned, to keep the suite
-fast.
+diff.  The `full` tree is the slowest test here, at about 4 s on a 2-vCPU
+VM.
 """
 
 import hashlib
@@ -50,6 +50,26 @@ SUITE_QUICK = {
     },
 }
 
+SUITE_FULL_0 = {
+    "closure.json": "cc80cc3329d9636c9ae8464371b18715a85946647db4a9b947c0439643219bee",
+    "closure_cycles-union.csv": "b12211f1a9cb463ee8a05869da0a568fc91a82208b5676c047e78f19db69cac2",
+    "closure_fixed-point.csv": "99803103486e7c786e3ca1d03536c3a4eaf5945047ea9e679cefcbca799d02e3",
+    "closure_homoclinic-long.csv": "15ddf1ca19fde6f54698a78fc150e1c1867326f59cc799e081d525c179523e44",
+    "closure_homoclinic-longer.csv": "15ddf1ca19fde6f54698a78fc150e1c1867326f59cc799e081d525c179523e44",
+    "closure_homoclinic-m01.csv": "6b7a7b5b1dca87aaf682b586857806ee7c04a1c348ed61980f1b13b119823990",
+    "closure_homoclinic-m10.csv": "6e84fd28bdc735343768b12487efc26f7f920099b6dfbc46ac25f078e6102fba",
+    "closure_homoclinic-m11.csv": "859b9688808c53d6eef32ef6179cc70c65d9b2772aea6808dcba172bc81118fd",
+    "closure_homoclinic-short.csv": "b642f6c50cccde233f63fa83f4cee4c2ff92298563d0d646256f5ead87cac2d1",
+    "closure_three-cycle.csv": "811f9744ae2dea69e3ab7c881a4880ee8ee4cbc595190f2b6e5800f51f897d2c",
+    "closure_two-cycle.csv": "45cdd6b6ff738b38ad0ca191318772c4fb9a1cb1ea8731b610f3424e5925bee2",
+    "crovisier.csv": "bcf9e2b485c225c4b3371a2c47deb7927d36d82d37db3f39e30fd962b2ba0c2b",
+    "crovisier.json": "aba27520b75abcc68af3cc89a5abf0e6cfa23f6f0acf437941c970137dc0e765",
+    "equivariance.json": "9deb14385d86bf51b9d473e6b6e50f06aba7f7cfabcfd9e3dfd94aebadfdddd7",
+    "sft.json": "a75918ee92f56dde5018a10afca907d723980b6658dcaa5ad930aa7218ee4706",
+    "shadow.json": "4b2058638ee87fb02118bb1f74880e0f2a93bbaedeb629e682ea3fad51a5fba3",
+    "summary.json": "c3ce1d1741392d0fe31105b8dff5e7376e12b615e634523a4cc7461d1cc0fa81",
+}
+
 # the closure runs out of its two steps: exit code 3
 CROVISIER_DEPTH_4 = {
     0: "ae49ce346eeca5c40429a664c2210864de13b399bff15f9e77f156849781f758",
@@ -63,6 +83,13 @@ def test_quick_suite_tree_is_pinned(seed, tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.iterdir())}
     assert digests == SUITE_QUICK[seed]
+
+
+def test_full_suite_tree_is_pinned(tmp_path):
+    assert main(["suite", "--out", str(tmp_path), "--scale", "full", "--seed", "0"]) == EXIT_OK
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir())}
+    assert digests == SUITE_FULL_0
 
 
 @pytest.mark.parametrize("seed", sorted(CROVISIER_DEPTH_4))

@@ -186,7 +186,7 @@ class TestNewtonShadow:
         for _ in range(30):
             po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 100, 1e-3))
             exact = exact_shadow_linear(cat, po)
-            newton = newton_shadow(cat, po, tol=1e-12)
+            newton = newton_shadow(cat, po)
             assert newton.converged
             assert torus_distance(exact.point, newton.point) < 1e-10
             assert newton.residual < 1e-10
@@ -204,6 +204,15 @@ class TestNewtonShadow:
         assert po.defect >= 0.4 - 1e-12
         with pytest.raises(ShadowingRefusal):
             newton_shadow(cat, po)
+
+    def test_non_convergence_reported_not_raised(self, cat, rng, monkeypatch):
+        monkeypatch.setattr("shadowbench.shadowing._NEWTON_MAX_ITER", 0)
+        po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 40, 1e-3))
+        res = newton_shadow(cat, po)
+        assert not res.converged and res.iterations == 1
+        # no step taken: the orbit is the pseudo-orbit, whose residual is its defect
+        assert res.orbit.tobytes() == po.points.tobytes()
+        assert res.residual > 1e-12
 
     def test_product_system_four_dimensional(self, product, rng):
         F = product.as_automorphism()
