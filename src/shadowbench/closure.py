@@ -298,6 +298,8 @@ class SamplingParams:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            # a Python int, so that derived seeds cannot overflow a numpy integer
+            object.__setattr__(self, f.name, int(value))
         for name in ("max_cycle_len", "path_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -478,23 +480,61 @@ def _graph_families(graph: TransitionGraph, p: SamplingParams) -> _Families:
                      cycle_cap, len(found) == _CONNECTOR_BUDGET, succ.__getitem__)
 
 
+# raw 64-bit outputs per bulk call of `_bounded_draws`
+_DRAW_CHUNK = 256
+
+
+def _bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
+    """`draw(high)` returning what `int(rng.integers(high))` would, call for
+    call, for 1 <= high <= 2**32, from a fresh PCG64 generator it then owns.
+
+    Raw outputs are taken in bulk and split into 32-bit words low half
+    first, the order of PCG64's `next_uint32`.  Each draw applies numpy's
+    bounded rule (Lemire, arXiv:1805.10941): `high == 1` uses no word; else
+    m = word * high, redrawn while its low half is below
+    (2**32 - high) % high, and the draw is m >> 32.
+    """
+    raw = rng.bit_generator.random_raw
+
+    def chunk() -> list[int]:
+        out = raw(_DRAW_CHUNK)
+        return np.column_stack([out & 0xFFFFFFFF, out >> 32]).ravel().tolist()
+
+    words = chain.from_iterable(iter(chunk, None))
+
+    def draw(high: int) -> int:
+        if high == 1:
+            return 0
+        if not 1 < high <= 1 << 32:
+            raise ValueError(f"draw bound must be in [1, 2**32], got {high}")
+        m = next(words) * high
+        if m & 0xFFFFFFFF < high:
+            threshold = ((1 << 32) - high) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = next(words) * high
+        return m >> 32
+
+    return draw
+
+
 def _with_walks(graph: TransitionGraph, families: _Families, p: SamplingParams) -> SampledOrbits:
     """The families followed by `p.n_paths` random walks seeded by `p.seed`;
     on a lazy graph each new cycle a walk closes comes just before it."""
-    rng = np.random.default_rng(p.seed)
+    draw = _bounded_draws(np.random.default_rng(p.seed))
     sequences = list(families.sequences)
     periodic = list(families.periodic)
     neighbor = families.neighbor
+    lazy = not graph.materialized
     walk_cycles: set[tuple[int, ...]] = set()
     for _ in range(p.n_paths):
-        node = int(rng.integers(graph.n_nodes))
+        node = draw(graph.n_nodes)
         walk = [node]
         for _ in range(p.path_len - 1):
             nbrs = neighbor(walk[-1])
             if len(nbrs) == 0:
                 break
-            nxt = int(nbrs[rng.integers(len(nbrs))])
-            if nxt in walk and not graph.materialized:
+            nxt = int(nbrs[draw(len(nbrs))])
+            if nxt in walk and lazy:
                 cyc = _rotate_cycle(walk[walk.index(nxt):])
                 if cyc not in walk_cycles and len(walk_cycles) < _CYCLE_CAP:
                     walk_cycles.add(cyc)
@@ -507,7 +547,7 @@ def _with_walks(graph: TransitionGraph, families: _Families, p: SamplingParams) 
 
     return SampledOrbits(graph.set.points, graph.delta, tuple(sequences), tuple(periodic),
                          cycle_cap=families.cycle_cap, connector_budget=families.connector_budget,
-                         lazy_graph=not graph.materialized)
+                         lazy_graph=lazy)
 
 
 @dataclass(frozen=True)

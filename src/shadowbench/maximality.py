@@ -206,6 +206,15 @@ class GridSet:
         m.flags.writeable = False
         object.__setattr__(self, "mask", m)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GridSet):
+            return NotImplemented
+        return (self.dim == other.dim and self.depth == other.depth
+                and bool(np.array_equal(self.mask, other.mask)))
+
+    def __hash__(self):
+        return hash((self.dim, self.depth, self.mask.tobytes()))
+
     @classmethod
     def full(cls, dim: int, depth: int) -> "GridSet":
         return cls(dim, depth, np.ones((_side(depth),) * dim, dtype=bool))

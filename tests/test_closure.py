@@ -747,7 +747,8 @@ class TestSamplingParams:
     def test_numpy_integers_accepted(self):
         p = SamplingParams(max_cycle_len=np.int32(3), n_paths=np.int64(2),
                            path_len=np.uint8(5), seed=np.int64(7))
-        assert (p.max_cycle_len, p.n_paths, p.path_len, p.seed) == (3, 2, 5, 7)
+        values = (p.max_cycle_len, p.n_paths, p.path_len, p.seed)
+        assert values == (3, 2, 5, 7) and all(type(v) is int for v in values)
 
     @pytest.mark.parametrize("field, value, bound", [
         ("max_cycle_len", 0, ">= 1"), ("path_len", -1, ">= 1"), ("n_paths", -1, ">= 0"),
@@ -757,6 +758,67 @@ class TestSamplingParams:
         with pytest.raises(ValueError) as info:
             SamplingParams(**{field: value})
         assert str(info.value) == f"{field} must be {bound}, got {value}"
+
+    def test_large_numpy_seed_runs_as_python_seed(self, cat):
+        # a numpy seed used to overflow the derived step seed
+        # seed * 1_000_003 + i and then be refused as negative
+        sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = [iterate_closure(cat, sa, 0.05, 0.35, 4,
+                                      params=SamplingParams(n_paths=2, seed=seed))
+                      for seed in (np.int64(10**13), 10**13)]
+        assert traces[0].to_json_dict("all") == traces[1].to_json_dict("all")
+
+
+class TestBoundedDraws:
+    """`_bounded_draws` replays `int(rng.integers(high))` from raw PCG64
+    words.  numpy does not promise its bounded rule across releases, so a
+    release that changes it fails here."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_matches_rng_integers(self, seed):
+        picker = np.random.default_rng(1000 + seed)
+        n = 100_000
+        bounds = np.where(picker.random(n) < 0.5, picker.integers(1, 65, n),
+                          picker.integers(1, 2**32 + 1, n))
+        # 1 takes no word, 2**31 + 1 rejects about half of its words and
+        # 2**32 returns the word itself
+        special = np.array([1, 2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32])
+        every_fifth = slice(None, None, 5)
+        bounds[every_fifth] = picker.choice(special, len(bounds[every_fifth]))
+        bounds = bounds.tolist()
+        assert set(special.tolist()) <= set(bounds)
+        # many times the words one bulk call holds
+        assert len(bounds) > 20 * 2 * closure._DRAW_CHUNK
+        draw = closure._bounded_draws(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        assert [draw(b) for b in bounds] == [int(rng.integers(b)) for b in bounds]
+
+    @pytest.mark.parametrize("high", [2**32 + 1, 2**40, 0, -3])
+    def test_bound_outside_32_bits_refused(self, high):
+        draw = closure._bounded_draws(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=rf"draw bound must be in \[1, 2\*\*32\], "
+                                             rf"got {high}$"):
+            draw(high)
+
+    def test_reference_walks_span_bulk_calls(self, cat):
+        # the n_paths=40 reference case draws more words than one bulk call holds
+        real = closure._bounded_draws
+        words = []
+
+        def counting(rng):
+            draw = real(rng)
+
+            def counted(high):
+                words.append(high > 1)  # a lower bound: rejections take more
+                return draw(high)
+            return counted
+
+        g, kw = TestSamplePseudoOrbits._reference_graphs(cat)[1]
+        with patch.object(closure, "_bounded_draws", counting):
+            sample_pseudo_orbits(g, params=SamplingParams(seed=0, **kw))
+        assert sum(words) > 2 * closure._DRAW_CHUNK
 
 
 class TestSamplePseudoOrbits:
@@ -813,7 +875,8 @@ class TestSamplePseudoOrbits:
     @staticmethod
     def _reference_graphs(cat):
         """(graph, params) for the reference comparison: sparse and complete
-        materialized graphs (the complete one hits both caps) and lazy ones."""
+        materialized graphs (the complete one hits both caps) and lazy ones.
+        The second case's walks take more words than one bulk draw holds."""
         window = homoclinic_points(cat, n_window=4)
         homoclinic = SetApprox.build(np.vstack([[[0.0, 0.0]], window]), 0.004)
         complete, delta = complete_net()
@@ -822,6 +885,7 @@ class TestSamplePseudoOrbits:
             lazy = [build_graph(cat, homoclinic, 0.05), build_graph(cat, random_net, 0.3)]
         return [
             (build_graph(cat, homoclinic, 0.05), dict(max_cycle_len=12, n_paths=8)),
+            (build_graph(cat, homoclinic, 0.05), dict(max_cycle_len=12, n_paths=40)),
             (build_graph(cat, complete, delta), dict(max_cycle_len=5, n_paths=8)),
             (lazy[0], dict(n_paths=8)),
             (lazy[1], dict(n_paths=8, path_len=12)),
@@ -842,7 +906,7 @@ class TestSamplePseudoOrbits:
                                                                  b.defect)
             kinds.append((g.materialized, {po.periodic for po in got}))
         # both graph kinds, each with cycles and segments
-        assert kinds.count((True, {False, True})) == 2
+        assert kinds.count((True, {False, True})) == 3
         assert kinds.count((False, {False, True})) == 2
 
     def test_connectors_match_parent_loop(self, cat):

@@ -328,6 +328,24 @@ class TestGridSet:
         back = GridSet.from_rle(g.to_rle())
         assert np.array_equal(back.mask, g.mask)
 
+    def test_equal_grids_compare_and_hash_equal(self):
+        # the dataclass __eq__ compared masks inside a tuple and raised
+        # ValueError; __hash__ raised TypeError on the array field
+        a, b = GridSet.full(2, 3), GridSet.full(2, 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_other_mask_differs(self):
+        a = GridSet.full(2, 3)
+        b = a.minus_ball(np.array([0.5, 0.5]), 0.2)
+        assert b.count < a.count
+        assert a != b and b != a
+
+    def test_other_depth_differs(self):
+        assert GridSet.full(2, 3) != GridSet.full(2, 2)
+        # one cell per axis at depth 0: same one-cell mask bytes, other dim
+        assert GridSet.full(1, 0) != GridSet.full(2, 0)
+
     def test_coarsen(self):
         g = GridSet.full(2, 4).minus_ball(np.array([0.25, 0.25]), 0.2)
         coarse = g.coarsen()
