@@ -26,7 +26,7 @@ import numpy as np
 
 from .shadowing import (PseudoOrbit, ShadowingRefusal, _defect_limit, _shadow_windows,
                         pseudo_orbit_defect)
-from .torus import ToralAutomorphism, torus_distance_array, wrap
+from .torus import ToralAutomorphism, _integer, _positive, torus_distance_array, wrap
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -51,13 +51,6 @@ __all__ = [
 _COUNT_CHUNK = 128
 # closed-ball hits past which a transition graph stays lazy
 _EDGE_CAP = 2_000_000
-
-
-def _check_delta(delta: float) -> None:
-    if not delta > 0:  # NaN included
-        raise ValueError("positive delta required")
-    if delta == np.inf:
-        raise ValueError("delta must be finite, got inf")
 
 
 def _torus_tree(points: np.ndarray) -> cKDTree:
@@ -116,13 +109,10 @@ class SetApprox:
         pts = wrap(pts) if _validate else pts.view()
         if pts.size == 0:
             raise ValueError("set approximation must be nonempty")
-        if not resolution > 0:  # NaN included
-            raise ValueError("resolution must be positive")
-        if resolution == np.inf:
-            raise ValueError("resolution must be finite, got inf")
+        resolution = _positive("resolution", resolution)
         pts.flags.writeable = False
         self.points = pts
-        self.resolution = float(resolution)
+        self.resolution = resolution
         self.label = label
         self._tree: cKDTree | None = None
         if _validate and len(pts) > 1 and len(pairs := _pairs(self, resolution / 2.0)):
@@ -269,7 +259,7 @@ def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float) -> Transiti
     resolution r < delta every node has out-degree >= 1.  The graph stays
     lazy once its closed-ball hits pass `_EDGE_CAP`.
     """
-    _check_delta(delta)
+    _positive("delta", delta)
     map._check_dim(sa.dim)
     images = map.apply_array(sa.points)
     # closed-ball hits, a superset of the edges, are counted chunk by chunk:
@@ -295,17 +285,9 @@ class SamplingParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            minimum = 1 if f.name in ("max_cycle_len", "path_len") else 0
             # a Python int, so that derived seeds cannot overflow a numpy integer
-            object.__setattr__(self, f.name, int(value))
-        for name in ("max_cycle_len", "path_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("n_paths", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name), minimum))
 
 
 # fixed caps of `sample_pseudo_orbits`; hitting the first two flags a sample partial
@@ -667,7 +649,7 @@ def gamma_for(map: ToralAutomorphism, delta: float) -> float:
     its inverse (for a linear map, the larger operator norm).  The 10%
     margin keeps the paper-side inequalities strict.
     """
-    _check_delta(delta)
+    _positive("delta", delta)
     L = max(map.lipschitz, 1.0)
     return delta / (4.0 * L) * 0.9
 
@@ -768,12 +750,8 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
     stabilization.  Escape fires when a new point leaves the u_radius
     neighborhood of Lambda_0.  Budget exhaustion is a verdict, not an error.
     """
-    if not u_radius > 0:  # NaN included, which no escape test would ever fire
-        raise ValueError("positive u_radius required")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _positive("u_radius", u_radius, finite=False)  # a NaN would never fire the escape test
+    max_iter = _integer("max_iter", max_iter, 1)
     p = params or SamplingParams()
     tol = 0.45 * lam0.resolution
     gamma = gamma_for(map, delta)
@@ -809,7 +787,7 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
             quiet_run = 0
 
     if verdict is None:
-        verdict = Verdict("budget_exhausted", int(max_iter))
+        verdict = Verdict("budget_exhausted", max_iter)
 
     return ClosureTrace(tuple(iterates), tuple(nus), gamma, verdict,
                         delta, u_radius, tol, tuple(stats))

@@ -24,6 +24,8 @@ from .torus import (
     ProductSystem,
     ToralAutomorphism,
     TorusPoint,
+    _integer,
+    _positive,
     minimal_lift,
     torus_distance,
     torus_distance_array,
@@ -67,6 +69,7 @@ class BracketPoint:
 def bracket_delta_for(splitting, eps: float) -> float:
     """Largest pair distance delta guaranteeing both bracket components stay
     below eps: delta = eps / max(||P_s||, ||P_u||)."""
+    _positive("eps", eps, finite=False)
     ds = splitting.stable_dim
     d = splitting.dim
     sel_s = np.zeros((d, d))
@@ -161,8 +164,7 @@ def local_product_check(map: ToralAutomorphism, sa: SetApprox, eps: float,
     land within membership_tol of the net.  Failures are data, not errors;
     the refusals of `bracket` raise BracketError here too."""
     for name, value in (("eps", eps), ("delta", delta), ("membership_tol", membership_tol)):
-        if not value > 0:  # NaN included
-            raise ValueError(f"{name} must be positive, got {value}")
+        _positive(name, value, finite=False)
     map._check_dim(sa.dim)
     pts = sa.points
     pairs = _pairs(sa, delta)
@@ -184,9 +186,7 @@ def local_product_check(map: ToralAutomorphism, sa: SetApprox, eps: float,
 
 def _side(depth: int) -> int:
     """Cells per axis at subdivision depth k: 2^k."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    return 2 ** depth
+    return 2 ** _integer("depth", depth, 0)
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class GridSet:
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = (_side(self.depth),) * self.dim
+        expected = (_side(self.depth),) * _integer("dim", self.dim, 1)
         if self.mask.shape != expected:
             raise ValueError(f"mask shape {self.mask.shape} != {expected}")
         m = np.asarray(self.mask, dtype=bool)
@@ -217,7 +217,7 @@ class GridSet:
 
     @classmethod
     def full(cls, dim: int, depth: int) -> "GridSet":
-        return cls(dim, depth, np.ones((_side(depth),) * dim, dtype=bool))
+        return cls(dim, depth, np.ones((_side(depth),) * _integer("dim", dim, 1), dtype=bool))
 
     @property
     def width(self) -> float:
@@ -245,9 +245,9 @@ class GridSet:
         """Remove cells whose center lies within `radius` of `center` (torus
         metric)."""
         center = np.asarray(center, float)
-        if not (np.isfinite(radius) and np.isfinite(center).all()):
-            raise ValueError(f"ball needs a finite center and radius, "
-                             f"got {center.tolist()} and {radius}")
+        if center.shape != (self.dim,) or not (np.isfinite(radius) and np.isfinite(center).all()):
+            raise ValueError(f"ball needs a center of {self.dim} finite coordinates and a "
+                             f"finite radius, got {center.tolist()} and {radius}")
         if radius <= 0:
             return self
         centers = (np.indices(self.mask.shape).reshape(self.dim, -1).T + 0.5) * self.width
@@ -285,7 +285,7 @@ class GridSet:
     @classmethod
     def from_rle(cls, d: dict) -> "GridSet":
         n = _side(d["depth"])
-        flat = np.zeros(n ** d["dim"], dtype=bool)
+        flat = np.zeros(n ** _integer("dim", d["dim"], 1), dtype=bool)
         for start, length in d["runs"]:
             flat[start: start + length] = True
         return cls(d["dim"], d["depth"], flat.reshape((n,) * d["dim"]))
@@ -324,8 +324,8 @@ def maximal_invariant_set(map: ToralAutomorphism, U: GridSet, n_iter: int) -> Gr
     the current cell set; the result is a superset of the true invariant set
     that shrinks (or stalls) with n_iter.  Idempotent at the fixed point.
     """
-    if n_iter < 0:
-        raise ValueError(f"n_iter must be nonnegative, got {n_iter}")
+    n_iter = _integer("n_iter", n_iter, 0)
+    map._check_dim(U.dim)
     if U.count == 0:
         raise ValueError("empty grid")
     mask = U.mask
@@ -349,9 +349,7 @@ def crovisier_set(product: ProductSystem, q: TorusPoint, r: TorusPoint,
     """
     if not v_radius >= 0:  # NaN included; 0 removes no cell
         raise ValueError(f"v_radius must be nonnegative, got {v_radius}")
-    # A^0 fixes every q, so the precondition would hold vacuously
-    if isinstance(q_period, bool) or not isinstance(q_period, (int, np.integer)) or q_period < 1:
-        raise ValueError(f"q_period must be an integer >= 1, got {q_period!r}")
+    q_period = _integer("q_period", q_period, 1)  # A^0 fixes every q: a vacuous precondition
     A, B = product.factor_a, product.factor_b
     if torus_distance(A.iterate(q, q_period), q) > 1e-9:
         raise ValueError(f"q is not fixed by A^{q_period}")
@@ -510,13 +508,14 @@ def _eig_2x2_extended(mp, matrix: np.ndarray, stable: bool):
 
 def _family_from_segment(map: ToralAutomorphism, seg: np.ndarray, n_window: int,
                          a: float) -> NonPremaxWitness:
+    n_window = _integer("n_window", n_window, 0)
     return NonPremaxWitness(map._orbit(wrap(seg), -n_window, n_window), -n_window, a)
 
 
 def constant_family(map: ToralAutomorphism, x0: TorusPoint, n_window: int,
                     n_params: int, a: float) -> NonPremaxWitness:
     """xi(n, t) = f^n(x0) for every t: a family that never leaves the orbit."""
-    seg = np.tile(x0.coords, (n_params, 1))
+    seg = np.tile(x0.coords, (_integer("n_params", n_params, 1), 1))
     return _family_from_segment(map, seg, n_window, a)
 
 
@@ -524,7 +523,7 @@ def unstable_segment_family(map: ToralAutomorphism, center: TorusPoint, a: float
                             n_window: int, n_params: int) -> NonPremaxWitness:
     """xi(0, t) = center + t v_u: pushforwards of an unstable segment."""
     v = map.splitting.unstable_basis[:, 0]
-    t = np.linspace(0.0, a, n_params)
+    t = np.linspace(0.0, a, _integer("n_params", n_params, 1))
     seg = wrap(center.coords[None, :] + t[:, None] * v[None, :])
     return _family_from_segment(map, seg, n_window, a)
 
@@ -550,8 +549,9 @@ def b_direction_heteroclinic_family(product: ProductSystem, q: TorusPoint,
     """
     lam_max = max(product.factor_a.splitting.lambda_u,
                   product.factor_b.splitting.lambda_u)
+    n_window = _integer("n_window", n_window, 0)
     digits = 40 + int(np.ceil((n_window + 1) * np.log10(lam_max)))
-    t = np.linspace(0.0, a, n_params)
+    t = np.linspace(0.0, a, _integer("n_params", n_params, 1))
     mp = _mpmath()
     with mp.workdps(digits):
         lam_s, vs = _eig_2x2_extended(mp, product.factor_a.matrix, stable=True)

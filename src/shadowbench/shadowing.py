@@ -30,6 +30,8 @@ from .torus import (
     SuspensionFlow,
     ToralAutomorphism,
     TorusPoint,
+    _integer,
+    _positive,
     minimal_lift,
     torus_distance_array,
     wrap,
@@ -99,6 +101,7 @@ class PseudoOrbit:
         object.__setattr__(self, "points", pts)
         if not self.defect >= 0:  # NaN included
             raise ValueError("defect must be nonnegative")
+        object.__setattr__(self, "start_index", _integer("start_index", self.start_index))
         if not self.periodic and not (self.start_index <= 0 <= self.end_index):
             raise ValueError("index window must contain 0")
 
@@ -541,6 +544,7 @@ def shadow_operator(map: ToralAutomorphism, po: PseudoOrbit, *,
 
 def shift_pseudo(po: PseudoOrbit, n: int) -> PseudoOrbit:
     """Reindex by the shift sigma^n: the new index j holds the old x_{j+n}."""
+    n = _integer("n", n)
     if po.periodic:
         return PseudoOrbit(np.roll(po.points, -n, axis=0), po.defect,
                            periodic=True, start_index=po.start_index)
@@ -560,8 +564,8 @@ def expansivity_test(map: ToralAutomorphism, p: TorusPoint, q: TorusPoint,
     1, 2, 4, ... steps, each from the last rows of the one before, and the
     test stops at the first window with a separation.
     """
-    if N < 0:
-        raise ValueError(f"window N must be nonnegative, got {N}")
+    _positive("a", a)
+    N = _integer("N", N, 0)
     for sign in (1, -1):
         rows, left, k = (p.coords[None], q.coords[None]), N, 1
         while True:
@@ -615,6 +619,8 @@ class FlowPseudoTrajectory:
 def suspend_pseudo_orbit(flow: SuspensionFlow, po: PseudoOrbit, h: float) -> FlowPseudoTrajectory:
     """Sample the suspension of a base-map pseudo-orbit on a grid of step h,
     where 1/h is an integer so integer times land on the grid."""
+    if not 0 < h <= 1:
+        raise ValueError("sample step h must be in (0, 1]")
     m = round(1.0 / h)
     if abs(m * h - 1.0) > 1e-12:
         raise ValueError("1/h must be an integer to align samples with the roof")
@@ -666,8 +672,7 @@ def flow_shadow(flow: SuspensionFlow, traj: FlowPseudoTrajectory, delta: float, 
     distance on the sample grid must come in below delta, which must be
     positive.
     """
-    if not delta > 0:  # NaN included
-        raise ValueError(f"delta must be positive, got {delta}")
+    _positive("delta", delta, finite=False)
     if len(traj) < 2:
         raise ValueError("insufficient samples: need at least two")
     times = traj.t0 + np.arange(len(traj)) * traj.h

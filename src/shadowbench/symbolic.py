@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
+from .torus import _integer, _positive
+
 __all__ = [
     "PeriodicWord",
     "SubshiftPresentation",
@@ -86,10 +88,11 @@ class PeriodicWord:
     def __post_init__(self):
         if not self.left_cycle or not self.right_cycle:
             raise ValueError("cycles must be nonempty")
-        syms = (*self.left_cycle, *self.core, *self.right_cycle)
-        if min(syms) < 0 or max(syms) >= self.alphabet_size:
-            bad = next(sym for sym in syms if not 0 <= sym < self.alphabet_size)
-            raise ValueError(f"symbol {bad} outside alphabet of size {self.alphabet_size}")
+        n = _integer("alphabet_size", self.alphabet_size, 1)
+        _integer("offset", self.offset)
+        for sym in (*self.left_cycle, *self.core, *self.right_cycle):
+            if not 0 <= _integer("symbol", sym) < n:
+                raise ValueError(f"symbol {sym} outside alphabet of size {n}")
 
     @classmethod
     def from_cycle(cls, cycle: Sequence[int], alphabet_size: int) -> "PeriodicWord":
@@ -210,10 +213,8 @@ def shift_metric_with_bound(a: PeriodicWord, b: PeriodicWord,
     provably agree beyond the window."""
     if a.alphabet_size != b.alphabet_size:
         raise ValueError("alphabet mismatch")
-    if precision > 50:
+    if _integer("precision", precision, 0) > 50:
         raise ValueError("precision beyond 50 is not exactly representable")
-    if precision < 0:
-        raise ValueError(f"precision must be >= 0, got {precision}")
     total = 0.0
     n = 2 * precision + 1
     for i, (x, y) in enumerate(zip(a.window(-precision, n), b.window(-precision, n)),
@@ -244,6 +245,7 @@ class SubshiftPresentation:
     generators: tuple[PeriodicWord, ...]
 
     def __post_init__(self):
+        _integer("alphabet_size", self.alphabet_size, 1)
         if not self.generators:
             raise ValueError("need at least one generator")
         for g in self.generators:
@@ -292,9 +294,7 @@ def _blocks(rows: Iterable[_Row], k: int) -> set[tuple[int, ...]]:
     on both sides, which visits every window position class (an offset
     moves no block); zipping k shifted slices of that yields its k-blocks.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    m = k - 1
+    m = _integer("k", k, 1) - 1
     words: set[tuple[int, ...]] = set()
     for L, core, R in rows:
         unrolled = ((L * (2 + m // len(L)))[-len(L) - m:] + core
@@ -319,8 +319,9 @@ class SFT:
     words: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        # Python ints, so that the enumeration count cannot overflow
+        object.__setattr__(self, "alphabet_size", _integer("alphabet_size", self.alphabet_size, 1))
+        object.__setattr__(self, "k", _integer("k", self.k, 1))
         words = self.words
         if (not set(map(len, words)) <= {self.k}
                 or min(chain.from_iterable(words), default=0) < 0
@@ -345,7 +346,7 @@ class SFT:
     def periodic_cycles(self, max_period: int) -> set[tuple[int, ...]]:
         """Canonical cycles of all periodic points with period <= max_period,
         found by the pruned search of `_cycles_in_order`."""
-        return set(self._cycles_in_order(max_period))
+        return set(self._cycles_in_order(_integer("max_period", max_period, 1)))
 
     def _cycles_in_order(self, max_period: int, start: tuple[int, ...] = ()):
         """The canonical admissible cycles of period <= max_period, shortest
@@ -476,11 +477,6 @@ def as_presentation(t: SFT) -> SubshiftPresentation:
     return SubshiftPresentation(n, tuple(PeriodicWord(*row, n) for row in _generator_rows(t)))
 
 
-def _check_period_bound(period_bound: int | None) -> None:
-    if period_bound is not None and period_bound < 1:
-        raise ValueError(f"period_bound must be >= 1, got {period_bound}")
-
-
 def _first_missing(t: SFT, have: set[tuple[int, ...]], bound: int,
                    start: tuple[int, ...] = ()) -> tuple[int, ...] | None:
     """The first admissible cycle of `t` up to the period bound that is
@@ -493,8 +489,7 @@ def equality_witness(s: SubshiftPresentation, k: int,
     """A periodic point of the window-k closure that is not in the set, or
     None if none exists up to the period bound (default 2k); the first
     such cycle, shortest first and lexicographic within a length."""
-    _check_period_bound(period_bound)
-    bound = 2 * k if period_bound is None else period_bound
+    bound = 2 * k if period_bound is None else _integer("period_bound", period_bound, 1)
     cyc = _first_missing(sft_closure(s, k), s.periodic_cycles(), bound)
     return None if cyc is None else PeriodicWord.from_cycle(cyc, s.alphabet_size)
 
@@ -509,9 +504,9 @@ def is_locally_maximal(s: SubshiftPresentation, kmax: int,
     kmax-blocks, so one language serves all windows; and the window-(k+1)
     closure lies inside the window-k one, so its first missing cycle comes
     no earlier in the order than the window-k one."""
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    _check_period_bound(period_bound)
+    kmax = _integer("kmax", kmax, 1)
+    if period_bound is not None:
+        period_bound = _integer("period_bound", period_bound, 1)
     have = s.periodic_cycles()
     top = _blocks(_rows(s.generators), kmax)
     cyc: tuple[int, ...] | None = ()
@@ -548,8 +543,9 @@ def symbolic_shadow(t: SFT, pseudo: Sequence[PeriodicWord], delta: float,
     """
     if not pseudo:
         raise ValueError("empty pseudo-orbit")
+    start_index = _integer("start_index", start_index)
     k = t.k
-    if not delta < 2.0 ** -(k + 1):
+    if not _positive("delta", delta) < 2.0 ** -(k + 1):
         raise ValueError(f"delta must be below 2^-(k+1) = {2.0**-(k+1)}")
     if k > 20:
         raise ValueError("window beyond 20 leaves no metric precision headroom")

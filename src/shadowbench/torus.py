@@ -71,6 +71,28 @@ def minimal_lift(vec: np.ndarray) -> np.ndarray:
     return v
 
 
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """`value` as a Python int: the one integer-argument check of the
+    library's entry points.  Refuses anything but an int or a numpy
+    integer, a bool included, and a value below `minimum` when given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _positive(name: str, value, *, finite: bool = True) -> float:
+    """`value` as a float: the one positive-scalar check of the library's
+    entry points.  Refuses NaN and values <= 0, and inf too when `finite`
+    is set."""
+    if not value > 0:  # NaN included
+        raise ValueError(f"{name} must be positive, got {value}")
+    if finite and value == np.inf:
+        raise ValueError(f"{name} must be finite, got inf")
+    return float(value)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.flags.writeable = False
@@ -403,6 +425,7 @@ class ToralAutomorphism:
         """f^n(p): exact steps for an exact point, else one row of `_orbit`
         in windows of at most 1024 steps, so that memory stays bounded."""
         self._check_dim(p.dim)
+        n = _integer("n", n)
         if p.exact is not None:
             M, exact = (self.matrix if n >= 0 else self.inverse_matrix), p.exact
             for _ in range(abs(n)):
@@ -418,6 +441,7 @@ class ToralAutomorphism:
     def orbit_segment(self, p: TorusPoint, n_min: int, n_max: int) -> np.ndarray:
         """Coordinates of f^j(p) for j = n_min..n_max inclusive, iterated in
         floats from `p.coords` (an exact point included)."""
+        n_min, n_max = _integer("n_min", n_min), _integer("n_max", n_max)
         return self._orbit(p.coords[None], n_min, n_max)[:, 0]
 
     @property
@@ -434,8 +458,7 @@ class ToralAutomorphism:
         Enumerates integer right-hand sides m with x = (M^p - I)^{-1} m in
         [0,1)^d; the count equals |det(M^p - I)|.
         """
-        if not (isinstance(period, Integral) and period >= 1):
-            raise ValueError(f"period must be a positive integer, got {period!r}")
+        period = _integer("period", period, 1)
         Mp = np.linalg.matrix_power(self.matrix.astype(object), period)
         D = Mp - np.eye(self.dim, dtype=object)
         detD, inv = _det_and_inverse(D)

@@ -5,7 +5,9 @@ networkx, scipy or mpmath, which load on first use inside named accessors;
 KD-tree ball queries stay in closure's neighbour helpers; rows change basis
 only through the splitting's methods; the flow code reads the base shadow
 on arrays and never re-iterates a point; float map steps loop in one
-kernel; only the CLI touches files."""
+kernel; only the CLI touches files; integer arguments are told apart in
+one helper, and every integer, positive-scalar and dimension precondition
+of a public entry point is a ValueError that names its argument."""
 
 import ast
 import hashlib
@@ -17,9 +19,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shadowbench
+from shadowbench.maximality import (GridSet, bracket_delta_for, b_direction_heteroclinic_family,
+                                    constant_family, crovisier_set, maximal_invariant_set)
+from shadowbench.shadowing import (PseudoOrbit, expansivity_test, shift_pseudo,
+                                   suspend_pseudo_orbit)
+from shadowbench.symbolic import (SFT, PeriodicWord, SubshiftPresentation, equality_witness,
+                                  is_locally_maximal, language, sft_closure,
+                                  shift_metric_with_bound, symbolic_shadow)
+from shadowbench.torus import SuspensionFlow, TorusPoint, cat_map, crovisier_product
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(shadowbench.__path__)
                  if m.name != "__main__")
@@ -171,6 +182,25 @@ def test_only_the_cli_touches_files():
     assert not found, f"file access outside cli.py: {found}"
 
 
+def test_integer_types_only_in_the_integer_helper():
+    # one integer rule: `torus._integer` alone tells an integer argument
+    # apart, and `_unimodular` alone reads matrix entries as integers
+    allowed = {("torus.py", "_integer"), ("torus.py", "_unimodular")}
+    found = []
+    for path in sorted(Path(shadowbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (ast.walk is breadth-first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in ("integer", "Integral") and (path.name, owner.get(id(node))) not in allowed:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"integer type tests outside torus._integer: {found}"
+
+
 def _fresh(code: str) -> str:
     """Stdout of `code` run in a fresh interpreter on this test run's path."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -274,3 +304,95 @@ def test_heavy_imports_only_in_their_accessors():
                     and owner.get(id(node)) not in allowed.get(path.name, ())):
                 found.append(f"{path.name}:{node.lineno} {', '.join(names)}")
     assert not found, f"scipy or mpmath imported outside their accessors: {found}"
+
+
+def _refusals() -> dict:
+    """Calls whose integer, positive-scalar or dimension argument is wrong,
+    and the refusal each gives."""
+    cat, crovisier = cat_map(), crovisier_product()
+    p, q, r = TorusPoint((0.3, 0.4)), TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0))
+    s = SubshiftPresentation(2, (PeriodicWord.constant(0, 2), PeriodicWord.constant(1, 2)))
+    po = PseudoOrbit.from_map(cat, [[0.1, 0.2], [0.3, 0.4]])
+    word = PeriodicWord.constant(0, 2)
+    grid = {"v_radius": 0.1, "depth": 2, "n_iter": 2}
+    return {
+        "SFT k": (lambda: SFT(2, 1.5, frozenset()), "k must be an integer, got 1.5"),
+        "SFT alphabet_size": (lambda: SFT(2.5, 1, frozenset()),
+                              "alphabet_size must be an integer, got 2.5"),
+        "presentation alphabet_size": (lambda: SubshiftPresentation(2.5, s.generators),
+                                       "alphabet_size must be an integer, got 2.5"),
+        "word symbol": (lambda: PeriodicWord((0.5,), (), (0.5,), 2),
+                        "symbol must be an integer, got 0.5"),
+        "word offset": (lambda: PeriodicWord((0,), (), (0,), 2, offset=0.5),
+                        "offset must be an integer, got 0.5"),
+        "language k": (lambda: language(s, True), "k must be an integer, got True"),
+        "fixed_points period": (lambda: cat.fixed_points(True),
+                                "period must be an integer, got True"),
+        "iterate n": (lambda: cat.iterate(p, 1.5), "n must be an integer, got 1.5"),
+        "orbit_segment n_max": (lambda: cat.orbit_segment(p, 0, 1.5),
+                                "n_max must be an integer, got 1.5"),
+        "shift_pseudo n": (lambda: shift_pseudo(po, 1.5), "n must be an integer, got 1.5"),
+        "from_map start_index": (
+            lambda: PseudoOrbit.from_map(cat, po.points, start_index=-0.5),
+            "start_index must be an integer, got -0.5"),
+        "sft_closure k": (lambda: sft_closure(s, 1.5), "k must be an integer, got 1.5"),
+        "periodic_cycles max_period": (lambda: sft_closure(s, 1).periodic_cycles(2.5),
+                                       "max_period must be an integer, got 2.5"),
+        "equality_witness period_bound": (lambda: equality_witness(s, 1, period_bound=2.5),
+                                          "period_bound must be an integer, got 2.5"),
+        "is_locally_maximal kmax": (lambda: is_locally_maximal(s, 1.5),
+                                    "kmax must be an integer, got 1.5"),
+        "shift_metric precision": (lambda: shift_metric_with_bound(word, word, 2.5),
+                                   "precision must be an integer, got 2.5"),
+        "symbolic_shadow start_index": (
+            lambda: symbolic_shadow(sft_closure(s, 1), [word], 0.1, start_index=0.5),
+            "start_index must be an integer, got 0.5"),
+        "expansivity N": (lambda: expansivity_test(cat, p, p, 0.1, 2.5),
+                          "N must be an integer, got 2.5"),
+        "maximal_invariant_set n_iter": (lambda: maximal_invariant_set(cat, GridSet.full(2, 2),
+                                                                       1.5),
+                                         "n_iter must be an integer, got 1.5"),
+        "crovisier depth": (lambda: crovisier_set(crovisier, q, r, **{**grid, "depth": 2.0}),
+                            "depth must be an integer, got 2.0"),
+        "crovisier n_iter": (lambda: crovisier_set(crovisier, q, r, **{**grid, "n_iter": 2.5}),
+                             "n_iter must be an integer, got 2.5"),
+        "grid dim": (lambda: GridSet.full(2.5, 2), "dim must be an integer, got 2.5"),
+        "grid dim bool": (lambda: GridSet(True, 1, np.ones(2, dtype=bool)),
+                          "dim must be an integer, got True"),
+        "constant_family n_params": (lambda: constant_family(cat, p, 2, 2.5, 0.1),
+                                     "n_params must be an integer, got 2.5"),
+        "constant_family n_window": (lambda: constant_family(cat, p, 2.5, 3, 0.1),
+                                     "n_window must be an integer, got 2.5"),
+        "heteroclinic n_window": (
+            lambda: b_direction_heteroclinic_family(crovisier, q, r, s_offset=0.01, a=0.1,
+                                                    n_window=2.5, n_params=3),
+            "n_window must be an integer, got 2.5"),
+        "expansivity a": (lambda: expansivity_test(cat, p, p, float("nan"), 5),
+                          "a must be positive, got nan"),
+        "symbolic_shadow delta": (lambda: symbolic_shadow(sft_closure(s, 1), [word], -1.0),
+                                  "delta must be positive, got -1.0"),
+        "bracket_delta_for eps": (lambda: bracket_delta_for(cat.splitting, -1.0),
+                                  "eps must be positive, got -1.0"),
+        "suspend h zero": (lambda: suspend_pseudo_orbit(SuspensionFlow(cat), po, 0.0),
+                           "sample step h must be in (0, 1]"),
+        "suspend h negative": (lambda: suspend_pseudo_orbit(SuspensionFlow(cat), po, -0.5),
+                               "sample step h must be in (0, 1]"),
+        "maximal_invariant_set dimension": (
+            lambda: maximal_invariant_set(crovisier.as_automorphism(), GridSet.full(2, 3), 2),
+            "dimension mismatch: map is 4-d, points are 2-d"),
+        "minus_ball center": (
+            lambda: GridSet.full(2, 2).minus_ball(np.array([0.1, 0.2, 0.3]), 0.2),
+            "ball needs a center of 2 finite coordinates and a finite radius, "
+            "got [0.1, 0.2, 0.3] and 0.2"),
+    }
+
+
+REFUSALS = _refusals()
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_bad_argument_refused_by_name(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -295,10 +295,10 @@ class TestSftCommand:
         assert "kmax must be >= 1, got -1" in payload["error"]["message"]
 
     @pytest.mark.parametrize("flags, message", [
-        (["--language", "0"], "k must be >= 1"),
-        (["--closure", "0"], "k must be >= 1"),
+        (["--language", "0"], "k must be >= 1, got 0"),
+        (["--closure", "0"], "k must be >= 1, got 0"),
         (["--maximal", "0"], "kmax must be >= 1, got 0"),
-        (["--member", "(1)(1)", "--window", "0"], "k must be >= 1"),
+        (["--member", "(1)(1)", "--window", "0"], "k must be >= 1, got 0"),
     ], ids=["language", "closure", "maximal", "window"])
     def test_zero_reaches_the_library_check(self, tmp_path, capsys, flags, message):
         words = self._write(tmp_path, ["(0)(0)", "(01)(01)"])
@@ -368,11 +368,11 @@ class TestCrovisierCommand:
         assert payload["error"]["message"] == "v_radius must be nonnegative, got nan"
 
     @pytest.mark.parametrize("args, message", [
-        (["--n-iter", "-1"], "n_iter must be nonnegative, got -1"),
+        (["--n-iter", "-1"], "n_iter must be >= 0, got -1"),
         (["--q", "nan", "0"], "points must have finite coordinates"),
         (["--depth", "-1"], "depth must be >= 0, got -1"),
-        (["--q", "0.3", "0.1", "--q-period", "0"], "q_period must be an integer >= 1, got 0"),
-        (["--q-period", "-2"], "q_period must be an integer >= 1, got -2"),
+        (["--q", "0.3", "0.1", "--q-period", "0"], "q_period must be >= 1, got 0"),
+        (["--q-period", "-2"], "q_period must be >= 1, got -2"),
     ])
     def test_bad_grid_input_exit_one(self, capsys, args, message):
         code, error = run_error(["crovisier", "--depth", "2"] + args, capsys)

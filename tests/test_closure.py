@@ -1137,11 +1137,11 @@ class TestGamma:
         assert np.linalg.norm(cat.matrix.astype(float), 2) == pytest.approx(lam_u, abs=1e-12)
 
     def test_degenerate_delta(self, cat):
-        with pytest.raises(ValueError, match="positive delta"):
+        with pytest.raises(ValueError, match="delta must be positive, got 0.0"):
             gamma_for(cat, 0.0)
 
     def test_nan_delta(self, cat):
-        with pytest.raises(ValueError, match="positive delta"):
+        with pytest.raises(ValueError, match="delta must be positive, got nan"):
             gamma_for(cat, float("nan"))
 
     def test_infinite_delta_refused_by_name(self, cat):
@@ -1152,10 +1152,10 @@ class TestGamma:
 
 class TestIterateClosure:
     @pytest.mark.parametrize("delta, u_radius, message", [
-        (float("nan"), 0.35, "positive delta"),
-        (0.05, float("nan"), "positive u_radius"),
-        (0.05, 0.0, "positive u_radius"),
-    ])
+        (float("nan"), 0.35, "delta must be positive, got nan"),
+        (0.05, float("nan"), "u_radius must be positive, got nan"),
+        (0.05, 0.0, "u_radius must be positive, got 0.0"),
+    ], ids=["delta-nan", "u_radius-nan", "u_radius-zero"])
     def test_nan_knobs_refused(self, cat, delta, u_radius, message):
         # NaN fails every comparison: a `<= 0` guard lets it through, and the
         # run then reads as stabilized at index 0 without sampling an orbit
@@ -1198,7 +1198,7 @@ class TestIterateClosure:
 
     def test_build_graph_refuses_nan_delta(self, cat):
         sa = SetApprox(np.array([[0.8, 0.6], [0.2, 0.4]]), 0.02)
-        with pytest.raises(ValueError, match="positive delta"):
+        with pytest.raises(ValueError, match="delta must be positive, got nan"):
             build_graph(cat, sa, float("nan"))
 
     def test_build_graph_refuses_infinite_delta(self, cat):

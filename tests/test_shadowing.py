@@ -750,7 +750,7 @@ class TestExpansivity:
 
     def test_negative_window_refused(self, cat):
         p = TorusPoint((0.3, 0.4))
-        with pytest.raises(ValueError, match="window N must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="N must be >= 0, got -1"):
             expansivity_test(cat, p, p, a=0.1, N=-1)
 
     def test_wrong_dimension_refused_at_window_zero(self, cat):

@@ -221,8 +221,10 @@ class TestOrbitKernel:
 
     @pytest.mark.parametrize("period", [0, -1, 1.5])
     def test_fixed_point_period_must_be_positive(self, cat, period):
-        with pytest.raises(ValueError, match=f"period must be a positive integer, got {period}"):
+        with pytest.raises(ValueError) as info:
             cat.fixed_points(period)
+        assert str(info.value) == (f"period must be >= 1, got {period}" if period < 1
+                                   else f"period must be an integer, got {period!r}")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_refused(self, bad):
