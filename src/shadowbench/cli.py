@@ -27,6 +27,7 @@ from .shadowing import (
     ShadowingRefusal,
     exact_shadow_linear,
     newton_shadow,
+    pseudo_orbit_defect,
     shadow_operator,
     shift_pseudo,
 )
@@ -239,8 +240,8 @@ def cmd_shadow(args) -> int:
                               start_index=0 if args.periodic else start)
     solver = newton_shadow if args.method == "newton" else exact_shadow_linear
     result = solver(map, po)
-    payload = {"pseudo_orbit": {"defect": po.defect, "length": len(po),
-                                "periodic": po.periodic},
+    payload = {"pseudo_orbit": {"defect": pseudo_orbit_defect(map, po.points, periodic=po.periodic),
+                                "length": len(po), "periodic": po.periodic},
                "result": result.to_json_dict()}
     _emit(payload, args.out)
     return EXIT_OK

@@ -308,7 +308,6 @@ class SampledOrbits:
     """
 
     points: np.ndarray = field(repr=False)
-    delta: float
     sequences: tuple[list[int], ...]
     periodic: tuple[bool, ...]
     cycle_cap: bool
@@ -323,8 +322,7 @@ class SampledOrbits:
     def orbits(self) -> tuple[PseudoOrbit, ...]:
         """The samples as `PseudoOrbit`s, in sample order."""
         return tuple(
-            PseudoOrbit(self.points[seq], self.delta, periodic=per,
-                        start_index=0 if per else -(len(seq) // 2))
+            PseudoOrbit(self.points[seq], periodic=per, start_index=0 if per else -(len(seq) // 2))
             for seq, per in zip(self.sequences, self.periodic))
 
 
@@ -527,7 +525,7 @@ def _with_walks(graph: TransitionGraph, families: _Families, p: SamplingParams) 
             sequences.append(walk)
             periodic.append(False)
 
-    return SampledOrbits(graph.set.points, graph.delta, tuple(sequences), tuple(periodic),
+    return SampledOrbits(graph.set.points, tuple(sequences), tuple(periodic),
                          cycle_cap=families.cycle_cap, connector_budget=families.connector_budget,
                          lazy_graph=lazy)
 

@@ -18,7 +18,7 @@ bounds because boundary effects decay exponentially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import reduce
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable
@@ -76,6 +76,8 @@ def _points_array(points: Iterable) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2:
         raise ValueError("points must be a sequence of equal-dimension coordinates")
+    if not len(arr):
+        raise ValueError("need at least one point")
     if not np.isfinite(arr).all():
         raise ValueError("points must have finite coordinates")
     return wrap(arr)
@@ -83,35 +85,40 @@ def _points_array(points: Iterable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """Finite epsilon-pseudo-orbit x_l..x_m with l <= 0 <= m.
-
-    `defect` is the declared bound on d(f(x_j), x_{j+1}) over consecutive
-    indices (including the wrap pair when periodic).  `start_index` is l;
-    periodic orbits are stored as one period with the wrap implied.
-    """
+    """Finite pseudo-orbit x_l..x_m with l <= 0 <= m, at least one point;
+    `start_index` is l, and a periodic orbit is one period, wrap implied.
+    A shadower measures its defect once per map and keeps it in `_defects`.
+    Pseudo-orbits compare and hash by rows, `periodic` and `start_index`."""
 
     points: np.ndarray            # (n, d), rows wrapped into [0,1)
-    defect: float
+    _: KW_ONLY
     periodic: bool = False
     start_index: int = 0
+    _defects: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = _points_array(self.points)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if not self.defect >= 0:  # NaN included
-            raise ValueError("defect must be nonnegative")
         object.__setattr__(self, "start_index", _integer("start_index", self.start_index))
         if not self.periodic and not (self.start_index <= 0 <= self.end_index):
             raise ValueError("index window must contain 0")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PseudoOrbit):
+            return NotImplemented
+        return (self.periodic == other.periodic and self.start_index == other.start_index
+                and bool(np.array_equal(self.points, other.points)))
+
+    def __hash__(self):
+        return hash((self.points.tobytes(), self.periodic, self.start_index))
+
     @classmethod
     def from_map(cls, map: ToralAutomorphism, points: Iterable, *,
                  periodic: bool = False, start_index: int = 0) -> "PseudoOrbit":
-        """Build a pseudo-orbit with its defect measured from the map."""
-        po = cls(points, 0.0, periodic=periodic, start_index=start_index)
-        # the rows are converted once, above; the defect is measured on them
-        object.__setattr__(po, "defect", _defect(map, po.points, periodic))
+        """A pseudo-orbit checked against the map's dimension; shadowers measure its defect."""
+        po = cls(points, periodic=periodic, start_index=start_index)
+        map._check_dim(po.dim)
         return po
 
     def __len__(self) -> int:
@@ -137,11 +144,13 @@ def pseudo_orbit_defect(map: ToralAutomorphism, points: Iterable, *,
 
 def _defect(map: ToralAutomorphism, pts: np.ndarray, periodic: bool) -> float:
     map._check_dim(pts.shape[1])
-    if len(pts) < 2 and not periodic:
-        if len(pts) < 1:
-            raise ValueError("need at least one point")
-        return 0.0
-    return float(np.max(torus_distance_array(*_step_pairs(map, pts, periodic))))
+    return float(_max_defect(*_step_pairs(map, pts, periodic)))
+
+
+def _max_defect(images: np.ndarray, successors: np.ndarray) -> np.ndarray:
+    """The defect of each stacked pseudo-orbit from its `_step_pairs`:
+    max d(f(x_j), x_{j+1}), and 0 for a one-point segment, which has none."""
+    return np.max(torus_distance_array(images, successors), axis=-1, initial=0.0)
 
 
 def _step_pairs(map: ToralAutomorphism, X: np.ndarray,
@@ -217,23 +226,25 @@ class ShadowResult:
         }
 
 
-def _lifted_errors(map: ToralAutomorphism, po: PseudoOrbit) -> np.ndarray:
-    """e_j = x_{j+1} - A x_j as the minimal covering-space representative.
-
-    Defects below delta_0 < 1/2 make the minimal lift unambiguous.
-    """
-    images, successors = _step_pairs(map, po.points, po.periodic)
-    return minimal_lift(successors - images)
-
-
 def _defect_limit(splitting, max_defect: float | None) -> float:
     return splitting.max_shadow_defect if max_defect is None else max_defect
 
 
-def _check_gate(defect: float, splitting, max_defect: float | None) -> None:
-    limit = _defect_limit(splitting, max_defect)
+def _gated_pairs(map: ToralAutomorphism, po: PseudoOrbit,
+                 max_defect: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The `_step_pairs` of po under the map, once its measured defect is
+    below the gate delta_0 (or `max_defect`); refused otherwise.  The defect
+    is measured on the first call for each map and kept on po, keyed by the
+    matrix bytes, which determine the map without keeping it alive."""
+    map._check_dim(po.dim)
+    pairs = _step_pairs(map, po.points, po.periodic)
+    key = map.matrix.tobytes()
+    if key not in po._defects:
+        po._defects[key] = float(_max_defect(*pairs))
+    defect, limit = po._defects[key], _defect_limit(map.splitting, max_defect)
     if not defect < limit:  # a NaN limit refuses too
         raise ShadowingRefusal(defect, limit)
+    return pairs
 
 
 def _shadow_windows(map: ToralAutomorphism, X: np.ndarray, periodic: bool,
@@ -241,9 +252,7 @@ def _shadow_windows(map: ToralAutomorphism, X: np.ndarray, periodic: bool,
     """Shadow windows of the stacked pseudo-orbits X (m, n, d) whose measured
     defect passes the gate, and the mask of those admitted."""
     images, successors = _step_pairs(map, X, periodic)
-    # a one-point segment has no pair and defect 0
-    defects = np.max(torus_distance_array(images, successors), axis=1, initial=0.0)
-    admitted = defects < limit
+    admitted = _max_defect(images, successors) < limit
     errors = minimal_lift(successors[admitted] - images[admitted])
     corrections = _series_corrections(map, errors, X.shape[1], periodic)
     return wrap(X[admitted] + corrections), admitted
@@ -258,10 +267,12 @@ def exact_shadow_linear(map: ToralAutomorphism, po: PseudoOrbit, *,
     backward from a zero right end (for periodic orbits, the cyclic fixed
     point of the one-period affine pass is solved in each block).  The
     result satisfies sup distance <= K * defect with
-    K = C * (1/(1-lambda_s) + 1/(lambda_u-1)).
+    K = C * (1/(1-lambda_s) + 1/(lambda_u-1)).  The defect, measured under the
+    map, must be below `max_defect` (by default delta_0 < 1/2, which makes the
+    error lifts unambiguous), else `ShadowingRefusal`.
     """
-    _check_gate(po.defect, map.splitting, max_defect)
-    corrections = _series_corrections(map, _lifted_errors(map, po)[None], len(po),
+    images, successors = _gated_pairs(map, po, max_defect)
+    corrections = _series_corrections(map, minimal_lift(successors - images)[None], len(po),
                                       po.periodic)[0]
     return ShadowResult(map, po, wrap(po.points + corrections), converged=True, iterations=0,
                         method="exact")
@@ -490,8 +501,8 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *,
 
     Unknowns are lifted displacements v_j from the pseudo-orbit; segments get
     the free-end clamps (stable block zero on the left, unstable on the
-    right), periodic orbits get the cyclic closure.  Admissibility of the
-    defect against delta_0 is checked, not assumed; that gate is what keeps
+    right), periodic orbits get the cyclic closure.  The defect is measured,
+    as in `exact_shadow_linear`, and must pass the gate delta_0, which keeps
     the Newton system diagonally dominant in the adapted norm.  On linear
     maps the solution coincides with `exact_shadow_linear`.
 
@@ -499,7 +510,7 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *,
     residual, not an exception.
     """
     s = map.splitting
-    _check_gate(po.defect, s, max_defect)
+    pairs = _gated_pairs(map, po, max_defect)
     n, d = po.points.shape
     ds = s.stable_dim
     x = po.points
@@ -510,7 +521,7 @@ def newton_shadow(map: ToralAutomorphism, po: PseudoOrbit, *,
 
     lu = _newton_lu(map, n, po.periodic)
     v = np.zeros((n, d))
-    res = residual_rows(v)
+    res = minimal_lift(np.subtract(*pairs))  # residual_rows(v): wrap(x + 0) is x
     res_norm = float(np.max(np.linalg.norm(res, axis=1))) if len(res) else 0.0
     iterations = 0
     converged = res_norm < _NEWTON_TOL
@@ -536,20 +547,21 @@ def shadow_operator(map: ToralAutomorphism, po: PseudoOrbit, *,
     """The shadowing operator T: pseudo-orbit -> shadowing orbit point.
 
     Every map here is a linear toral automorphism, so T is the exact series
-    of `exact_shadow_linear`, gate included.  Satisfies T(sigma po) =
-    f(T(po)) on interior windows.
+    of `exact_shadow_linear`, measured gate included.  Satisfies
+    T(sigma po) = f(T(po)) on interior windows.
     """
     return exact_shadow_linear(map, po, max_defect=max_defect)
 
 
 def shift_pseudo(po: PseudoOrbit, n: int) -> PseudoOrbit:
-    """Reindex by the shift sigma^n: the new index j holds the old x_{j+n}."""
+    """Reindex by the shift sigma^n: the new index j holds the old x_{j+n}.
+    A segment keeps its rows and so its measured defects; a periodic one rolls."""
     n = _integer("n", n)
     if po.periodic:
-        return PseudoOrbit(np.roll(po.points, -n, axis=0), po.defect,
-                           periodic=True, start_index=po.start_index)
-    return PseudoOrbit(po.points, po.defect, periodic=False,
-                       start_index=po.start_index - n)
+        return PseudoOrbit(np.roll(po.points, -n, axis=0), periodic=True, start_index=po.start_index)
+    shifted = PseudoOrbit(po.points, start_index=po.start_index - n)
+    object.__setattr__(shifted, "_defects", po._defects)
+    return shifted
 
 
 def expansivity_test(map: ToralAutomorphism, p: TorusPoint, q: TorusPoint,

@@ -7,7 +7,8 @@ only through the splitting's methods; the flow code reads the base shadow
 on arrays and never re-iterates a point; float map steps loop in one
 kernel; only the CLI touches files; integer arguments are told apart in
 one helper, and every integer, positive-scalar and dimension precondition
-of a public entry point is a ValueError that names its argument."""
+of a public entry point is a ValueError that names its argument; pseudo-
+orbit defects are measured in one helper and never declared."""
 
 import ast
 import hashlib
@@ -17,12 +18,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shadowbench
+from shadowbench.closure import SampledOrbits
 from shadowbench.maximality import (GridSet, bracket_delta_for, b_direction_heteroclinic_family,
                                     constant_family, crovisier_set, maximal_invariant_set)
 from shadowbench.shadowing import (PseudoOrbit, expansivity_test, shift_pseudo,
@@ -199,6 +202,34 @@ def test_integer_types_only_in_the_integer_helper():
             if name in ("integer", "Integral") and (path.name, owner.get(id(node))) not in allowed:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"integer type tests outside torus._integer: {found}"
+
+
+def test_one_defect_measurement():
+    # one measured gate: the pairs of `_step_pairs` reach `torus_distance_array`
+    # through `shadowing._max_defect` alone, and no pseudo-orbit holder keeps
+    # a settable defect
+    def calls(node, name):
+        return isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
+                                                       getattr(node.func, "id", None))
+
+    found = set()
+    for path in sorted(Path(shadowbench.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    path.name, fn.name) == ("shadowing.py", "_max_defect"):
+                continue
+            pairs = {name.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign) and calls(node.value, "_step_pairs")
+                     for target in node.targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)}
+            found |= {f"{path.name}:{node.lineno} {fn.name}" for node in ast.walk(fn)
+                      if calls(node, "torus_distance_array")
+                      for arg in node.args + [k.value for k in node.keywords]
+                      for sub in ast.walk(arg)
+                      if calls(sub, "_step_pairs") or isinstance(sub, ast.Name) and sub.id in pairs}
+    assert not found, f"step pairs measured outside shadowing._max_defect: {sorted(found)}"
+    for holder in (PseudoOrbit, SampledOrbits):
+        assert not {f.name for f in fields(holder)} & {"defect", "delta"}, holder
 
 
 def _fresh(code: str) -> str:

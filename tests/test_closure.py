@@ -32,7 +32,7 @@ from shadowbench.closure import (
 )
 from shadowbench.cli import ExperimentConfig, closure_battery
 from shadowbench.shadowing import (PseudoOrbit, ShadowingRefusal, exact_shadow_linear,
-                                   newton_shadow)
+                                   newton_shadow, pseudo_orbit_defect)
 from shadowbench.torus import (
     ToralAutomorphism,
     TorusPoint,
@@ -240,14 +240,13 @@ def reference_sample(graph, params):
     `PseudoOrbit` per sample, returning (orbits, partial)."""
     p = params
     pts = graph.set.points
-    delta = graph.delta
     rng = np.random.default_rng(p.seed)
     orbits = []
     partial = False
 
     def segment(idx):
         seq = np.asarray(idx, dtype=int)
-        return PseudoOrbit(pts[seq], delta, periodic=False, start_index=-(len(seq) // 2))
+        return PseudoOrbit(pts[seq], periodic=False, start_index=-(len(seq) // 2))
 
     if graph.materialized:
         succ = _successors(graph.edges, graph.n_nodes)
@@ -257,7 +256,7 @@ def reference_sample(graph, params):
             partial = True
         cycles.sort()
         for cyc in cycles:
-            orbits.append(PseudoOrbit(pts[list(cyc)], delta, periodic=True))
+            orbits.append(PseudoOrbit(pts[list(cyc)], periodic=True))
 
         connectors, budget_hit = parent_connectors(succ, cycles, p.path_len)
         orbits.extend(segment(c) for c in connectors)
@@ -267,7 +266,7 @@ def reference_sample(graph, params):
         partial = True
         loops = graph.self_loop_nodes()
         for i in loops[:closure._CYCLE_CAP]:
-            orbits.append(PseudoOrbit(pts[[i]], delta, periodic=True))
+            orbits.append(PseudoOrbit(pts[[i]], periodic=True))
         neighbor = graph.out_neighbors
 
     walk_cycles = set()
@@ -283,7 +282,7 @@ def reference_sample(graph, params):
                 cyc = closure._rotate_cycle(walk[walk.index(nxt):])
                 if cyc not in walk_cycles and len(walk_cycles) < closure._CYCLE_CAP:
                     walk_cycles.add(cyc)
-                    orbits.append(PseudoOrbit(pts[list(cyc)], delta, periodic=True))
+                    orbits.append(PseudoOrbit(pts[list(cyc)], periodic=True))
             walk.append(nxt)
         if len(walk) >= 2:
             orbits.append(segment(walk))
@@ -902,8 +901,7 @@ class TestSamplePseudoOrbits:
             assert len(got) == len(expected) > 0
             for a, b in zip(got, expected):
                 assert a.points.tobytes() == b.points.tobytes()
-                assert (a.periodic, a.start_index, a.defect) == (b.periodic, b.start_index,
-                                                                 b.defect)
+                assert a == b  # rows, periodic and start_index
             kinds.append((g.materialized, {po.periodic for po in got}))
         # both graph kinds, each with cycles and segments
         assert kinds.count((True, {False, True})) == 3
@@ -1076,7 +1074,7 @@ class TestShadowingClosure:
         # oracle: shadow the hand-built excursion cycle directly
         cycle_pts = np.vstack([[[0.0, 0.0]], window])
         po = PseudoOrbit.from_map(cat, cycle_pts, periodic=True)
-        assert po.defect < delta
+        assert pseudo_orbit_defect(cat, po.points, periodic=True) < delta
         res = newton_shadow(cat, po)
         dists = out.distance_to(res.orbit)
         assert np.max(dists) <= out.resolution / 2 + 1e-9

@@ -1,7 +1,9 @@
 """The deterministic outputs, pinned by SHA-256: every file of the `suite
 --scale quick` trees at seeds 0 and 7 and of the `suite --scale full` tree
-at seed 0, and the stdout of `crovisier --depth 4 --closure --max-iter 2`
-at seeds 0 and 11.  A one-bit change to any of them fails here.
+at seed 0, the stdout of `crovisier --depth 4 --closure --max-iter 2`
+at seeds 0 and 11, and the stdout of `shadow --orbit` on a noisy cat-map
+segment and a noisy periodic cat-map orbit by both methods.  A one-bit
+change to any of them fails here.
 
 The digests hold for the numpy and BLAS build they were taken with, whose
 version is recorded beside them; on another numpy the tests skip.  A change
@@ -13,9 +15,11 @@ VM.
 import hashlib
 
 import numpy
+import numpy as np
 import pytest
 
 from shadowbench.cli import EXIT_BUDGET, EXIT_OK, main
+from shadowbench.torus import TorusPoint, cat_map
 
 NUMPY = "2.4.6"
 
@@ -98,3 +102,43 @@ def test_crovisier_stdout_is_pinned(seed, capsys):
     assert code == EXIT_BUDGET
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == CROVISIER_DEPTH_4[seed]
+
+
+# (orbit file, --method) -> stdout digest
+SHADOW = {
+    ("segment", "exact"):
+        "799c77155ff2a52307176e86085ee9eb23a12d3a19703b424d4dd579ccd4d341",
+    ("segment", "newton"):
+        "3141780c14bf5fcc2852a7b7654f17cb8da47105ff38116a60f0349de09c18be",
+    ("periodic", "exact"):
+        "7083b326cc27b366f8c11fb6cf56482cfdd249f97c51c11a22526ea2b258ae14",
+    ("periodic", "newton"):
+        "5639530c3e432bab1eb75a9dfe0b0d4d164afa69e8711f13f777e76b92e6e9a4",
+}
+
+
+def _noisy_orbit_file(kind, path):
+    """A cat-map orbit plus uniform noise of size 1e-3, as `index,x0,x1`
+    rows: the segment f^-20(p)..f^20(p), or the period-10 orbit of (1/5, 0)
+    from index 0."""
+    if kind == "segment":
+        start, pts = -20, cat_map().orbit_segment(TorusPoint((0.31, 0.47)), -20, 20)
+    else:
+        rows, x = [], (1, 0)
+        for _ in range(10):
+            rows.append(x)
+            x = ((2 * x[0] + x[1]) % 5, (x[0] + x[1]) % 5)
+        start, pts = 0, np.array(rows) / 5
+    pts = pts + np.random.default_rng(3).uniform(-1e-3, 1e-3, pts.shape)
+    path.write_text("index,x0,x1\n" + "".join(
+        f"{j},{x!r},{y!r}\n" for j, (x, y) in enumerate(pts.tolist(), start)))
+
+
+@pytest.mark.parametrize("kind,method", sorted(SHADOW))
+def test_shadow_stdout_is_pinned(kind, method, tmp_path, capsys):
+    path = tmp_path / "orbit.csv"
+    _noisy_orbit_file(kind, path)
+    argv = ["shadow", "--orbit", str(path), "--method", method]
+    assert main(argv + (["--periodic"] if kind == "periodic" else [])) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SHADOW[kind, method]

@@ -16,10 +16,9 @@ from shadowbench.shadowing import (
     ShadowResult,
     ShadowingRefusal,
     _adapted_blocks,
-    _check_gate,
     _cyclic_matrices,
     _defect,
-    _lifted_errors,
+    _max_defect,
     _newton_jacobian,
     _newton_lu,
     _power,
@@ -59,6 +58,12 @@ def noisy_orbit(map, rng, length, eps, start=None):
     return np.array(pts)
 
 
+def lifted_errors(map, po):
+    """e_j = x_{j+1} - A x_j lifted minimally: the errors the exact series takes."""
+    images, successors = _step_pairs(map, po.points, po.periodic)
+    return minimal_lift(successors - images)
+
+
 class TestDefect:
     def test_true_orbit_zero_defect(self, cat):
         pts = cat.orbit_segment(TorusPoint((0.1, 0.2)), 0, 30)
@@ -89,6 +94,9 @@ class TestDefect:
             PseudoOrbit.from_map(cat, pts)
         with pytest.raises(ValueError, match="map is 2-d, points are 3-d"):
             pseudo_orbit_defect(cat, pts)
+        for shadow in (exact_shadow_linear, newton_shadow, shadow_operator):
+            with pytest.raises(ValueError, match="map is 2-d, points are 3-d"):
+                shadow(cat, PseudoOrbit(pts))
 
 
 class TestExactShadow:
@@ -101,7 +109,7 @@ class TestExactShadow:
 
     @pytest.mark.parametrize("shadow", [exact_shadow_linear, newton_shadow])
     def test_one_point_segment_is_its_own_shadow(self, product, shadow):
-        po = PseudoOrbit(np.array([[0.3, 0.7, 0.1, 0.9]]), 0.0)
+        po = PseudoOrbit(np.array([[0.3, 0.7, 0.1, 0.9]]))
         res = shadow(product.as_automorphism(), po)
         assert np.array_equal(res.orbit, po.points)
         assert res.sup_distance == 0.0 and res.residual == 0.0
@@ -119,7 +127,7 @@ class TestExactShadow:
             x = wrap(cat.matrix.astype(float) @ x)
             tail.append(x)
         po = PseudoOrbit.from_map(cat, np.vstack([pts, tail]), start_index=-20)
-        assert 0 < po.defect <= eps
+        assert 0 < pseudo_orbit_defect(cat, po.points) <= eps
         res = exact_shadow_linear(cat, po)
         K = cat.splitting.shadow_bound(adapted=False)
         assert K == pytest.approx(2.2360679, abs=1e-6)
@@ -145,7 +153,7 @@ class TestExactShadow:
     def test_refusal_above_gate(self, cat):
         pts = np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.4]])
         po = PseudoOrbit.from_map(cat, pts)
-        assert po.defect > cat.splitting.max_shadow_defect
+        assert pseudo_orbit_defect(cat, pts) > cat.splitting.max_shadow_defect
         with pytest.raises(ShadowingRefusal):
             exact_shadow_linear(cat, po)
 
@@ -161,7 +169,7 @@ class TestExactShadow:
             for _ in range(20):
                 po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 120, eps))
                 res = exact_shadow_linear(cat, po)
-                assert res.sup_distance <= K * max(po.defect, 1e-300)
+                assert res.sup_distance <= K * max(pseudo_orbit_defect(cat, po.points), 1e-300)
 
     def test_periodic_long_cycle_numerically_stable(self, cat, rng):
         po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 400, 1e-3), periodic=False)
@@ -201,7 +209,7 @@ class TestNewtonShadow:
     def test_refusal_above_gate(self, cat):
         pts = np.array([[0.0, 0.0], [0.4, 0.0], [0.0, 0.4]])
         po = PseudoOrbit.from_map(cat, pts)
-        assert po.defect >= 0.4 - 1e-12
+        assert pseudo_orbit_defect(cat, pts) >= 0.4 - 1e-12
         with pytest.raises(ShadowingRefusal):
             newton_shadow(cat, po)
 
@@ -226,6 +234,96 @@ class TestNewtonShadow:
         newton = newton_shadow(F, po)
         assert newton.converged
         assert torus_distance(exact.point, newton.point) < 1e-10
+
+
+class TestMeasuredGate:
+    """Every shadower gates on the defect it measures from the points under
+    the map it is given, once per pseudo-orbit and map."""
+
+    @pytest.mark.parametrize("shadow", [exact_shadow_linear, newton_shadow, shadow_operator])
+    def test_random_rows_refused_with_their_defect(self, cat, shadow):
+        # a declared defect of 0 let these rows through, at sup distance 0.575
+        pts = np.random.default_rng(0).random((50, 2))
+        with pytest.raises(ShadowingRefusal) as info:
+            shadow(cat, PseudoOrbit(pts))
+        assert info.value.defect == pseudo_orbit_defect(cat, pts) == 0.6960055446115904
+        assert info.value.limit == cat.splitting.max_shadow_defect
+
+    def test_measured_per_map(self, cat, golden):
+        po = PseudoOrbit.from_map(cat, cat.orbit_segment(TorusPoint((0.3, 0.55)), -10, 10),
+                                  start_index=-10)
+        assert exact_shadow_linear(cat, po).sup_distance < 1e-12
+        with pytest.raises(ShadowingRefusal) as info:
+            exact_shadow_linear(golden, po)
+        assert info.value.defect == pseudo_orbit_defect(golden, po.points)
+        assert info.value.limit == golden.splitting.max_shadow_defect
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+
+        def counted(*pairs):
+            calls.append(pairs[0].shape)
+            return _max_defect(*pairs)
+
+        monkeypatch.setattr("shadowbench.shadowing._max_defect", counted)
+        return calls
+
+    def test_one_measurement_over_a_verify_item(self, cat, rng, monkeypatch):
+        # the calls of one benchmark shadow-verify item
+        calls = self._counted(monkeypatch)
+        po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 200, 1e-3), start_index=-100)
+        exact = exact_shadow_linear(cat, po)
+        newton = newton_shadow(cat, po)
+        shadow_operator(cat, shift_pseudo(po, 1))
+        shadow_operator(cat, po)
+        assert calls == [(199, 2)]
+        assert exact.converged and newton.converged
+
+    def test_periodic_shift_measures_the_rolled_rows(self, cat, monkeypatch):
+        rows, x = [], (1, 0)  # the period-10 orbit of (1/5, 0), with noise
+        for _ in range(10):
+            rows.append(x)
+            x = ((2 * x[0] + x[1]) % 5, (x[0] + x[1]) % 5)
+        pts = wrap(np.array(rows) / 5 + np.random.default_rng(1).uniform(-1e-3, 1e-3, (10, 2)))
+        po = PseudoOrbit.from_map(cat, pts, periodic=True)
+        shadow_operator(cat, po)
+        calls = self._counted(monkeypatch)
+        shifted = shift_pseudo(po, 3)
+        shadow_operator(cat, shifted)
+        shadow_operator(cat, shifted)
+        assert calls == [(10, 2)]
+        rolled = pseudo_orbit_defect(cat, np.roll(pts, -3, axis=0), periodic=True)
+        assert shifted._defects == {cat.matrix.tobytes(): rolled}
+
+    def test_defect_argument_refused(self):
+        # the declared defect is gone; a positional second argument would
+        # otherwise read as `periodic`
+        with pytest.raises(TypeError):
+            PseudoOrbit(np.zeros((3, 2)), 0.05)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_empty_refused(self, cat, periodic):
+        empty = np.empty((0, 2))
+        for build in (lambda: PseudoOrbit(empty, periodic=periodic),
+                      lambda: PseudoOrbit.from_map(cat, empty, periodic=periodic),
+                      lambda: pseudo_orbit_defect(cat, empty, periodic=periodic),
+                      lambda: FlowPseudoTrajectory(empty, np.empty(0), h=1.0)):
+            with pytest.raises(ValueError, match="need at least one point"):
+                build()
+
+    def test_value_equality_and_hash(self, cat, rng):
+        pts = noisy_orbit(cat, rng, 20, 1e-3)
+        a = PseudoOrbit.from_map(cat, pts, start_index=-10)
+        b = PseudoOrbit(pts.copy(), start_index=-10)
+        exact_shadow_linear(cat, a)  # the measured defect takes no part
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert "_defects" not in repr(a)
+        for other in (PseudoOrbit(pts, start_index=-9),
+                      PseudoOrbit(pts, periodic=True, start_index=-10),
+                      PseudoOrbit(wrap(pts + 1e-9), start_index=-10)):
+            assert a != other
+        assert a != pts.tolist()
 
 
 def series_loop(map, errors, n, periodic):
@@ -313,9 +411,9 @@ class TestSeriesKernel:
         # n = 1 periodic is a one-point cycle and n = 2 a single-step
         # segment: the edge cases of the scalar route that the m = 1 calls
         # take on 2-D maps; n = 200 is a long single orbit
-        orbits = [PseudoOrbit(noisy_orbit(series_map, rng, n, 1e-2), 0.0, periodic=periodic)
+        orbits = [PseudoOrbit(noisy_orbit(series_map, rng, n, 1e-2), periodic=periodic)
                   for _ in range(6)]
-        errors = np.stack([_lifted_errors(series_map, po) for po in orbits])
+        errors = np.stack([lifted_errors(series_map, po) for po in orbits])
         assert_kernel_matches_loop(series_map, errors, n, periodic)
 
     def test_true_orbits_and_empty_stack(self, series_map):
@@ -329,7 +427,7 @@ class TestSeriesKernel:
             po = PseudoOrbit.from_map(series_map, noisy_orbit(series_map, rng, 30, 1e-3),
                                       periodic=periodic)
             res = exact_shadow_linear(series_map, po, max_defect=np.inf)
-            corrections = series_loop(series_map, _lifted_errors(series_map, po), len(po),
+            corrections = series_loop(series_map, lifted_errors(series_map, po), len(po),
                                       periodic)
             ref = ShadowResult(series_map, po, wrap(po.points + corrections), converged=True,
                                iterations=0, method="exact")
@@ -346,7 +444,7 @@ class TestSeriesKernel:
             images, successors = _step_pairs(cat, X, periodic)
             errors = minimal_lift(successors - images)
             for po, orbit_errors in zip(orbits, errors):
-                assert orbit_errors.tobytes() == _lifted_errors(cat, po).tobytes()
+                assert orbit_errors.tobytes() == lifted_errors(cat, po).tobytes()
             assert_kernel_matches_loop(cat, errors, n, periodic)
 
     @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], THREE_D["3d_stable1"],
@@ -356,8 +454,8 @@ class TestSeriesKernel:
         map = ToralAutomorphism(matrix)
         periods = (1, 2, 7, 40)
         for n in periods:
-            errors = np.stack([_lifted_errors(map, PseudoOrbit(
-                noisy_orbit(map, rng, n, 1e-2), 0.0, periodic=True)) for _ in range(3)])
+            errors = np.stack([lifted_errors(map, PseudoOrbit(
+                noisy_orbit(map, rng, n, 1e-2), periodic=True)) for _ in range(3)])
             expected = [series_loop(map, e, n, True).tobytes() for e in errors]
             _series_corrections(map, errors[:, 1:], n, False)  # a segment builds none
             assert ("cyclic_matrices", n) not in map._memo
@@ -375,7 +473,7 @@ class TestSeriesKernel:
 
     def test_closure_windows_match_per_orbit_gate_and_loop(self, cat):
         groups = cat_closure_samples(cat)
-        defects = {id(po): PseudoOrbit.from_map(cat, po.points, periodic=po.periodic).defect
+        defects = {id(po): pseudo_orbit_defect(cat, po.points, periodic=po.periodic)
                    for orbits in groups.values() for po in orbits}
         # the gate admits every sample, about half of them, then none
         for limit in (np.inf, float(np.median(list(defects.values()))), 0.0):
@@ -384,7 +482,7 @@ class TestSeriesKernel:
                 windows, admitted = _shadow_windows(
                     cat, np.stack([po.points for po in orbits]), periodic, limit)
                 assert admitted.tolist() == [defects[id(po)] < limit for po in orbits]
-                expected = [wrap(po.points + series_loop(cat, _lifted_errors(cat, po),
+                expected = [wrap(po.points + series_loop(cat, lifted_errors(cat, po),
                                                          n, periodic))
                             for po, ok in zip(orbits, admitted) if ok]
                 assert windows.shape == (len(expected), n, 2)
@@ -579,7 +677,7 @@ class TestShadowResult:
             start = {"first": 0, "centre": -(n // 2), "last": -(n - 1)}.get(window, window)
             po = PseudoOrbit.from_map(map, noisy_orbit(map, rng, n, 1e-3), periodic=periodic,
                                       start_index=start)
-            series = _series_corrections(map, _lifted_errors(map, po)[None], n, periodic)[0]
+            series = _series_corrections(map, lifted_errors(map, po)[None], n, periodic)[0]
             exact = exact_shadow_linear(map, po, max_defect=np.inf)
             assert exact.orbit.tobytes() == wrap(po.points + series).tobytes()
             # the series shadow, and a window that is no orbit (residual > 0)
@@ -622,27 +720,17 @@ class TestNonFiniteInput:
     def test_points_must_be_finite(self, cat, bad):
         pts = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
         with pytest.raises(ValueError, match="finite"):
-            PseudoOrbit(pts, 0.0)
+            PseudoOrbit(pts)
         with pytest.raises(ValueError, match="finite"):
             PseudoOrbit.from_map(cat, pts)
         with pytest.raises(ValueError, match="finite"):
             pseudo_orbit_defect(cat, pts)
-
-    def test_nan_defect_refused(self, cat):
-        pts = cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 5)
-        with pytest.raises(ValueError, match="nonnegative"):
-            PseudoOrbit(pts, float("nan"))
 
     @pytest.mark.parametrize("shadow", [exact_shadow_linear, newton_shadow])
     def test_nan_gate_refuses(self, cat, shadow):
         po = PseudoOrbit.from_map(cat, cat.orbit_segment(TorusPoint((0.3, 0.55)), 0, 5))
         with pytest.raises(ShadowingRefusal):
             shadow(cat, po, max_defect=float("nan"))
-
-    def test_check_gate_refuses_nan_defect(self, cat):
-        with pytest.raises(ShadowingRefusal):
-            _check_gate(float("nan"), cat.splitting, None)
-        _check_gate(0.0, cat.splitting, None)
 
     def test_windows_admit_none_under_nan_limit(self, cat, rng):
         X = np.stack([noisy_orbit(cat, rng, 6, 1e-3) for _ in range(3)])
@@ -900,7 +988,7 @@ class TestFlowShadowing:
         traj = suspend_pseudo_orbit(flow, po, h=0.5)
         K = cat.splitting.shadow_bound(adapted=False)
         res = flow_shadow(flow, traj, delta=2 * K * 1e-3)
-        assert res.sup_distance <= K * po.defect + 1e-9
+        assert res.sup_distance <= K * pseudo_orbit_defect(cat, po.points) + 1e-9
         assert res.state == (res.base_result.point, 0.0)
         assert res.base_result.pseudo_orbit.indices().tolist() == list(range(30))
 
@@ -950,5 +1038,6 @@ class TestFlowShadowing:
         flow = SuspensionFlow.over(cat)
         po = PseudoOrbit.from_map(cat, noisy_orbit(cat, rng, 12, 1e-3))
         traj = suspend_pseudo_orbit(flow, po, h=0.5)
-        assert po.defect <= flow_defect(flow, traj) <= 3 * po.defect + 1e-12
+        defect = pseudo_orbit_defect(cat, po.points)
+        assert defect <= flow_defect(flow, traj) <= 3 * defect + 1e-12
 
