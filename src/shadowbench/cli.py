@@ -138,9 +138,9 @@ def _read_pseudo_orbit(path: str | Path) -> tuple[np.ndarray, int]:
     return points[np.argsort(indices)], start
 
 
-def _read_net(path: str | Path, resolution: float, label: str = "") -> SetApprox:
+def _read_net(path: str | Path, resolution: float) -> SetApprox:
     """The r-net of the points of a point file, coarsened keep-first."""
-    return SetApprox.build(_read_rows(path, "x", indexed=False)[1], resolution, label)
+    return SetApprox.build(_read_rows(path, "x", indexed=False)[1], resolution)
 
 
 def _write_trace(trace: ClosureTrace, path: str | Path) -> None:
@@ -223,7 +223,7 @@ def _punctured_closure(system: ProductSystem, grid: GridSet, max_iter: int,
                        u_radius: float | None = None) -> ClosureTrace:
     """The closure of a punctured-torus grid set, by default at delta 4w and
     U radius 3w for cell width w, with no defect gate."""
-    return iterate_closure(system.as_automorphism(), grid.as_set_approx("crovisier"),
+    return iterate_closure(system.as_automorphism(), grid.as_set_approx(),
                            4 * grid.width if delta is None else delta,
                            3 * grid.width if u_radius is None else u_radius,
                            max_iter, params=params, max_defect=np.inf)
@@ -250,7 +250,7 @@ def cmd_shadow(args) -> int:
 def cmd_closure(args) -> int:
     cfg = _load_config(args)
     map = _load_map(args)
-    sa = _read_net(args.points, cfg.resolution, label="Lambda_0")
+    sa = _read_net(args.points, cfg.resolution)
     trace = iterate_closure(map, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
                             params=cfg.sampling())
     if args.out_csv:

@@ -19,8 +19,9 @@ query it, and tests cross-check it against the brute-force definition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import chain, compress, islice, product
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -219,7 +220,8 @@ class TransitionGraph:
     is the exact edge count of a materialized graph; on a lazy graph it is
     the running count of closed-ball hits at the query chunk that took it
     past the cap.  A closure step whose parent graph is lazy makes its own
-    lazy without counting, with the parent's `n_edges`.
+    lazy without counting, with the parent's `n_edges`.  A materialized
+    graph builds its `successors` lists on the first read and keeps them.
     """
 
     set: SetApprox
@@ -235,6 +237,11 @@ class TransitionGraph:
     @property
     def materialized(self) -> bool:
         return self.edges is not None
+
+    @cached_property
+    def successors(self) -> list[list[int]]:
+        """The successor lists of a materialized graph, in edge order."""
+        return _successors(self.edges, self.n_nodes)
 
     def out_neighbors(self, i: int) -> np.ndarray:
         return _ball(self.set.tree, self.images[i], self.delta)
@@ -424,40 +431,29 @@ def sample_pseudo_orbits(graph: TransitionGraph, *,
     up; graphs too dense to materialize fall back to self-loops, walks, and
     cycles recovered from walk self-intersections.
     """
-    if graph.n_nodes == 0:
-        raise ValueError("empty graph")
     p = params or SamplingParams()
     return _with_walks(graph, _graph_families(graph, p), p)
 
 
-@dataclass(frozen=True)
-class _Families:
-    """The part of a sample read from the graph alone, with `max_cycle_len`
-    and `path_len` but no seed: the sorted cycles and then the connectors of
-    a materialized graph, or the self-loop nodes of a lazy one, the caps
-    that fired, and the successor rule the walks step by."""
-
-    sequences: tuple[list[int], ...]
-    periodic: tuple[bool, ...]
-    cycle_cap: bool
-    connector_budget: bool
-    neighbor: Callable[[int], Sequence[int]] = field(repr=False)
-
-
-def _graph_families(graph: TransitionGraph, p: SamplingParams) -> _Families:
+def _graph_families(graph: TransitionGraph, p: SamplingParams) -> SampledOrbits:
+    """The walk-free part of a sample, read from the graph alone with
+    `max_cycle_len` and `path_len` but no seed: the sorted cycles and then
+    the connectors of a materialized graph, or the self-loop nodes of a lazy
+    one, and the caps that fired."""
     if not graph.materialized:
         loops = graph.self_loop_nodes()[:_CYCLE_CAP].tolist()
-        return _Families(tuple([i] for i in loops), (True,) * len(loops), False, False,
-                         graph.out_neighbors)
-    succ = _successors(graph.edges, graph.n_nodes)
+        return SampledOrbits(graph.set.points, tuple([i] for i in loops), (True,) * len(loops),
+                             cycle_cap=False, connector_budget=False, lazy_graph=True)
+    succ = graph.successors
     cycles = list(islice(_simple_cycles(succ, p.max_cycle_len), _CYCLE_CAP + 1))
     cycle_cap = len(cycles) > _CYCLE_CAP
     cycles = sorted(cycles[:_CYCLE_CAP])
     per_pair = (islice(_connectors(succ, c1, c2, p.path_len), _CONNECTORS_PER_PAIR)
                 for c1, c2 in product(cycles, repeat=2) if c1 != c2)
     found = list(islice(chain.from_iterable(per_pair), _CONNECTOR_BUDGET))
-    return _Families((*map(list, cycles), *found), (True,) * len(cycles) + (False,) * len(found),
-                     cycle_cap, len(found) == _CONNECTOR_BUDGET, succ.__getitem__)
+    return SampledOrbits(graph.set.points, (*map(list, cycles), *found),
+                         (True,) * len(cycles) + (False,) * len(found), cycle_cap=cycle_cap,
+                         connector_budget=len(found) == _CONNECTOR_BUDGET, lazy_graph=False)
 
 
 # raw 64-bit outputs per bulk call of `_bounded_draws`
@@ -497,14 +493,15 @@ def _bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
     return draw
 
 
-def _with_walks(graph: TransitionGraph, families: _Families, p: SamplingParams) -> SampledOrbits:
+def _with_walks(graph: TransitionGraph, families: SampledOrbits,
+                p: SamplingParams) -> SampledOrbits:
     """The families followed by `p.n_paths` random walks seeded by `p.seed`;
     on a lazy graph each new cycle a walk closes comes just before it."""
     draw = _bounded_draws(np.random.default_rng(p.seed))
     sequences = list(families.sequences)
     periodic = list(families.periodic)
-    neighbor = families.neighbor
     lazy = not graph.materialized
+    neighbor = graph.out_neighbors if lazy else graph.successors.__getitem__
     walk_cycles: set[tuple[int, ...]] = set()
     for _ in range(p.n_paths):
         node = draw(graph.n_nodes)
@@ -525,9 +522,7 @@ def _with_walks(graph: TransitionGraph, families: _Families, p: SamplingParams) 
             sequences.append(walk)
             periodic.append(False)
 
-    return SampledOrbits(graph.set.points, tuple(sequences), tuple(periodic),
-                         cycle_cap=families.cycle_cap, connector_budget=families.connector_budget,
-                         lazy_graph=lazy)
+    return replace(families, sequences=tuple(sequences), periodic=tuple(periodic))
 
 
 @dataclass(frozen=True)
@@ -553,7 +548,7 @@ class _StepGraph:
     families and how many of those the defect gate refused."""
 
     graph: TransitionGraph
-    families: _Families
+    families: SampledOrbits
     n_refused: int
 
 

@@ -19,7 +19,6 @@ bounds because boundary effects decay exponentially.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass, field
-from functools import reduce
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable
 
@@ -83,12 +82,21 @@ def _points_array(points: Iterable) -> np.ndarray:
     return wrap(arr)
 
 
+def _flag(name: str, value) -> bool:
+    """`value` as a Python bool, refusing anything but a bool or a numpy bool:
+    a truthy string or number would otherwise switch the flag on."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class PseudoOrbit:
     """Finite pseudo-orbit x_l..x_m with l <= 0 <= m, at least one point;
     `start_index` is l, and a periodic orbit is one period, wrap implied.
-    A shadower measures its defect once per map and keeps it in `_defects`.
-    Pseudo-orbits compare and hash by rows, `periodic` and `start_index`."""
+    `periodic` must be a bool.  A shadower measures its defect once per map
+    and keeps it in `_defects`.  Pseudo-orbits compare and hash by rows,
+    `periodic` and `start_index`."""
 
     points: np.ndarray            # (n, d), rows wrapped into [0,1)
     _: KW_ONLY
@@ -100,6 +108,7 @@ class PseudoOrbit:
         pts = _points_array(self.points)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "periodic", _flag("periodic", self.periodic))
         object.__setattr__(self, "start_index", _integer("start_index", self.start_index))
         if not self.periodic and not (self.start_index <= 0 <= self.end_index):
             raise ValueError("index window must contain 0")
@@ -138,8 +147,9 @@ class PseudoOrbit:
 
 def pseudo_orbit_defect(map: ToralAutomorphism, points: Iterable, *,
                         periodic: bool = False) -> float:
-    """Max over consecutive pairs of d(f(x_j), x_{j+1}); 0 for a true orbit."""
-    return _defect(map, _points_array(points), periodic)
+    """Max over consecutive pairs of d(f(x_j), x_{j+1}), the wrap pair
+    included when `periodic` (a bool); 0 for a true orbit."""
+    return _defect(map, _points_array(points), _flag("periodic", periodic))
 
 
 def _defect(map: ToralAutomorphism, pts: np.ndarray, periodic: bool) -> float:
@@ -174,7 +184,8 @@ class ShadowResult:
     `orbit` is the window y_j aligned with the pseudo-orbit's points; the
     rest is derived from it on each read: `point` is the orbit point at
     index 0, `per_index` the torus distances d(y_j, x_j), and `residual`
-    the largest violation of y_{j+1} = f(y_j) over the window.
+    the largest violation of y_{j+1} = f(y_j) over the window.  Results
+    compare by value, `orbit` row for row, and hash by `orbit` and `method`.
     """
 
     map: ToralAutomorphism = field(repr=False)
@@ -183,6 +194,17 @@ class ShadowResult:
     converged: bool
     iterations: int
     method: str
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShadowResult):
+            return NotImplemented
+        return (self.map == other.map and self.pseudo_orbit == other.pseudo_orbit
+                and bool(np.array_equal(self.orbit, other.orbit))
+                and (self.converged, self.iterations, self.method)
+                == (other.converged, other.iterations, other.method))
+
+    def __hash__(self):
+        return hash((self.orbit.tobytes(), self.method))
 
     @property
     def start_index(self) -> int:
@@ -349,67 +371,47 @@ def _series_corrections(map: ToralAutomorphism, errors: np.ndarray, n: int,
 
     The stable block is integrated forward from index 0 and the unstable
     block backward from the right end, so every factor applied is
-    contracting.  One orbit of a 2-D map runs both recurrences over Python
-    floats (`_scalar_sweeps`); anything else runs them as numpy row
-    operations over the m orbits (`_row_sweeps`).  Either way each orbit's
-    corrections are bit for bit those of the same series run on that orbit
-    alone.
+    contracting.  One segment of a 2-D map runs both recurrences over Python
+    floats (`_scalar_sweeps`); anything else, every periodic stack included,
+    runs them as numpy row operations over the m orbits (`_row_sweeps`).
+    Either way each orbit's corrections are bit for bit those of the same
+    series run on that orbit alone.
     """
     s = map.splitting
     m, _, d = errors.shape
     As, Au_inv = _adapted_blocks(map)
     eta = s.to_adapted(errors)
-    sweeps = _scalar_sweeps if m == 1 and d == 2 else _row_sweeps
-    zeta = sweeps(As, Au_inv, eta, n, _cyclic_matrices(map, n) if periodic else None)
+    if m == 1 and d == 2 and not periodic:
+        zeta = _scalar_sweeps(As, Au_inv, eta)
+    else:
+        zeta = _row_sweeps(As, Au_inv, eta, n, _cyclic_matrices(map, n) if periodic else None)
     # per-orbit (n, d) @ (d, d) products, as one orbit alone is transformed
     return s.from_adapted(np.ascontiguousarray(zeta))
 
 
-def _scalar_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
-                   cyclic: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Adapted corrections (1, n, 2) of one orbit whose blocks are 1x1;
-    `cyclic` holds the `_cyclic_matrices` of a periodic orbit and is None
-    for a segment.
+def _scalar_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Adapted corrections (1, n, 2) of one segment whose blocks are 1x1.
 
     CPython rounds each product, sum and difference of two floats as
     `np.multiply`, `np.add` and `np.subtract` do on float64 and never fuses
     them, so the steps give `_row_sweeps`' bits without two numpy calls per
     step.
-    The periodic fixed point is solved by the same numpy calls as there.
     """
     a, b = float(As[0, 0]), float(Au_inv[0, 0])
     eta_s, eta_u = eta[0, :, 0].tolist(), eta[0, :, 1].tolist()
-
-    def stable_step(z, e):  # zeta_s[j+1] = As zeta_s[j] - eta_s[j]
-        return z * a - e
-
-    def unstable_step(z, e):  # zeta_u[j] = Au^-1 (zeta_u[j+1] + eta_u[j])
-        return (z + e) * b
-
-    periodic = cyclic is not None
-    zs0 = zu_end = 0.0
-    if periodic:
-        # one pass from zero over the period gives the affine map whose
-        # fixed point is the cyclic start of each block
-        lhs_s, lhs_u = cyclic
-        zs0 = float(_cyclic_start(lhs_s, np.array([[reduce(stable_step, eta_s, 0.0)]]))[0, 0])
-        zu_end = float(_cyclic_start(lhs_u, np.array(
-            [[reduce(unstable_step, reversed(eta_u), 0.0)]]))[0, 0])
-    zs = list(accumulate(eta_s[:n - 1], stable_step, initial=zs0))
-    # zeta_u[n-1] down to zeta_u[int(periodic)], from zeta_u[n] = zeta_u[0]
-    # when periodic
-    zu = list(accumulate(reversed(eta_u[int(periodic):]), unstable_step, initial=zu_end))
+    # zeta_s[j+1] = As zeta_s[j] - eta_s[j], from zeta_s[0] = 0
+    zs = list(accumulate(eta_s, lambda z, e: z * a - e, initial=0.0))
+    # zeta_u[j] = Au^-1 (zeta_u[j+1] + eta_u[j]), down from zeta_u[n-1] = 0
+    zu = list(accumulate(reversed(eta_u), lambda z, e: (z + e) * b, initial=0.0))
     zu.reverse()
-    if periodic:
-        zu.insert(0, zu.pop())
     return np.array((zs, zu)).T[None]
 
 
 def _row_sweeps(As: np.ndarray, Au_inv: np.ndarray, eta: np.ndarray, n: int,
                 cyclic: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Adapted corrections (m, n, d) with the time loop over the orbit index
-    and every step vectorized over the m orbits; `cyclic` as in
-    `_scalar_sweeps`."""
+    and every step vectorized over the m orbits; `cyclic` holds the
+    `_cyclic_matrices` of periodic orbits and is None for segments."""
     periodic = cyclic is not None
     m, n_err, d = eta.shape
     ds = len(As)

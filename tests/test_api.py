@@ -7,8 +7,10 @@ only through the splitting's methods; the flow code reads the base shadow
 on arrays and never re-iterates a point; float map steps loop in one
 kernel; only the CLI touches files; integer arguments are told apart in
 one helper, and every integer, positive-scalar and dimension precondition
-of a public entry point is a ValueError that names its argument; pseudo-
-orbit defects are measured in one helper and never declared."""
+of a public entry point is a ValueError that names its argument, and so
+is a `periodic` flag that is not a bool; pseudo-orbit defects are
+measured in one helper and never declared; a transition graph's successor
+lists are built in one property."""
 
 import ast
 import hashlib
@@ -28,8 +30,8 @@ import shadowbench
 from shadowbench.closure import SampledOrbits
 from shadowbench.maximality import (GridSet, bracket_delta_for, b_direction_heteroclinic_family,
                                     constant_family, crovisier_set, maximal_invariant_set)
-from shadowbench.shadowing import (PseudoOrbit, expansivity_test, shift_pseudo,
-                                   suspend_pseudo_orbit)
+from shadowbench.shadowing import (PseudoOrbit, expansivity_test, pseudo_orbit_defect,
+                                   shift_pseudo, suspend_pseudo_orbit)
 from shadowbench.symbolic import (SFT, PeriodicWord, SubshiftPresentation, equality_witness,
                                   is_locally_maximal, language, sft_closure,
                                   shift_metric_with_bound, symbolic_shadow)
@@ -232,6 +234,16 @@ def test_one_defect_measurement():
         assert not {f.name for f in fields(holder)} & {"defect", "delta"}, holder
 
 
+def test_successor_lists_built_in_one_place():
+    # a materialized graph's successor lists come from its cached
+    # `successors` property alone, so a reused graph never rebuilds them
+    tree = ast.parse((Path(shadowbench.__file__).parent / "closure.py").read_text())
+    owners = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_successors"]
+    assert owners == ["successors"]
+
+
 def _fresh(code: str) -> str:
     """Stdout of `code` run in a fresh interpreter on this test run's path."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -338,8 +350,8 @@ def test_heavy_imports_only_in_their_accessors():
 
 
 def _refusals() -> dict:
-    """Calls whose integer, positive-scalar or dimension argument is wrong,
-    and the refusal each gives."""
+    """Calls whose integer, positive-scalar, dimension or `periodic` argument
+    is wrong, and the refusal each gives."""
     cat, crovisier = cat_map(), crovisier_product()
     p, q, r = TorusPoint((0.3, 0.4)), TorusPoint((0.5, 0.0)), TorusPoint((0.0, 0.0))
     s = SubshiftPresentation(2, (PeriodicWord.constant(0, 2), PeriodicWord.constant(1, 2)))
@@ -363,6 +375,13 @@ def _refusals() -> dict:
         "orbit_segment n_max": (lambda: cat.orbit_segment(p, 0, 1.5),
                                 "n_max must be an integer, got 1.5"),
         "shift_pseudo n": (lambda: shift_pseudo(po, 1.5), "n must be an integer, got 1.5"),
+        "PseudoOrbit periodic": (lambda: PseudoOrbit(po.points, periodic="no"),
+                                 "periodic must be a bool, got 'no'"),
+        "from_map periodic": (lambda: PseudoOrbit.from_map(cat, po.points, periodic=1),
+                              "periodic must be a bool, got 1"),
+        "pseudo_orbit_defect periodic": (
+            lambda: pseudo_orbit_defect(cat, po.points, periodic="no"),
+            "periodic must be a bool, got 'no'"),
         "from_map start_index": (
             lambda: PseudoOrbit.from_map(cat, po.points, start_index=-0.5),
             "start_index must be an integer, got -0.5"),

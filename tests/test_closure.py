@@ -907,6 +907,22 @@ class TestSamplePseudoOrbits:
         assert kinds.count((True, {False, True})) == 3
         assert kinds.count((False, {False, True})) == 2
 
+    def test_families_are_the_walk_free_sample(self, cat):
+        for g, kw in self._reference_graphs(cat):
+            p = SamplingParams(**kw)
+            families = closure._graph_families(g, p)
+            walk_free = sample_pseudo_orbits(g, params=SamplingParams(**{**kw, "n_paths": 0}))
+            sampled = sample_pseudo_orbits(g, params=p)
+            n = len(families.sequences)
+            assert families.lazy_graph == (not g.materialized)
+            for s in (walk_free, sampled):
+                assert s.points is families.points is g.set.points
+                assert (s.cycle_cap, s.connector_budget, s.lazy_graph) == (
+                    families.cycle_cap, families.connector_budget, families.lazy_graph)
+            assert (walk_free.sequences, walk_free.periodic) == (families.sequences,
+                                                                 families.periodic)
+            assert sampled.sequences[:n] == families.sequences and len(sampled.sequences) > n
+
     def test_connectors_match_parent_loop(self, cat):
         # n_paths=0 leaves the enumerated cycles and the connectors alone
         nets = [SetApprox.build(np.random.default_rng(k).random((12 + 6 * k, 2)), 0.02)
@@ -1350,6 +1366,28 @@ class TestQuietStepReuse:
             cat, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
             params=SamplingParams(n_paths=8, path_len=20, seed=3)))
         assert all(s.lazy_graph for t in traces for s in t.step_stats)
+
+    def test_successor_lists_built_once_per_graph(self, cat, monkeypatch):
+        built, graphs = [], []
+        successors, build = closure._successors, closure.build_graph
+
+        def spy_successors(edges, n_nodes):
+            built.append(n_nodes)
+            return successors(edges, n_nodes)
+
+        def spy_build(*args):
+            graphs.append(build(*args))
+            return graphs[-1]
+
+        monkeypatch.setattr(closure, "_successors", spy_successors)
+        monkeypatch.setattr(closure, "build_graph", spy_build)
+        cfg = ExperimentConfig(seed=0)
+        sa = closure_battery(cat, cfg.resolution)[0][1]
+        trace = iterate_closure(cat, sa, cfg.delta, cfg.u_radius, cfg.max_iter,
+                                params=cfg.sampling())
+        # quiet steps walk their parent's graph on the lists it already holds
+        assert quiet_steps(trace) > 0 and all(g.materialized for g in graphs)
+        assert built == [g.n_nodes for g in graphs]
 
     def test_only_unchanged_nets_skip_families_and_shadowing(self, cat, monkeypatch):
         log = []  # per step: graphs built, families enumerated, orbits shadowed

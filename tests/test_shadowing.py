@@ -325,6 +325,14 @@ class TestMeasuredGate:
             assert a != other
         assert a != pts.tolist()
 
+    def test_periodic_numpy_bool_stored_as_bool(self, cat, rng):
+        pts = noisy_orbit(cat, rng, 5, 1e-3)
+        for flag in (False, True):
+            po = PseudoOrbit(pts, periodic=np.bool_(flag))
+            assert type(po.periodic) is bool and po == PseudoOrbit(pts, periodic=flag)
+            assert (pseudo_orbit_defect(cat, pts, periodic=np.bool_(flag))
+                    == pseudo_orbit_defect(cat, pts, periodic=flag))
+
 
 def series_loop(map, errors, n, periodic):
     """Reference: the per-orbit time loop of `exact_shadow_linear` before the
@@ -490,6 +498,21 @@ class TestSeriesKernel:
                 admitted_any |= bool(admitted.any())
                 refused_any |= not admitted.all()
             assert (admitted_any, refused_any) == (limit > 0, limit < np.inf)
+
+
+def test_scalar_route_takes_single_2d_segments_only(cat, rng, monkeypatch):
+    import shadowbench.shadowing as module
+
+    routes = []
+    for name in ("_scalar_sweeps", "_row_sweeps"):
+        sweeps = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, sweeps=sweeps: (
+            routes.append(name), sweeps(*args))[1])
+    for periodic in (False, True):
+        po = PseudoOrbit(noisy_orbit(cat, rng, 8, 1e-3), periodic=periodic)
+        exact_shadow_linear(cat, po, max_defect=np.inf)
+        _series_corrections(cat, np.stack([lifted_errors(cat, po)] * 2), 8, periodic)
+    assert routes == ["_scalar_sweeps", "_row_sweeps", "_row_sweeps", "_row_sweeps"]
 
 
 class TestNewtonJacobian:
@@ -692,6 +715,18 @@ class TestShadowResult:
                 assert_matches_eager(res, ref)
             assert_matches_eager(exact, _result_from_orbit(
                 map, po, series, iterations=0, converged=True, method="exact"))
+
+    def test_value_equality_and_hash(self, cat, rng):
+        po = PseudoOrbit(noisy_orbit(cat, rng, 20, 1e-3), start_index=-10)
+        a = exact_shadow_linear(cat, po)
+        b = exact_shadow_linear(cat, PseudoOrbit(po.points.copy(), start_index=-10))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        newton = newton_shadow(cat, po)
+        assert a != newton and newton == newton_shadow(cat, po)
+        assert a != replace(a, iterations=1) and a != a.orbit.tolist()
+        flow_a, flow_b = FlowShadowResult(a, 0.1), FlowShadowResult(b, 0.1)
+        assert flow_a == flow_b and hash(flow_a) == hash(flow_b)
+        assert flow_a != FlowShadowResult(newton, 0.1)
 
     def test_newton_result_matches_eager_builder(self, result_map, rng):
         for periodic, start in ((False, -20), (True, 3)):
