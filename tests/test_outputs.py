@@ -1,7 +1,8 @@
 """The deterministic outputs, pinned by SHA-256: every file of the `suite
 --scale quick` trees at seeds 0 and 7 and of the `suite --scale full` tree
 at seed 0, the stdout of `crovisier --depth 4 --closure --max-iter 2`
-at seeds 0 and 11, and the stdout of `shadow --orbit` on a noisy cat-map
+at seeds 0 and 11 and of `crovisier --depth 3 --closure --max-iter 2` at
+two wide deltas, and the stdout of `shadow --orbit` on a noisy cat-map
 segment and a noisy periodic cat-map orbit by both methods.  A one-bit
 change to any of them fails here.
 
@@ -102,6 +103,25 @@ def test_crovisier_stdout_is_pinned(seed, capsys):
     assert code == EXIT_BUDGET
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == CROVISIER_DEPTH_4[seed]
+
+
+# (--closure-delta, seed) -> stdout digest at depth 3, two steps, exit code 3.
+# At 0.6 the ball spans more than half the 8-cell axis and the graph stays
+# lazy; at 0.3 it is materialized.
+CROVISIER_DEPTH_3 = {
+    ("0.6", 0): "f329fd61ec2bbdb0208c182cfee845d68a880bd71c5a8cfc36858eea5468857e",
+    ("0.6", 1): "e1f65b945a57b7bcb12f1e3e8ed43cf9c722e5ebd05e3883ae93de5f34d46588",
+    ("0.3", 0): "d950327d1664ddea87091c35800107bd4113d341b7efbf9757e8544a54a53b56",
+}
+
+
+@pytest.mark.parametrize("delta,seed", sorted(CROVISIER_DEPTH_3))
+def test_crovisier_wide_delta_stdout_is_pinned(delta, seed, capsys):
+    code = main(["crovisier", "--depth", "3", "--closure", "--max-iter", "2",
+                 "--closure-delta", delta, "--seed", str(seed)])
+    assert code == EXIT_BUDGET
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CROVISIER_DEPTH_3[delta, seed]
 
 
 # (orbit file, --method) -> stdout digest
