@@ -13,7 +13,9 @@ increments cannot both be small) held along the way.
 Torus nearest-neighbor machinery is scipy's periodic cKDTree (boxsize=1),
 which realizes exactly the min-over-translates metric of `torus_distance`;
 graph edges, Hausdorff distances and the keep-first coarsening of nets all
-query it, and tests cross-check it against the brute-force definition.
+query it, and tests cross-check it against the brute-force definition.  A
+net made from a grid set knows that its first rows are a cell lattice; its
+graph answers the balls of those rows with one integer stencil instead.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ __all__ = [
 _COUNT_CHUNK = 128
 # closed-ball hits past which a transition graph stays lazy
 _EDGE_CAP = 2_000_000
+# stencil targets per block of the lattice count pass: bounds its temporaries
+_TARGET_BLOCK = _COUNT_CHUNK * 4096
 
 
 def _torus_tree(points: np.ndarray) -> cKDTree:
@@ -89,6 +93,24 @@ def _pairs(sa: SetApprox, r: float) -> np.ndarray:
     return pairs[torus_distance_array(sa.points[pairs[:, 0]], sa.points[pairs[:, 1]]) < r]
 
 
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """The cells of a depth-k grid set whose centres (c + 1/2)·2^-k are a
+    net's first `size` rows: cell c is row `rank[c]`, in C order, and
+    `rank` is -1 on the absent cells of the (2^k)^d grid."""
+
+    depth: int
+    rank: np.ndarray  # int32, shape (2^k,) * d
+    size: int
+
+    @classmethod
+    def of(cls, depth: int, mask: np.ndarray) -> _Lattice:
+        size = np.count_nonzero(mask)
+        rank = np.full(mask.shape, -1, dtype=np.int32)
+        rank[mask] = np.arange(size, dtype=np.int32)
+        return cls(depth, rank, int(size))
+
+
 class SetApprox:
     """Finite r-net approximating a compact subset of T^d.
 
@@ -96,13 +118,15 @@ class SetApprox:
     construction; `build` coarsens instead of rejecting, keeping the
     earliest-inserted point of any r/2-cluster.  `_validate=False` marks
     trusted rows, already wrapped into [0, 1) and already a net: they are
-    neither wrapped nor checked again.
+    neither wrapped nor checked again.  `lattice` is set on a net whose
+    first rows are the centres of a grid set's cells (see `_Lattice`), and
+    it carries over to the nets merged from it.
     """
 
-    __slots__ = ("points", "resolution", "label", "_tree")
+    __slots__ = ("points", "resolution", "label", "lattice", "_tree")
 
     def __init__(self, points: np.ndarray, resolution: float, label: str = "",
-                 _validate: bool = True):
+                 _validate: bool = True, _lattice: _Lattice | None = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if _validate and not np.isfinite(pts).all():
             raise ValueError("points must have finite coordinates")
@@ -115,6 +139,7 @@ class SetApprox:
         self.points = pts
         self.resolution = resolution
         self.label = label
+        self.lattice = _lattice
         self._tree: cKDTree | None = None
         if _validate and len(pts) > 1 and len(pairs := _pairs(self, resolution / 2.0)):
             i, j = pairs[0]
@@ -174,7 +199,8 @@ class SetApprox:
             gap, _ = self.tree.query(cand, k=1)
             kept = _greedy_net(cand[gap >= threshold], threshold)
         return SetApprox(np.vstack([self.points, kept]), self.resolution,
-                         self.label if label is None else label, _validate=False), len(kept)
+                         self.label if label is None else label, _validate=False,
+                         _lattice=self.lattice), len(kept)
 
 
 def _greedy_net(points: np.ndarray, threshold: float) -> np.ndarray:
@@ -210,18 +236,96 @@ def hausdorff(A: SetApprox, B: SetApprox) -> float:
     return max(directed_hausdorff(A, B), directed_hausdorff(B, A))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _Stencil:
+    """The delta-balls of a lattice net's rows as cell offsets.
+
+    The image of a lattice row under an integer matrix is an exact dyadic,
+    and every such image sits at the same place in its cell.  So whether
+    the centre of the cell t away from an image's cell is delta-close is
+    one verdict for every lattice row, bit for bit: every difference the
+    rule takes is exact.  `ball` holds the offsets strictly within delta,
+    `_ball`'s rule, each once mod 2^k.  An offset t is a column: its entry
+    on axis a is a·len(axis) + j where t_a = axis[j].
+    """
+
+    lattice: _Lattice
+    axis: np.ndarray  # int32 cell offsets along one axis
+    ball: np.ndarray  # intp (d, |T|), the index type of a fast gather
+
+    def _targets(self, cells: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The ranks of the cells `offsets` away from `cells`, -1 where a
+        cell is absent: (|T|,) for one cell given as (d,), (|T|, rows) for
+        cells given as (d, rows)."""
+        n = 2 ** self.lattice.depth
+        trail = (1,) * (cells.ndim - 1)
+        # entry (a, j): (c_a + axis[j]) mod n times axis a's stride, the
+        # share of axis a in the flat index of a target
+        strides = n ** np.arange(len(cells) - 1, -1, -1, dtype=np.int32)
+        terms = (cells[:, None] + self.axis.reshape(-1, *trail)) % n
+        terms = (terms * strides.reshape(-1, 1, *trail)).reshape(-1, *cells.shape[1:])
+        flat = terms[offsets[0]]
+        for column in offsets[1:]:
+            flat += terms[column]
+        return self.lattice.rank.reshape(-1)[flat]
+
+    def _cells(self, images: np.ndarray) -> np.ndarray:
+        """The cells holding image rows, with the axis first."""
+        return np.floor(images.T * 2 ** self.lattice.depth).astype(np.int32)
+
+    def near(self, image: np.ndarray) -> np.ndarray:
+        """The lattice rows delta-close to the image of a lattice row, ascending."""
+        ranks = self._targets(self._cells(image), self.ball)
+        return np.sort(ranks[ranks >= 0]).astype(np.intp)
+
+    def hits(self, images: np.ndarray, offsets: np.ndarray) -> int:
+        """How many lattice rows sit at `offsets` from the cells of the
+        images of lattice rows, summed over the images."""
+        rows = max(1, _TARGET_BLOCK // offsets.shape[1])
+        return sum(int(np.count_nonzero(self._targets(self._cells(part), offsets) >= 0))
+                   for part in np.split(images, range(rows, len(images), rows)))
+
+
+def _cell_box(lattice: _Lattice, images: np.ndarray,
+              delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The cell offsets that can hold a centre delta-close to the image of a
+    lattice row, as the axis and the columns of `_Stencil`, and the centre
+    rows of those cells around the first image; None unless the lattice
+    rows' images all sit at one place in their cells, a multiple of half a
+    cell from its corner: the exactness a stencil rests on."""
+    n = 2 ** lattice.depth
+    place = images[:lattice.size] * n
+    place -= np.floor(place)
+    if not (np.all(place == place[0]) and np.all(place[0] * 2 % 1.0 == 0.0)):
+        return None
+    # a cell's centre lies within delta of the image on an axis only if the
+    # cell is at most reach cells away; a reach covering the axis takes each cell once
+    reach = int(np.floor(min(delta, 1.0) * n)) + 1
+    axis = np.arange(n) if 2 * reach + 1 >= n else np.arange(-reach, reach + 1)
+    d = images.shape[1]
+    box = np.indices((len(axis),) * d).reshape(d, -1)
+    # the centre coordinates along each axis, (d, len(axis)), then of each box cell
+    coords = ((np.floor(images[0] * n)[:, None] + axis) % n + 0.5) * 2.0 ** -lattice.depth
+    centres = coords[np.arange(d)[:, None], box].T
+    return axis.astype(np.int32), box + (np.arange(d) * len(axis))[:, None], centres
+
+
+@dataclass(frozen=True, eq=False)
 class TransitionGraph:
     """Edges (i, j) with d(f(x_i), x_j) < delta over a net: the finite
     presentation of the delta-pseudo-orbit space.
 
     Dense graphs beyond `_EDGE_CAP` closed-ball hits stay lazy: `edges` is
-    None and neighbor queries go through the KD-tree on demand.  `n_edges`
-    is the exact edge count of a materialized graph; on a lazy graph it is
-    the running count of closed-ball hits at the query chunk that took it
-    past the cap.  A closure step whose parent graph is lazy makes its own
-    lazy without counting, with the parent's `n_edges`.  A materialized
-    graph builds its `successors` lists on the first read and keeps them.
+    None and neighbor queries are answered on demand.  `n_edges` is the
+    exact edge count of a materialized graph; on a lazy graph it is the
+    running count of closed-ball hits at the query chunk that took it past
+    the cap.  A closure step whose parent graph is lazy makes its own lazy
+    without counting, with the parent's `n_edges` and `stencil`.  A
+    materialized graph builds its `successors` lists on the first read and
+    keeps them.  On a net with a lattice, `stencil` answers the lattice
+    rows' balls among the lattice rows, and a KD-tree over the rows after
+    them the rest; any other row queries the net's tree.  Graphs compare
+    by identity.
     """
 
     set: SetApprox
@@ -229,6 +333,7 @@ class TransitionGraph:
     images: np.ndarray = field(repr=False)
     edges: np.ndarray | None = field(repr=False)
     n_edges: int = 0
+    stencil: _Stencil | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -243,8 +348,20 @@ class TransitionGraph:
         """The successor lists of a materialized graph, in edge order."""
         return _successors(self.edges, self.n_nodes)
 
+    @cached_property
+    def _tail_tree(self) -> cKDTree | None:
+        """The KD-tree over the net's rows after its lattice rows, if any."""
+        tail = self.set.points[self.stencil.lattice.size:]
+        return _torus_tree(tail) if len(tail) else None
+
     def out_neighbors(self, i: int) -> np.ndarray:
-        return _ball(self.set.tree, self.images[i], self.delta)
+        if self.stencil is None or i >= self.stencil.lattice.size:
+            return _ball(self.set.tree, self.images[i], self.delta)
+        near = self.stencil.near(self.images[i])
+        if self._tail_tree is None:
+            return near
+        far = _ball(self._tail_tree, self.images[i], self.delta)
+        return np.concatenate([near, far + self.stencil.lattice.size])
 
     def self_loop_nodes(self) -> np.ndarray:
         d = torus_distance_array(self.images, self.set.points)
@@ -269,16 +386,29 @@ def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float) -> Transiti
     _positive("delta", delta)
     map._check_dim(sa.dim)
     images = map.apply_array(sa.points)
+    stencil = closed = None
+    box = None if sa.lattice is None else _cell_box(sa.lattice, images, delta)
+    if box is not None:
+        # each rule between the first image and the box's real centre rows:
+        # `_ball`'s for the stencil, the tree's closed ball for the count
+        axis, columns, centres = box
+        near = _ball(_torus_tree(centres), images[0], delta)
+        stencil = _Stencil(sa.lattice, axis, columns[:, near])
+        if sa.lattice.size == len(sa):
+            hit = _torus_tree(images[:1]).query_ball_point(centres, r=delta, return_length=True)
+            closed = columns[:, hit > 0]
     # closed-ball hits, a superset of the edges, are counted chunk by chunk:
     # once their running total passes the cap the graph stays lazy
     total = 0
     for start in range(0, len(images), _COUNT_CHUNK):
-        total += int(np.sum(sa.tree.query_ball_point(images[start:start + _COUNT_CHUNK],
-                                                     r=delta, return_length=True)))
+        rows = images[start:start + _COUNT_CHUNK]
+        total += (int(np.sum(sa.tree.query_ball_point(rows, r=delta, return_length=True)))
+                  if closed is None else stencil.hits(rows, closed))
         if total > _EDGE_CAP:
-            return TransitionGraph(sa, delta, images, None, total)
+            return TransitionGraph(sa, delta, images, None, total, stencil)
     sources, targets = _balls(sa.tree, images, delta)
-    return TransitionGraph(sa, delta, images, np.column_stack([sources, targets]), len(sources))
+    return TransitionGraph(sa, delta, images, np.column_stack([sources, targets]),
+                           len(sources), stencil)
 
 
 @dataclass(frozen=True)
@@ -304,7 +434,7 @@ _CONNECTORS_PER_PAIR = 5
 _PAD = 15                  # points of cycle padding on each connector side
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledOrbits:
     """Sampled pseudo-orbits as node-index sequences into the net `points`.
 
@@ -312,6 +442,7 @@ class SampledOrbits:
     segment indexed from -(n // 2).  The three flags name the cap that made
     the sample partial: the cycle cap, the connector budget, or a graph too
     dense to materialize (no cycle or connector enumeration at all).
+    Samples compare by identity.
     """
 
     points: np.ndarray = field(repr=False)
@@ -568,10 +699,11 @@ def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
       hold again; and the parent added nothing, so every admitted family
       window lies strictly within r/2 of this same net and the merge would
       drop it again;
-    - lazy without a count pass, with the parent's images and count, when
-      the parent graph is lazy: the larger net gives each of the parent's
-      image rows at least as many closed-ball hits.  The parent's rows keep
-      the roundings of the batch they were stepped in;
+    - lazy without a count pass, with the parent's images, count and
+      stencil, when the parent graph is lazy: the larger net gives each of
+      the parent's image rows at least as many closed-ball hits, and keeps
+      the parent net's lattice.  The parent's rows keep the roundings of
+      the batch they were stepped in;
     - else the one `build_graph` makes.
     """
     limit = _defect_limit(map.splitting, max_defect)
@@ -581,7 +713,7 @@ def _closure_step(map: ToralAutomorphism, sa: SetApprox, delta: float,
     elif parent is not None and not parent.graph.materialized:
         prev = parent.graph
         images = np.vstack([prev.images, map.apply_array(sa.points[len(prev.set):])])
-        graph = TransitionGraph(sa, delta, images, None, prev.n_edges)
+        graph = TransitionGraph(sa, delta, images, None, prev.n_edges, prev.stencil)
     else:
         graph = build_graph(map, sa, delta)
     families = parent.families if reused else _graph_families(graph, params)
@@ -748,7 +880,8 @@ def iterate_closure(map: ToralAutomorphism, lam0: SetApprox, delta: float,
     p = params or SamplingParams()
     tol = 0.45 * lam0.resolution
     gamma = gamma_for(map, delta)
-    iterates = [SetApprox(lam0.points, lam0.resolution, "Lambda_0", _validate=False)]
+    iterates = [SetApprox(lam0.points, lam0.resolution, "Lambda_0", _validate=False,
+                          _lattice=lam0.lattice)]
     nus: list[float] = []
     stats: list[ClosureStepStats] = []
     verdict: Verdict | None = None

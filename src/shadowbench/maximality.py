@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closure import SetApprox, _pairs
+from .closure import SetApprox, _Lattice, _pairs
 from .torus import (
     ProductSystem,
     ToralAutomorphism,
@@ -184,22 +184,34 @@ def local_product_check(map: ToralAutomorphism, sa: SetApprox, eps: float,
 # grids
 
 
-def _side(depth: int) -> int:
-    """Cells per axis at subdivision depth k: 2^k."""
-    return 2 ** _integer("depth", depth, 0)
+# the most cells a grid may span, (2^k)^d: the 4-d grid at depth 6
+_MAX_CELLS = 2 ** 24
+
+
+def _shape(dim: int, depth: int) -> tuple[int, ...]:
+    """The (2^k,) * d shape of a grid, refused past `_MAX_CELLS` cells
+    before anything is allocated."""
+    depth = _integer("depth", depth, 0)
+    dim = _integer("dim", dim, 1)
+    bits = _MAX_CELLS.bit_length() - 1
+    if depth * dim > bits:
+        raise ValueError(f"depth {depth} in dimension {dim} gives 2^{depth * dim} cells, "
+                         f"above the grid bound of 2^{bits}")
+    return (2 ** depth,) * dim
 
 
 @dataclass(frozen=True)
 class GridSet:
     """Cell set at dyadic subdivision depth k: cell width 2^-k per axis,
-    stored as a boolean occupancy array over the full (2^k)^d grid."""
+    stored as a boolean occupancy array over the full (2^k)^d grid, of at
+    most `_MAX_CELLS` cells."""
 
     dim: int
     depth: int
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = (_side(self.depth),) * _integer("dim", self.dim, 1)
+        expected = _shape(self.dim, self.depth)
         if self.mask.shape != expected:
             raise ValueError(f"mask shape {self.mask.shape} != {expected}")
         m = np.asarray(self.mask, dtype=bool)
@@ -217,7 +229,7 @@ class GridSet:
 
     @classmethod
     def full(cls, dim: int, depth: int) -> "GridSet":
-        return cls(dim, depth, np.ones((_side(depth),) * _integer("dim", dim, 1), dtype=bool))
+        return cls(dim, depth, np.ones(_shape(dim, depth), dtype=bool))
 
     @property
     def width(self) -> float:
@@ -256,7 +268,8 @@ class GridSet:
         return GridSet(self.dim, self.depth, self.mask & keep)
 
     def as_set_approx(self, label: str = "") -> SetApprox:
-        return SetApprox(self.centers(), self.width, label, _validate=False)
+        return SetApprox(self.centers(), self.width, label, _validate=False,
+                         _lattice=_Lattice.of(self.depth, self.mask))
 
     def coarsen(self) -> "GridSet":
         """Project to depth-1: a coarse cell is occupied when any of its 2^d
@@ -284,11 +297,11 @@ class GridSet:
 
     @classmethod
     def from_rle(cls, d: dict) -> "GridSet":
-        n = _side(d["depth"])
-        flat = np.zeros(n ** _integer("dim", d["dim"], 1), dtype=bool)
+        mask = np.zeros(_shape(d["dim"], d["depth"]), dtype=bool)
+        flat = mask.reshape(-1)
         for start, length in d["runs"]:
             flat[start: start + length] = True
-        return cls(d["dim"], d["depth"], flat.reshape((n,) * d["dim"]))
+        return cls(d["dim"], d["depth"], mask)
 
 
 def _sweep(mask: np.ndarray, M: np.ndarray, depth: int) -> np.ndarray:

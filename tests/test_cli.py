@@ -373,6 +373,10 @@ class TestCrovisierCommand:
         (["--depth", "-1"], "depth must be >= 0, got -1"),
         (["--q", "0.3", "0.1", "--q-period", "0"], "q_period must be >= 1, got 0"),
         (["--q-period", "-2"], "q_period must be >= 1, got -2"),
+        # once an uncaught out-of-memory traceback, and numpy's dimension error
+        (["--depth", "9"], "depth 9 in dimension 4 gives 2^36 cells, above the grid bound of 2^24"),
+        (["--depth", "70"],
+         "depth 70 in dimension 4 gives 2^280 cells, above the grid bound of 2^24"),
     ])
     def test_bad_grid_input_exit_one(self, capsys, args, message):
         code, error = run_error(["crovisier", "--depth", "2"] + args, capsys)

@@ -30,13 +30,15 @@ from shadowbench.closure import (
     sample_pseudo_orbits,
     shadowing_closure,
 )
-from shadowbench.cli import ExperimentConfig, closure_battery
+from shadowbench.cli import ExperimentConfig, _crovisier_grid, closure_battery
+from shadowbench.maximality import GridSet
 from shadowbench.shadowing import (PseudoOrbit, ShadowingRefusal, exact_shadow_linear,
                                    newton_shadow, pseudo_orbit_defect)
 from shadowbench.torus import (
     ToralAutomorphism,
     TorusPoint,
     cat_map,
+    crovisier_product,
     torus_distance,
     torus_distance_array,
     wrap,
@@ -629,6 +631,124 @@ class TestBuildGraph:
         g = build_graph(cat, sa, delta=0.05)
         assert not g.materialized and g.n_edges > 100
         assert 0 < sum(queried) <= closure._COUNT_CHUNK
+
+
+def punctured_net(depth):
+    """The crovisier Lambda_0 at depth k: the centres of a punctured 4-d
+    grid set, a net that knows its lattice, with the map and the closure's
+    default delta 4·2^-k."""
+    system = crovisier_product()
+    grid, _ = _crovisier_grid(system, depth)
+    return system.as_automorphism(), grid.as_set_approx(), 4 * grid.width
+
+
+def assert_balls_match_tree(g, nodes, batch=512):
+    """`out_neighbors` on each node equals the tree's filtered ball, batched
+    through `_balls`."""
+    for start in range(0, len(nodes), batch):
+        part = nodes[start:start + batch]
+        src, dst = _balls(g.set.tree, g.images[part], g.delta)
+        ends = np.searchsorted(src, np.arange(1, len(part)))
+        for i, expected in zip(part, np.split(dst, ends)):
+            got = g.out_neighbors(i)
+            assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), i
+
+
+def chunked_closed_count(sa, images, delta):
+    """The count pass by the tree: closed-ball hits over `_COUNT_CHUNK`
+    rows at a time, stopped at the chunk that passes the cap."""
+    total = 0
+    for start in range(0, len(images), closure._COUNT_CHUNK):
+        total += int(np.sum(sa.tree.query_ball_point(images[start:start + closure._COUNT_CHUNK],
+                                                     r=delta, return_length=True)))
+        if total > closure._EDGE_CAP:
+            break
+    return total
+
+
+class TestLatticeStencil:
+    """A grid net's first rows are a lattice, and its graph answers their
+    balls with an integer stencil: the same rows as `_ball` on the net's
+    tree, in the same order, and the same count as the tree's."""
+
+    @pytest.mark.parametrize("delta", [None, 0.6])
+    def test_every_depth_3_node_matches_the_tree(self, delta):
+        # 0.6 spans more than half the 8-cell axis: offsets repeat mod 8
+        f, sa, default = punctured_net(3)
+        g = build_graph(f, sa, default if delta is None else delta)
+        assert g.stencil is not None and g.stencil.lattice.size == len(sa)
+        assert_balls_match_tree(g, np.arange(len(sa)))
+
+    def test_depth_4_sample_and_every_node_near_an_absent_cell(self):
+        f, sa, delta = punctured_net(4)
+        g = build_graph(f, sa, delta)
+        st = g.stencil
+        # the nodes some stencil offset of which lands on an absent cell
+        absent = np.concatenate([(st._targets(st._cells(part), st.ball) < 0).any(axis=0)
+                                 for part in np.split(g.images, range(1024, len(sa), 1024))])
+        near_hole = np.nonzero(absent)[0]
+        assert 0 < len(near_hole) < len(sa)
+        sample = np.random.default_rng(4).choice(len(sa), 2000, replace=False)
+        assert_balls_match_tree(g, np.union1d(sample, near_hole))
+
+    def test_second_step_queries_match_the_full_tree(self, monkeypatch):
+        f, sa, delta = punctured_net(4)
+        queries = []
+        ask = closure.TransitionGraph.out_neighbors
+        monkeypatch.setattr(closure.TransitionGraph, "out_neighbors",
+                            lambda g, i: queries.append((g, i, out := ask(g, i))) or out)
+        iterate_closure(f, sa, delta, 3 * delta / 4, 2, max_defect=np.inf)
+        second = [(g, i, out) for g, i, out in queries if len(g.set) > len(sa)]
+        g = second[0][0]
+        assert g.stencil.lattice is sa.lattice and not g.materialized
+        lattice_rows = [(i, out) for _, i, out in second if i < len(sa)]
+        assert lattice_rows and any(out[-1] >= len(sa) for _, out in lattice_rows)
+        for i, out in lattice_rows:
+            assert out.tolist() == _ball(g.set.tree, g.images[i], delta).tolist()
+
+    @pytest.mark.parametrize("depth,delta,block", [
+        (3, None, None), (4, None, None), (3, 0.6, None), (3, 0.3, None),
+        (3, 0.6, 1000)])  # one image per block of the count's temporaries
+    def test_count_matches_the_tree(self, monkeypatch, depth, delta, block):
+        f, sa, default = punctured_net(depth)
+        delta = default if delta is None else delta
+        if block is not None:
+            monkeypatch.setattr(closure, "_TARGET_BLOCK", block)
+        g = build_graph(f, sa, delta)
+        total = chunked_closed_count(sa, g.images, delta)
+        assert g.materialized == (total <= closure._EDGE_CAP)
+        assert g.n_edges == (len(g.edges) if g.materialized else total)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.7])
+    def test_two_dimensional_grid_with_a_hole(self, cat, delta):
+        sa = GridSet.full(2, 5).minus_ball(np.array([0.3, 0.6]), 0.2).as_set_approx()
+        g = build_graph(cat, sa, delta)
+        assert g.stencil is not None
+        assert_balls_match_tree(g, np.arange(len(sa)))
+        total = chunked_closed_count(sa, g.images, delta)
+        assert g.n_edges == (len(g.edges) if g.materialized else total)
+
+    def test_lattice_survives_relabel_and_merge(self):
+        f, sa, delta = punctured_net(2)
+        trace = iterate_closure(f, sa, delta, 1.0, 2, max_defect=np.inf)
+        assert len(trace.final) > len(sa)
+        assert all(it.lattice is sa.lattice for it in trace.iterates)
+
+    def test_rows_off_the_lattice_keep_the_tree(self, cat):
+        # rows that claim a lattice but sit off it give no stencil
+        sa = SetApprox(lattice(8, 1 / 8, 2, offset=1 / 16 + 1e-3), 1 / 8, _validate=False,
+                       _lattice=closure._Lattice.of(3, np.ones((8, 8), dtype=bool)))
+        g = build_graph(cat, sa, 0.3)
+        assert g.stencil is None
+        assert g.out_neighbors(5).tolist() == _ball(sa.tree, g.images[5], 0.3).tolist()
+
+    def test_graphs_and_samples_compare_by_identity(self, cat):
+        sa = SetApprox(np.array([[0.0, 0.0]]), 0.01)
+        g, h = build_graph(cat, sa, 0.05), build_graph(cat, sa, 0.05)
+        sample = sample_pseudo_orbits(g)
+        assert g == g and g != h and hash(g) != hash(h)
+        assert sample == sample and sample != sample_pseudo_orbits(g)
+        assert hash(sample) == hash(sample)
 
 
 def lazy_chain_net(rng):

@@ -329,6 +329,20 @@ class TestGridSet:
         back = GridSet.from_rle(g.to_rle())
         assert np.array_equal(back.mask, g.mask)
 
+    @pytest.mark.parametrize("make", [
+        lambda: GridSet.full(4, 7),
+        lambda: GridSet.from_rle({"dim": 4, "depth": 7, "runs": [[0, 1]]}),
+        lambda: GridSet(4, 7, np.ones(1, dtype=bool)),
+        lambda: GridSet.full(1, 10**9),
+    ])
+    def test_grid_past_the_cell_bound_refused_before_allocation(self, make):
+        with pytest.raises(ValueError, match=r"^depth \d+ in dimension \d gives 2\^\d+ cells, "
+                                             r"above the grid bound of 2\^24$"):
+            make()
+
+    def test_grid_at_the_cell_bound_accepted(self):
+        assert GridSet.full(2, 12).count == 2 ** 24
+
     def test_equal_grids_compare_and_hash_equal(self):
         # the dataclass __eq__ compared masks inside a tuple and raised
         # ValueError; __hash__ raised TypeError on the array field
