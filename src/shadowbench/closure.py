@@ -54,8 +54,12 @@ __all__ = [
 _COUNT_CHUNK = 128
 # closed-ball hits past which a transition graph stays lazy
 _EDGE_CAP = 2_000_000
-# stencil targets per block of the lattice count pass: bounds its temporaries
+# entries per block of the lattice count pass, summed over its offsets and the
+# two half tables of `_Stencil`, per image row: its intp temporaries take at
+# most 16 bytes an entry, so 8 MiB a block
 _TARGET_BLOCK = _COUNT_CHUNK * 4096
+# rows per block of `TransitionGraph.self_loop_nodes`: bounds its float temporaries
+_LOOP_BLOCK = 8192
 
 
 def _torus_tree(points: np.ndarray) -> cKDTree:
@@ -63,7 +67,11 @@ def _torus_tree(points: np.ndarray) -> cKDTree:
     # with the first tree rather than with the package
     from scipy.spatial import cKDTree
 
-    return cKDTree(wrap(points), boxsize=1.0)
+    # sliding-midpoint splits over the full cell rectangles (Maneewongvatana
+    # and Mount 1999) build two to three times faster than median splits over
+    # shrunk ones; no caller reads the tree's shape: balls are sorted, pairs
+    # lexsorted, and nearest-point queries read only the distance
+    return cKDTree(wrap(points), boxsize=1.0, balanced_tree=False, compact_nodes=False)
 
 
 # The neighbour rule, for every caller: r-close means torus distance strictly
@@ -245,54 +253,71 @@ class _Stencil:
     the centre of the cell t away from an image's cell is delta-close is
     one verdict for every lattice row, bit for bit: every difference the
     rule takes is exact.  `ball` holds the offsets strictly within delta,
-    `_ball`'s rule, each once mod 2^k.  An offset t is a column: its entry
-    on axis a is a·len(axis) + j where t_a = axis[j].
+    `_ball`'s rule, each once mod 2^k.
+
+    The offsets lie in the box `axis`^d.  The first d//2 axes are the head
+    of an offset and the rest its tail, and `ball` holds, per offset, the
+    C-order index of its head in the head box and that of its tail in the
+    tail box.  A target's flat index in the grid is a sum over the axes, so
+    from a cell c it is head[i] + tail[j]: two small tables of the wrapped
+    partial flat indices of c plus every head, and every tail, offset, of
+    len(axis)^(d//2) and len(axis)^(d - d//2) entries.  A ball is then two
+    gathers from those tables and one read of `rank`, for one image or a
+    block of them, and nothing the stencil holds is larger than `rank`.
     """
 
     lattice: _Lattice
-    axis: np.ndarray  # int32 cell offsets along one axis
-    ball: np.ndarray  # intp (d, |T|), the index type of a fast gather
+    axis: np.ndarray  # intp cell offsets along one axis
+    ball: tuple[np.ndarray, np.ndarray]  # int32 head and tail indices, (|T|,) each
 
-    def _targets(self, cells: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """The ranks of the cells `offsets` away from `cells`, -1 where a
-        cell is absent: (|T|,) for one cell given as (d,), (|T|, rows) for
-        cells given as (d, rows)."""
+    def _ranks(self, images: np.ndarray, offsets: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The ranks of the cells `offsets` away from the cells holding
+        image rows, -1 where a cell is absent: (|T|,) for one image given as
+        (d,), (|T|, rows) for images given as (rows, d)."""
         n = 2 ** self.lattice.depth
+        cells = np.floor(images.T * n).astype(np.intp)
         trail = (1,) * (cells.ndim - 1)
         # entry (a, j): (c_a + axis[j]) mod n times axis a's stride, the
         # share of axis a in the flat index of a target
-        strides = n ** np.arange(len(cells) - 1, -1, -1, dtype=np.int32)
+        strides = n ** np.arange(len(cells) - 1, -1, -1)
         terms = (cells[:, None] + self.axis.reshape(-1, *trail)) % n
-        terms = (terms * strides.reshape(-1, 1, *trail)).reshape(-1, *cells.shape[1:])
-        flat = terms[offsets[0]]
-        for column in offsets[1:]:
-            flat += terms[column]
-        return self.lattice.rank.reshape(-1)[flat]
-
-    def _cells(self, images: np.ndarray) -> np.ndarray:
-        """The cells holding image rows, with the axis first."""
-        return np.floor(images.T * 2 ** self.lattice.depth).astype(np.int32)
+        terms *= strides.reshape(-1, 1, *trail)
+        h = len(terms) // 2
+        flat = _sums(terms[:h]).take(offsets[0], axis=0)
+        flat += _sums(terms[h:]).take(offsets[1], axis=0)
+        return self.lattice.rank.take(flat)
 
     def near(self, image: np.ndarray) -> np.ndarray:
         """The lattice rows delta-close to the image of a lattice row, ascending."""
-        ranks = self._targets(self._cells(image), self.ball)
+        ranks = self._ranks(image, self.ball)
         return np.sort(ranks[ranks >= 0]).astype(np.intp)
 
-    def hits(self, images: np.ndarray, offsets: np.ndarray) -> int:
+    def hits(self, images: np.ndarray, offsets: tuple[np.ndarray, np.ndarray]) -> int:
         """How many lattice rows sit at `offsets` from the cells of the
         images of lattice rows, summed over the images."""
-        rows = max(1, _TARGET_BLOCK // offsets.shape[1])
-        return sum(int(np.count_nonzero(self._targets(self._cells(part), offsets) >= 0))
+        d, side = images.shape[1], len(self.axis)
+        rows = max(1, _TARGET_BLOCK // (len(offsets[0]) + side ** (d // 2) + side ** (d - d // 2)))
+        return sum(int(np.count_nonzero(self._ranks(part, offsets) >= 0))
                    for part in np.split(images, range(rows, len(images), rows)))
 
 
-def _cell_box(lattice: _Lattice, images: np.ndarray,
-              delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _sums(terms: np.ndarray) -> np.ndarray:
+    """Every sum of one entry from each row of `terms`, (m, L, ...) with
+    m >= 1, in C order of the rows' entries: (L^m, ...)."""
+    out = terms[0]
+    for a in range(1, len(terms)):
+        out = (out[:, None] + terms[a]).reshape(-1, *out.shape[1:])
+    return out
+
+
+def _cell_box(lattice: _Lattice, images: np.ndarray, delta: float
+              ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray] | None:
     """The cell offsets that can hold a centre delta-close to the image of a
-    lattice row, as the axis and the columns of `_Stencil`, and the centre
-    rows of those cells around the first image; None unless the lattice
-    rows' images all sit at one place in their cells, a multiple of half a
-    cell from its corner: the exactness a stencil rests on."""
+    lattice row, as the axis of `_Stencil` and each box cell's head and tail
+    indices, and the centre rows of those cells around the first image, in
+    the same C order; None unless the lattice rows' images all sit at one
+    place in their cells, a multiple of half a cell from its corner: the
+    exactness a stencil rests on."""
     n = 2 ** lattice.depth
     place = images[:lattice.size] * n
     place -= np.floor(place)
@@ -307,7 +332,8 @@ def _cell_box(lattice: _Lattice, images: np.ndarray,
     # the centre coordinates along each axis, (d, len(axis)), then of each box cell
     coords = ((np.floor(images[0] * n)[:, None] + axis) % n + 0.5) * 2.0 ** -lattice.depth
     centres = coords[np.arange(d)[:, None], box].T
-    return axis.astype(np.int32), box + (np.arange(d) * len(axis))[:, None], centres
+    halves = divmod(np.arange(box.shape[1], dtype=np.int32), len(axis) ** (d - d // 2))
+    return axis, halves, centres
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,8 +390,11 @@ class TransitionGraph:
         return np.concatenate([near, far + self.stencil.lattice.size])
 
     def self_loop_nodes(self) -> np.ndarray:
-        d = torus_distance_array(self.images, self.set.points)
-        return np.nonzero(d < self.delta)[0]
+        blocks = range(0, self.n_nodes, _LOOP_BLOCK)
+        return np.concatenate([
+            start + np.flatnonzero(torus_distance_array(self.images[start:start + _LOOP_BLOCK],
+                                                        self.set.points[start:start + _LOOP_BLOCK])
+                                   < self.delta) for start in blocks])
 
     def verify_edges(self, map: ToralAutomorphism) -> bool:
         """Re-check the defining inequality on every materialized edge."""
@@ -391,12 +420,12 @@ def build_graph(map: ToralAutomorphism, sa: SetApprox, delta: float) -> Transiti
     if box is not None:
         # each rule between the first image and the box's real centre rows:
         # `_ball`'s for the stencil, the tree's closed ball for the count
-        axis, columns, centres = box
+        axis, halves, centres = box
         near = _ball(_torus_tree(centres), images[0], delta)
-        stencil = _Stencil(sa.lattice, axis, columns[:, near])
+        stencil = _Stencil(sa.lattice, axis, tuple(half[near] for half in halves))
         if sa.lattice.size == len(sa):
             hit = _torus_tree(images[:1]).query_ball_point(centres, r=delta, return_length=True)
-            closed = columns[:, hit > 0]
+            closed = tuple(half[hit > 0] for half in halves)
     # closed-ball hits, a superset of the edges, are counted chunk by chunk:
     # once their running total passes the cap the graph stays lazy
     total = 0

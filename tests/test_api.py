@@ -105,6 +105,31 @@ def test_ball_queries_only_in_the_neighbour_helpers():
     assert not found, f"neighbour queries outside closure's helpers: {found}"
 
 
+def test_kd_trees_built_only_in_torus_tree():
+    # one tree build: every KD-tree comes from closure's `_torus_tree`, with
+    # the sliding-midpoint options that no query result depends on
+    builders, found = [], []
+    for path in sorted(Path(shadowbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (ast.walk is breadth-first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            name = getattr(node, "func", None)
+            if not isinstance(node, ast.Call) or (getattr(name, "id", None) or getattr(
+                    name, "attr", None)) not in ("cKDTree", "KDTree"):
+                continue
+            if path.name == "closure.py" and owner.get(id(node)) == "_torus_tree":
+                builders.append(node)
+            else:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"KD-trees built outside closure._torus_tree: {found}"
+    assert len(builders) == 1
+    options = {k.arg: k.value.value for k in builders[0].keywords if isinstance(k.value, ast.Constant)}
+    assert options == {"boxsize": 1.0, "balanced_tree": False, "compact_nodes": False}
+
+
 def test_basis_changes_only_in_the_splitting_and_newton():
     # one change of basis: rows go through the splitting's methods in torus;
     # only the Newton clamp rows and the adapted blocks, which are matrix

@@ -1,4 +1,5 @@
 import warnings
+from functools import lru_cache
 from itertools import compress, islice, permutations
 from itertools import product as iproduct
 from unittest.mock import patch
@@ -633,6 +634,10 @@ class TestBuildGraph:
         assert 0 < sum(queried) <= closure._COUNT_CHUNK
 
 
+# a hyperbolic automorphism of T^3 (symmetric, trace 5, det 1)
+MAP_3D = ToralAutomorphism([[1, 1, 0], [1, 2, 1], [0, 1, 2]])
+
+
 def punctured_net(depth):
     """The crovisier Lambda_0 at depth k: the centres of a punctured 4-d
     grid set, a net that knows its lattice, with the map and the closure's
@@ -652,6 +657,28 @@ def assert_balls_match_tree(g, nodes, batch=512):
         for i, expected in zip(part, np.split(dst, ends)):
             got = g.out_neighbors(i)
             assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), i
+
+
+def stencil_offsets(st):
+    """The stencil's ball as (d, |T|) cell offsets, from the head and tail
+    indices it holds."""
+    d, side = st.lattice.rank.ndim, len(st.axis)
+    box = st.ball[0].astype(np.intp) * side ** (d - d // 2) + st.ball[1]
+    return st.axis[np.array(np.unravel_index(box, (side,) * d))]
+
+
+def near_hole_nodes(g, block=512):
+    """The lattice rows one of whose stencil offsets, added to the cell of
+    the row's image mod 2^k, lands on an absent cell: brute force on the
+    rank array."""
+    rank, offsets = g.stencil.lattice.rank, stencil_offsets(g.stencil)
+    cells = np.floor(g.images[:g.stencil.lattice.size] * len(rank)).astype(np.intp)
+    absent = []
+    for part in np.split(cells, range(block, len(cells), block)):
+        targets = np.ravel_multi_index(tuple(part.T[:, :, None] + offsets[:, None]), rank.shape,
+                                       mode="wrap")
+        absent.append((rank.ravel()[targets] < 0).any(axis=1))
+    return np.flatnonzero(np.concatenate(absent))
 
 
 def chunked_closed_count(sa, images, delta):
@@ -682,11 +709,7 @@ class TestLatticeStencil:
     def test_depth_4_sample_and_every_node_near_an_absent_cell(self):
         f, sa, delta = punctured_net(4)
         g = build_graph(f, sa, delta)
-        st = g.stencil
-        # the nodes some stencil offset of which lands on an absent cell
-        absent = np.concatenate([(st._targets(st._cells(part), st.ball) < 0).any(axis=0)
-                                 for part in np.split(g.images, range(1024, len(sa), 1024))])
-        near_hole = np.nonzero(absent)[0]
+        near_hole = near_hole_nodes(g)
         assert 0 < len(near_hole) < len(sa)
         sample = np.random.default_rng(4).choice(len(sa), 2000, replace=False)
         assert_balls_match_tree(g, np.union1d(sample, near_hole))
@@ -728,6 +751,62 @@ class TestLatticeStencil:
         total = chunked_closed_count(sa, g.images, delta)
         assert g.n_edges == (len(g.edges) if g.materialized else total)
 
+    @pytest.mark.parametrize("depth,delta", [(4, 0.2), (3, 0.6)])
+    def test_three_dimensional_grid_with_a_hole(self, depth, delta):
+        # an odd d: one axis in the head of an offset, two in its tail
+        sa = GridSet.full(3, depth).minus_ball(np.full(3, 0.3), 0.2).as_set_approx()
+        g = build_graph(MAP_3D, sa, delta)
+        assert g.stencil is not None
+        assert_balls_match_tree(g, np.arange(len(sa)))
+        total = chunked_closed_count(sa, g.images, delta)
+        assert g.n_edges == (len(g.edges) if g.materialized else total)
+
+    def test_two_dimensional_nodes_near_the_hole(self, cat):
+        sa = GridSet.full(2, 5).minus_ball(np.array([0.3, 0.6]), 0.2).as_set_approx()
+        g = build_graph(cat, sa, 0.1)
+        near_hole = near_hole_nodes(g)
+        assert 0 < len(near_hole) < len(sa)
+        assert_balls_match_tree(g, near_hole)
+
+    @pytest.mark.parametrize("d,depth,delta", [
+        (2, 5, 0.1), (2, 5, 0.7), (3, 4, 0.2), (3, 3, 0.6), (4, 3, 0.3), (4, 3, 0.6)])
+    def test_ball_offsets_are_the_close_cells(self, cat, d, depth, delta):
+        # the head and tail indices decode to each cell offset, mod 2^k, whose
+        # centre is delta-close to the first image, once
+        f = {2: cat, 3: MAP_3D, 4: crovisier_product().as_automorphism()}[d]
+        sa = GridSet.full(d, depth).minus_ball(np.full(d, 0.3), 0.2).as_set_approx()
+        g = build_graph(f, sa, delta)
+        n = 2 ** depth
+        cells = np.indices((n,) * d).reshape(d, -1)
+        close = torus_distance_array((cells.T + 0.5) / n, g.images[0]) < delta
+        first = np.floor(g.images[0] * n).astype(np.intp)
+        got = [tuple(t) for t in (stencil_offsets(g.stencil).T % n).tolist()]
+        assert len(got) == len(set(got))
+        assert set(got) == {tuple(t) for t in ((cells[:, close].T - first) % n).tolist()}
+
+    @pytest.mark.parametrize("depth,delta", [(2, None), (3, None), (3, 0.6), (4, None)])
+    def test_holds_no_array_larger_than_the_rank(self, monkeypatch, depth, delta):
+        # the stencil's memory stays flat: after walks and a count pass it
+        # holds no table larger than the rank array, at any delta
+        counted = []
+        hits = closure._Stencil.hits
+        monkeypatch.setattr(closure._Stencil, "hits",
+                            lambda st, *args: counted.append(1) or hits(st, *args))
+        f, sa, default = punctured_net(depth)
+        g = build_graph(f, sa, default if delta is None else delta)
+        for i in np.linspace(0, len(sa) - 1, 200).astype(int):
+            g.out_neighbors(i)
+        held, arrays = [v for k, v in vars(g.stencil).items() if k != "lattice"], []
+        while held:
+            v = held.pop()
+            if isinstance(v, (tuple, list)):
+                held.extend(v)
+            elif isinstance(v, np.ndarray):
+                arrays.append(v)
+        rank = g.stencil.lattice.rank
+        assert counted and len(arrays) >= 3
+        assert max(a.nbytes for a in arrays) <= rank.nbytes
+
     def test_lattice_survives_relabel_and_merge(self):
         f, sa, delta = punctured_net(2)
         trace = iterate_closure(f, sa, delta, 1.0, 2, max_defect=np.inf)
@@ -749,6 +828,110 @@ class TestLatticeStencil:
         assert g == g and g != h and hash(g) != hash(h)
         assert sample == sample and sample != sample_pseudo_orbits(g)
         assert hash(sample) == hash(sample)
+
+
+@lru_cache(maxsize=None)
+def punctured_lambdas(depth):
+    """The map, Lambda_0 and Lambda_1 of the crovisier closure at depth k,
+    with the CLI's sampling, and its delta."""
+    f, sa, delta = punctured_net(depth)
+    trace = iterate_closure(f, sa, delta, 3 * delta / 4, 1,
+                            params=ExperimentConfig().sampling(), max_defect=np.inf)
+    return f, *trace.iterates, delta
+
+
+class TestSelfLoops:
+    """`self_loop_nodes` runs in blocks of rows and equals the one-pass
+    expression over every row, bit for bit."""
+
+    @staticmethod
+    def assert_blocks_match_one_pass(f, sa, delta):
+        g = closure.TransitionGraph(sa, delta, f.apply_array(sa.points), None)
+        one_pass = np.nonzero(torus_distance_array(g.images, sa.points) < delta)[0]
+        got = g.self_loop_nodes()
+        assert len(one_pass) and got.dtype == one_pass.dtype
+        assert got.tolist() == one_pass.tolist()
+
+    @pytest.mark.parametrize("block", [None, 1000])
+    @pytest.mark.parametrize("depth,step", [(3, 0), (3, 1), (4, 0), (4, 1)])
+    def test_punctured_nets(self, monkeypatch, depth, step, block):
+        f, *nets, delta = punctured_lambdas(depth)
+        if block is not None:
+            monkeypatch.setattr(closure, "_LOOP_BLOCK", block)
+        self.assert_blocks_match_one_pass(f, nets[step], delta)
+
+    def test_a_net_of_no_whole_number_of_blocks(self, cat, monkeypatch):
+        monkeypatch.setattr(closure, "_LOOP_BLOCK", 64)
+        sa = SetApprox.build(np.random.default_rng(5).random((3 * 64 + 5, 2)), 1e-4)
+        assert len(sa) % 64
+        self.assert_blocks_match_one_pass(cat, sa, 0.3)
+
+
+def default_tree(points):
+    """The periodic KD-tree of scipy's default build, median splits over
+    shrunk cell rectangles: the reference for `_torus_tree`."""
+    return cKDTree(wrap(points), boxsize=1.0)
+
+
+def assert_trees_agree(points, queries, radii, pair_radii, sets=None):
+    """`_torus_tree` and the default build give the same closed-ball counts
+    and index sets (of `sets` rows of the queries, by default all), the same
+    pairs, and the same nearest distances, bit for bit."""
+    new, old = closure._torus_tree(points), default_tree(points)
+    assert new.data.tobytes() == old.data.tobytes()
+    some = queries if sets is None else queries[sets]
+    for r in radii:
+        assert np.array_equal(new.query_ball_point(queries, r, return_length=True),
+                              old.query_ball_point(queries, r, return_length=True)), r
+        assert (new.query_ball_point(some, r, return_sorted=True).tolist()
+                == old.query_ball_point(some, r, return_sorted=True).tolist()), r
+    for r in pair_radii:
+        a, b = (t.query_pairs(r, output_type="ndarray") for t in (new, old))
+        assert np.array_equal(a[np.lexsort(a.T[::-1])], b[np.lexsort(b.T[::-1])]), r
+    (d_new, _), (d_old, _) = new.query(queries, k=1), old.query(queries, k=1)
+    assert d_new.tobytes() == d_old.tobytes()
+
+
+class TestTreeBuild:
+    """The sliding-midpoint build answers every query the library makes as
+    the default build does: the nets, queries and radii of the suite and
+    the benchmark, and rows at and around ties."""
+
+    @pytest.mark.parametrize("depth,step", [(3, 0), (3, 1), (4, 0), (4, 1)])
+    def test_punctured_nets(self, depth, step):
+        f, *nets, delta = punctured_lambdas(depth)
+        sa, r = nets[step], nets[step].resolution
+        rng = np.random.default_rng(depth)
+        images = f.apply_array(sa.points)
+        if depth == 4:
+            # the rows a count pass visits before the cap, and a sample
+            images = images[np.union1d(np.arange(2048), rng.choice(len(sa), 1000, replace=False))]
+        queries = np.vstack([images, rng.random((500, 4))])
+        sets = rng.choice(len(queries), 600, replace=False)
+        assert_trees_agree(sa.points, queries, (delta, r / 2, r), (r / 2, r), sets)
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_battery_nets_and_first_iterates(self, cat, step):
+        params = SamplingParams(max_cycle_len=8, n_paths=16, path_len=40, seed=0)
+        rng = np.random.default_rng(step)
+        for _, sa in closure_battery(cat, 0.02):
+            if step:
+                sa = iterate_closure(cat, sa, 0.05, 0.35, 1, params=params).iterates[1]
+            queries = np.vstack([cat.apply_array(sa.points), rng.random((200, 2))])
+            assert_trees_agree(sa.points, queries, (0.05, 0.01, 0.02), (0.01, 0.02, 0.06))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_duplicates_and_rows_on_cell_faces(self, d, seed):
+        rng = np.random.default_rng(seed)
+        faces = rng.integers(0, 8, (300, d)) / 8  # on cell faces, and many repeat
+        loose = rng.random((100, d))
+        # the boundary net's queries sit at and within ulps of 0.25 from its rows
+        ties, _, near_ties = boundary_net(d, seed)
+        points = np.vstack([faces, loose, loose[:30], faces[:30], ties.points])
+        queries = np.vstack([points, near_ties, rng.integers(0, 16, (100, d)) / 16])
+        radii = (1 / 8, 0.25, 0.3, 0.5)
+        assert_trees_agree(points, queries, radii, radii)
 
 
 def lazy_chain_net(rng):
