@@ -1,8 +1,8 @@
 """The deterministic outputs, pinned by SHA-256: every file of the `suite
 --scale quick` trees at seeds 0 and 7 and of the `suite --scale full` tree
 at seed 0, the stdout of `crovisier --depth 4 --closure --max-iter 2`
-at seeds 0 and 11 and of `crovisier --depth 3 --closure --max-iter 2` at
-two wide deltas, and the stdout of `shadow --orbit` on a noisy cat-map
+at seeds 0 and 11 and at depth 5 at seeds 0 and 1, and of `crovisier
+--depth 3 --closure --max-iter 2` at two wide deltas, and the stdout of `shadow --orbit` on a noisy cat-map
 segment and a noisy periodic cat-map orbit by both methods.  A one-bit
 change to any of them fails here.
 
@@ -10,7 +10,7 @@ The digests hold for the numpy and BLAS build they were taken with, whose
 version is recorded beside them; on another numpy the tests skip.  A change
 meant to move an output recomputes the digests it moves and states the
 diff.  The `full` tree is the slowest test here, at about 4 s on a 2-vCPU
-VM.
+VM; each depth-5 closure takes about 1.5 s there.
 """
 
 import hashlib
@@ -81,6 +81,12 @@ CROVISIER_DEPTH_4 = {
     11: "ef271f6dabd875718e2cf7a0c5537e0dd084c3cc051abd844c373ef4d76597fb",
 }
 
+# the same at depth 5: a net of about a million cells, whose graphs stay lazy
+CROVISIER_DEPTH_5 = {
+    0: "dfc05b773a216e1577d2924cc30bc85f6340bbe1d695d656018dd986304d414d",
+    1: "fa067420561f4d8fa9d169dc6fdc386c90a75affd5b56a2e54acb34eb307c6c5",
+}
+
 
 @pytest.mark.parametrize("seed", sorted(SUITE_QUICK))
 def test_quick_suite_tree_is_pinned(seed, tmp_path):
@@ -103,6 +109,14 @@ def test_crovisier_stdout_is_pinned(seed, capsys):
     assert code == EXIT_BUDGET
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == CROVISIER_DEPTH_4[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(CROVISIER_DEPTH_5))
+def test_crovisier_depth_5_stdout_is_pinned(seed, capsys):
+    code = main(["crovisier", "--depth", "5", "--closure", "--max-iter", "2", "--seed", str(seed)])
+    assert code == EXIT_BUDGET
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CROVISIER_DEPTH_5[seed]
 
 
 # (--closure-delta, seed) -> stdout digest at depth 3, two steps, exit code 3.
