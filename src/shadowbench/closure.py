@@ -94,6 +94,16 @@ def _balls(tree: cKDTree, queries: np.ndarray, r: float) -> tuple[np.ndarray, np
     return src[keep], dst[keep]
 
 
+def _ball_table(tree: cKDTree, queries: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_balls` as a table: row i holds the ball of queries[i], ascending,
+    then padding; and each ball's size."""
+    src, dst = _balls(tree, queries, r)
+    counts = np.bincount(src, minlength=len(queries))
+    table = np.zeros((len(queries), counts.max(initial=0)), dtype=np.intp)
+    table[src, np.arange(len(src)) - (np.cumsum(counts) - counts)[src]] = dst
+    return table, counts
+
+
 def _pairs(sa: SetApprox, r: float) -> np.ndarray:
     """Rows (i, j), i < j, of net points r-close to each other."""
     pairs = sa.tree.query_pairs(r=r, output_type="ndarray")
@@ -262,8 +272,8 @@ class _Stencil:
     from a cell c it is head[i] + tail[j]: two small tables of the wrapped
     partial flat indices of c plus every head, and every tail, offset, of
     len(axis)^(d//2) and len(axis)^(d - d//2) entries.  A ball is then two
-    gathers from those tables and one read of `rank`, for one image or a
-    block of them, and nothing the stencil holds is larger than `rank`.
+    gathers from those tables and one read of `rank`, for a block of images
+    at once, and nothing the stencil holds is larger than `rank`.
     """
 
     lattice: _Lattice
@@ -272,25 +282,25 @@ class _Stencil:
 
     def _ranks(self, images: np.ndarray, offsets: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """The ranks of the cells `offsets` away from the cells holding
-        image rows, -1 where a cell is absent: (|T|,) for one image given as
-        (d,), (|T|, rows) for images given as (rows, d)."""
+        image rows (rows, d), -1 where a cell is absent: (|T|, rows)."""
         n = 2 ** self.lattice.depth
         cells = np.floor(images.T * n).astype(np.intp)
-        trail = (1,) * (cells.ndim - 1)
-        # entry (a, j): (c_a + axis[j]) mod n times axis a's stride, the
-        # share of axis a in the flat index of a target
+        # entry (a, j, i): (c_a + axis[j]) mod n times axis a's stride, the
+        # share of axis a in the flat index of a target from row i
         strides = n ** np.arange(len(cells) - 1, -1, -1)
-        terms = (cells[:, None] + self.axis.reshape(-1, *trail)) % n
-        terms *= strides.reshape(-1, 1, *trail)
+        terms = (cells[:, None] + self.axis[:, None]) % n
+        terms *= strides[:, None, None]
         h = len(terms) // 2
         flat = _sums(terms[:h]).take(offsets[0], axis=0)
         flat += _sums(terms[h:]).take(offsets[1], axis=0)
         return self.lattice.rank.take(flat)
 
-    def near(self, image: np.ndarray) -> np.ndarray:
-        """The lattice rows delta-close to the image of a lattice row, ascending."""
-        ranks = self._ranks(image, self.ball)
-        return np.sort(ranks[ranks >= 0]).astype(np.intp)
+    def near(self, images: np.ndarray) -> np.ndarray:
+        """The lattice rows delta-close to each image of a lattice row, each
+        row's ascending and -1 before them: (rows, |T|)."""
+        ranks = np.ascontiguousarray(self._ranks(images, self.ball).T)
+        ranks.sort(axis=1)
+        return ranks
 
     def hits(self, images: np.ndarray, offsets: tuple[np.ndarray, np.ndarray]) -> int:
         """How many lattice rows sit at `offsets` from the cells of the
@@ -302,8 +312,8 @@ class _Stencil:
 
 
 def _sums(terms: np.ndarray) -> np.ndarray:
-    """Every sum of one entry from each row of `terms`, (m, L, ...) with
-    m >= 1, in C order of the rows' entries: (L^m, ...)."""
+    """Every sum of one entry from each row of `terms`, (m, L, rows) with
+    m >= 1, in C order of the rows' entries: (L^m, rows)."""
     out = terms[0]
     for a in range(1, len(terms)):
         out = (out[:, None] + terms[a]).reshape(-1, *out.shape[1:])
@@ -342,7 +352,8 @@ class TransitionGraph:
     presentation of the delta-pseudo-orbit space.
 
     Dense graphs beyond `_EDGE_CAP` closed-ball hits stay lazy: `edges` is
-    None and neighbor queries are answered on demand.  `n_edges` is the
+    None and neighbor queries are answered on demand, for a batch of nodes
+    at once (`neighbor_rows`).  `n_edges` is the
     exact edge count of a materialized graph; on a lazy graph it is the
     running count of closed-ball hits at the query chunk that took it past
     the cap.  A closure step whose parent graph is lazy makes its own lazy
@@ -380,14 +391,40 @@ class TransitionGraph:
         tail = self.set.points[self.stencil.lattice.size:]
         return _torus_tree(tail) if len(tail) else None
 
+    def neighbor_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The out-neighbours of the nodes `rows` as a table: those of node
+        rows[r], ascending, are table[r, first[r]:first[r] + counts[r]].
+        Lattice rows read the stencil and then the tail tree, the other rows
+        the net's tree; each read serves all its rows at once."""
+        size = 0 if self.stencil is None else self.stencil.lattice.size
+        on = rows < size
+        blocks = []  # (positions in rows, table, first, counts)
+        if on.any():
+            at = np.flatnonzero(on)
+            images = self.images[rows[at]]
+            near = self.stencil.near(images)
+            counts = np.count_nonzero(near >= 0, axis=1)
+            first = near.shape[1] - counts
+            if self._tail_tree is not None:
+                tail, more = _ball_table(self._tail_tree, images, self.delta)
+                near, counts = np.hstack([near, tail + size]), counts + more
+            blocks.append((at, near, first, counts))
+        if not on.all() or not len(rows):
+            at = np.flatnonzero(~on)
+            table, counts = _ball_table(self.set.tree, self.images[rows[at]], self.delta)
+            blocks.append((at, table, np.zeros_like(counts), counts))
+        if len(blocks) == 1:
+            return blocks[0][1:]
+        table = np.zeros((len(rows), max(b[1].shape[1] for b in blocks)), dtype=np.intp)
+        first, counts = np.empty((2, len(rows)), dtype=np.intp)
+        for at, part, f, c in blocks:
+            table[at, :part.shape[1]], first[at], counts[at] = part, f, c
+        return table, first, counts
+
     def out_neighbors(self, i: int) -> np.ndarray:
-        if self.stencil is None or i >= self.stencil.lattice.size:
-            return _ball(self.set.tree, self.images[i], self.delta)
-        near = self.stencil.near(self.images[i])
-        if self._tail_tree is None:
-            return near
-        far = _ball(self._tail_tree, self.images[i], self.delta)
-        return np.concatenate([near, far + self.stencil.lattice.size])
+        """The out-neighbours of node i, ascending."""
+        table, first, counts = self.neighbor_rows(np.array([i]))
+        return table[0, first[0]:first[0] + counts[0]].astype(np.intp)
 
     def self_loop_nodes(self) -> np.ndarray:
         blocks = range(0, self.n_nodes, _LOOP_BLOCK)
@@ -653,31 +690,137 @@ def _bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
     return draw
 
 
+class _Words:
+    """The 32-bit words `_bounded_draws` reads from a fresh generator, in
+    its order, by position: fetched in bulk as positions are asked for."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self._words = np.empty(0, dtype=np.uint64)
+
+    def __getitem__(self, at):
+        short = int(np.max(at, initial=-1)) + 1 - len(self._words)
+        if short > 0:
+            out = self._raw(max(_DRAW_CHUNK, -(-short // 2)))
+            self._words = np.concatenate(
+                [self._words, np.column_stack([out & 0xFFFFFFFF, out >> 32]).ravel()])
+        return self._words[at]
+
+
+def _draws(words: _Words, high: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry, what draw(high) of `_bounded_draws` returns when its words
+    start at position `at`, and the position after them; 1 <= high <= 2**32."""
+    high = high.astype(np.uint64)
+    m = words[at] * high
+    draws, after = m >> 32, at + (high > 1)
+    thresholds = ((1 << 32) - high) % high
+    for w in np.flatnonzero(m & 0xFFFFFFFF < thresholds):
+        # a rejected word: redraw as `_bounded_draws` does, word by word
+        h, threshold, j = int(high[w]), int(thresholds[w]), int(at[w])
+        mw = int(m[w])
+        while mw & 0xFFFFFFFF < threshold:
+            j += 1
+            mw = int(words[j]) * h
+        draws[w], after[w] = mw >> 32, j + 1
+    return draws.astype(np.intp), after
+
+
+# walks per lockstep pass: bounds the neighbour rows one step reads
+_WALK_BLOCK = 1024
+
+
+def _walk_pass(graph: TransitionGraph, words: _Words, at: int, width: int,
+               length: int) -> tuple[list[list[int]], int]:
+    """Up to `width` walks of at most `length` nodes on a lazy graph, run in
+    lockstep: each step reads the neighbours of every live walk's node at
+    once.  Walk w draws from position at + w·length on, which holds while
+    every walk before it takes one word a draw.  The first walk that does
+    not (a dead end, a node of one neighbour or a rejected word) is the
+    pass's last; the walks after it stop.  Returns the pass's walks and the
+    position after the last one's words."""
+    start = at + length * np.arange(width)
+    nodes = np.empty((width, length), dtype=np.intp)
+    ends = np.ones(width, dtype=np.intp)
+    nodes[:, 0], cursor = _draws(words, np.full(width, graph.n_nodes), start)
+    live = np.arange(width)
+    for held in range(1, length + 1):
+        # a walk on track holds `held` nodes and has read as many words
+        odd = np.flatnonzero((ends[:width] != held) | (cursor[:width] - start[:width] != held))
+        if len(odd):
+            width = int(odd[0]) + 1
+            live = live[live < width]
+        if held == length or not len(live):
+            break
+        table, first, counts = graph.neighbor_rows(nodes[live, held - 1])
+        go = np.flatnonzero(counts)
+        live = live[go]
+        k, cursor[live] = _draws(words, counts[go], cursor[live])
+        nodes[live, held] = table[go, first[go] + k]
+        ends[live] = held + 1
+    walks = [row[:n] for row, n in zip(nodes[:width].tolist(), ends[:width].tolist())]
+    return walks, int(cursor[width - 1])
+
+
+def _lockstep_walks(graph: TransitionGraph, p: SamplingParams,
+                    rng: np.random.Generator) -> list[list[int]]:
+    """The walks `_list_walks` takes over a lazy graph's neighbour lists,
+    draw for draw, in passes of `_walk_pass`, each picking up where the
+    last one's walks ended."""
+    if graph.n_nodes > 1 << 32:
+        raise ValueError(f"draw bound must be in [1, 2**32], got {graph.n_nodes}")
+    walks: list[list[int]] = []
+    words, at = _Words(rng), 0
+    while len(walks) < p.n_paths:
+        width = min(p.n_paths - len(walks), _WALK_BLOCK)
+        found, at = _walk_pass(graph, words, at, width, p.path_len)
+        walks += found
+    return walks
+
+
+def _list_walks(succ: list[list[int]], p: SamplingParams,
+                draw: Callable[[int], int]) -> list[list[int]]:
+    """`p.n_paths` walks of at most `p.path_len` nodes, one after another:
+    the start uniform over the nodes, each step uniform over the current
+    node's successors, until a node has none."""
+    walks = []
+    for _ in range(p.n_paths):
+        walk = [draw(len(succ))]
+        for _ in range(p.path_len - 1):
+            nbrs = succ[walk[-1]]
+            if not nbrs:
+                break
+            walk.append(nbrs[draw(len(nbrs))])
+        walks.append(walk)
+    return walks
+
+
+def _closed_cycles(walk: list[int]) -> Iterator[tuple[int, ...]]:
+    """The cycles a walk closes, in the order it closes them: at each step
+    to a node it already holds, the nodes from that node's first visit on."""
+    first: dict[int, int] = {}
+    for k, node in enumerate(walk):
+        j = first.setdefault(node, k)
+        if j < k:
+            yield _rotate_cycle(walk[j:k])
+
+
 def _with_walks(graph: TransitionGraph, families: SampledOrbits,
                 p: SamplingParams) -> SampledOrbits:
     """The families followed by `p.n_paths` random walks seeded by `p.seed`;
     on a lazy graph each new cycle a walk closes comes just before it."""
-    draw = _bounded_draws(np.random.default_rng(p.seed))
+    rng = np.random.default_rng(p.seed)
+    lazy = not graph.materialized
+    walks = (_lockstep_walks(graph, p, rng) if lazy
+             else _list_walks(graph.successors, p, _bounded_draws(rng)))
     sequences = list(families.sequences)
     periodic = list(families.periodic)
-    lazy = not graph.materialized
-    neighbor = graph.out_neighbors if lazy else graph.successors.__getitem__
     walk_cycles: set[tuple[int, ...]] = set()
-    for _ in range(p.n_paths):
-        node = draw(graph.n_nodes)
-        walk = [node]
-        for _ in range(p.path_len - 1):
-            nbrs = neighbor(walk[-1])
-            if len(nbrs) == 0:
-                break
-            nxt = int(nbrs[draw(len(nbrs))])
-            if nxt in walk and lazy:
-                cyc = _rotate_cycle(walk[walk.index(nxt):])
-                if cyc not in walk_cycles and len(walk_cycles) < _CYCLE_CAP:
-                    walk_cycles.add(cyc)
-                    sequences.append(list(cyc))
-                    periodic.append(True)
-            walk.append(nxt)
+    for walk in walks:
+        for cyc in _closed_cycles(walk) if lazy else ():
+            if cyc not in walk_cycles and len(walk_cycles) < _CYCLE_CAP:
+                walk_cycles.add(cyc)
+                sequences.append(list(cyc))
+                periodic.append(True)
         if len(walk) >= 2:
             sequences.append(walk)
             periodic.append(False)

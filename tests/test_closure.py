@@ -1,7 +1,9 @@
 import warnings
+from dataclasses import replace
 from functools import lru_cache
 from itertools import compress, islice, permutations
 from itertools import product as iproduct
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -659,6 +661,11 @@ def assert_balls_match_tree(g, nodes, batch=512):
             assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), i
 
 
+def table_rows(table, first, counts):
+    """The rows of a `neighbor_rows` table as lists."""
+    return [row[a:a + n] for row, a, n in zip(table.tolist(), first.tolist(), counts.tolist())]
+
+
 def stencil_offsets(st):
     """The stencil's ball as (d, |T|) cell offsets, from the head and tail
     indices it holds."""
@@ -716,18 +723,19 @@ class TestLatticeStencil:
 
     def test_second_step_queries_match_the_full_tree(self, monkeypatch):
         f, sa, delta = punctured_net(4)
-        queries = []
-        ask = closure.TransitionGraph.out_neighbors
-        monkeypatch.setattr(closure.TransitionGraph, "out_neighbors",
-                            lambda g, i: queries.append((g, i, out := ask(g, i))) or out)
+        reads = []
+        ask = closure.TransitionGraph.neighbor_rows
+        monkeypatch.setattr(closure.TransitionGraph, "neighbor_rows",
+                            lambda g, rows: reads.append((g, rows, out := ask(g, rows))) or out)
         iterate_closure(f, sa, delta, 3 * delta / 4, 2, max_defect=np.inf)
-        second = [(g, i, out) for g, i, out in queries if len(g.set) > len(sa)]
+        second = [(g, i, out) for g, rows, read in reads if len(g.set) > len(sa)
+                  for i, out in zip(rows.tolist(), table_rows(*read))]
         g = second[0][0]
         assert g.stencil.lattice is sa.lattice and not g.materialized
         lattice_rows = [(i, out) for _, i, out in second if i < len(sa)]
         assert lattice_rows and any(out[-1] >= len(sa) for _, out in lattice_rows)
         for i, out in lattice_rows:
-            assert out.tolist() == _ball(g.set.tree, g.images[i], delta).tolist()
+            assert out == _ball(g.set.tree, g.images[i], delta).tolist()
 
     @pytest.mark.parametrize("depth,delta,block", [
         (3, None, None), (4, None, None), (3, 0.6, None), (3, 0.3, None),
@@ -838,6 +846,205 @@ def punctured_lambdas(depth):
     trace = iterate_closure(f, sa, delta, 3 * delta / 4, 1,
                             params=ExperimentConfig().sampling(), max_defect=np.inf)
     return f, *trace.iterates, delta
+
+
+def second_step_graph(depth):
+    """The lazy graph the crovisier closure's second step samples at depth
+    k: Lambda_1's rows, the first step's stencil, and the first graph's
+    image rows followed by those of the appended rows."""
+    f, lam0, lam1, delta = punctured_lambdas(depth)
+    g0 = build_graph(f, lam0, delta)
+    images = np.vstack([g0.images, f.apply_array(lam1.points[len(lam0):])])
+    return closure.TransitionGraph(lam1, delta, images, None, g0.n_edges, g0.stencil)
+
+
+class TestNeighborRows:
+    """`neighbor_rows` answers a batch of nodes with one read per kind of
+    row; each row of its table is that node's `out_neighbors`, and the
+    net tree's filtered ball."""
+
+    @staticmethod
+    def assert_rows_match(g, rows):
+        got = table_rows(*g.neighbor_rows(np.asarray(rows)))
+        assert len(got) == len(rows)
+        for i, out in zip(rows, got):
+            assert out == g.out_neighbors(i).tolist(), i
+            assert out == _ball(g.set.tree, g.images[i], g.delta).tolist(), i
+
+    def test_lattice_rows(self):
+        f, sa, delta = punctured_net(4)
+        g = build_graph(f, sa, delta)
+        assert not g.materialized and g.stencil.lattice.size == len(sa)
+        rows = np.random.default_rng(5).choice(len(sa), 16, replace=False).tolist()
+        self.assert_rows_match(g, rows[:1])
+        self.assert_rows_match(g, rows)
+        self.assert_rows_match(g, near_hole_nodes(g)[:16].tolist())
+
+    def test_appended_rows(self):
+        g = second_step_graph(4)
+        size = g.stencil.lattice.size
+        assert not g.materialized and size < g.n_nodes
+        rng = np.random.default_rng(6)
+        lattice_rows = rng.choice(size, 8, replace=False).tolist()
+        appended = rng.choice(np.arange(size, g.n_nodes), 8, replace=False).tolist()
+        mixed = [i for pair in zip(lattice_rows, appended) for i in pair]
+        for rows in (lattice_rows[:1], appended[:1], lattice_rows + appended[:8], appended,
+                     mixed, [lattice_rows[0]] * 3 + [appended[0]] * 2):
+            self.assert_rows_match(g, rows)
+        # some lattice row reaches an appended row
+        assert any(out and out[-1] >= size for out in table_rows(*g.neighbor_rows(
+            np.arange(0, size, 97))))
+
+    def test_stencil_free_net(self, cat, monkeypatch):
+        monkeypatch.setattr(closure, "_EDGE_CAP", 0)
+        g = build_graph(cat, SetApprox.build(np.random.default_rng(7).random((60, 2)), 0.02), 0.3)
+        assert not g.materialized and g.stencil is None
+        rows = np.random.default_rng(8).choice(len(g.set), 16, replace=False).tolist()
+        self.assert_rows_match(g, rows[:1])
+        self.assert_rows_match(g, rows)
+
+    def test_rows_without_neighbours(self):
+        # images far from every net point: empty rows, before and after full ones
+        g = dead_end_graph()
+        rows = [15, 0, 15, 12]
+        _, _, counts = g.neighbor_rows(np.array(rows))
+        assert counts.tolist() == [0, 1, 0, 2]
+        self.assert_rows_match(g, rows)
+        assert [len(a) for a in g.neighbor_rows(np.array([], dtype=np.intp))] == [0, 0, 0]
+
+
+def dead_end_graph():
+    """A lazy graph on twenty points 0.05 apart on a circle of T^2, with
+    images set by hand at delta 0.03: nodes 0-9 and 16-19 have one
+    neighbour, nodes 10-14 two, and node 15 none."""
+    points = np.column_stack([np.arange(20) / 20, np.full(20, 0.5)])
+    images = points[(np.arange(20) + 1) % 20].copy()
+    images[10:15, 0] += 0.025  # halfway to the next point but one
+    images[15] = [0.5, 0.0]
+    sa = SetApprox(points, 0.01)
+    return closure.TransitionGraph(sa, 0.03, images, None, 0)
+
+
+def sequential_walks(graph, families, p):
+    """Reference: `_with_walks` as it was, one walk after another and one
+    `out_neighbors` read a step."""
+    draw = closure._bounded_draws(np.random.default_rng(p.seed))
+    sequences = list(families.sequences)
+    periodic = list(families.periodic)
+    lazy = not graph.materialized
+    neighbor = graph.out_neighbors if lazy else graph.successors.__getitem__
+    walk_cycles = set()
+    for _ in range(p.n_paths):
+        node = draw(graph.n_nodes)
+        walk = [node]
+        for _ in range(p.path_len - 1):
+            nbrs = neighbor(walk[-1])
+            if len(nbrs) == 0:
+                break
+            nxt = int(nbrs[draw(len(nbrs))])
+            if nxt in walk and lazy:
+                cyc = closure._rotate_cycle(walk[walk.index(nxt):])
+                if cyc not in walk_cycles and len(walk_cycles) < closure._CYCLE_CAP:
+                    walk_cycles.add(cyc)
+                    sequences.append(list(cyc))
+                    periodic.append(True)
+            walk.append(nxt)
+        if len(walk) >= 2:
+            sequences.append(walk)
+            periodic.append(False)
+    return tuple(sequences), tuple(periodic)
+
+
+def pass_spy(monkeypatch) -> list[int]:
+    """Record the width asked of each `_walk_pass` call."""
+    widths = []
+    real = closure._walk_pass
+    monkeypatch.setattr(closure, "_walk_pass",
+                        lambda graph, words, at, width, length:
+                        widths.append(width) or real(graph, words, at, width, length))
+    return widths
+
+
+class ZeroedRaw:
+    """A generator whose raw PCG64 outputs at the positions `zeroed` are 0,
+    which `random_raw` is all the walks read: both words of such an output
+    are rejected under any bound that is not a power of 2."""
+
+    def __init__(self, seed, zeroed):
+        self.bit_generator = self
+        self._raw = np.random.PCG64(seed).random_raw
+        self._zeroed = np.asarray(zeroed)
+        self._at = 0
+
+    def random_raw(self, size):
+        out = self._raw(size)
+        out[np.isin(np.arange(self._at, self._at + size), self._zeroed)] = 0
+        self._at += size
+        return out
+
+
+class TestLockstepWalks:
+    """Lazy walks run in lockstep passes and equal the walks run one after
+    another, draw for draw, whatever ends a pass early."""
+
+    @staticmethod
+    def assert_matches_sequential(g, p):
+        families = closure._graph_families(g, p)
+        sampled = closure._with_walks(g, families, p)
+        expected = sequential_walks(g, families, p)
+        assert (sampled.sequences, sampled.periodic) == expected
+        assert len(sampled.sequences) > len(families.sequences)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("graph", ["depth-3-0.6", "depth-4", "depth-4-second"])
+    def test_punctured_graphs(self, monkeypatch, graph, seed):
+        if graph == "depth-4-second":
+            g = second_step_graph(4)
+        else:
+            f, sa, delta = punctured_net(3 if graph == "depth-3-0.6" else 4)
+            g = build_graph(f, sa, 0.6 if graph == "depth-3-0.6" else delta)
+        assert not g.materialized
+        widths = pass_spy(monkeypatch)
+        p = replace(ExperimentConfig().sampling(), seed=seed)
+        self.assert_matches_sequential(g, p)
+        assert widths == [p.n_paths]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_neighbour_and_dead_ends_restart(self, monkeypatch, seed):
+        g = dead_end_graph()
+        widths = pass_spy(monkeypatch)
+        p = SamplingParams(n_paths=16, path_len=12, seed=seed)
+        self.assert_matches_sequential(g, p)
+        assert widths[0] == 16 and len(widths) > 1
+        walks = closure._with_walks(g, closure._graph_families(g, p), p).sequences
+        assert any(walk[-1] == 15 and len(walk) < p.path_len for walk in walks)
+
+    def test_rejected_words_restart(self, monkeypatch):
+        f, sa, _ = punctured_net(3)
+        g = build_graph(f, sa, 0.6)
+        # no node has fewer than two neighbours: only a rejection ends a pass early
+        assert min(g.neighbor_rows(rows)[2].min() for rows in np.split(np.arange(len(sa)), 16)) > 1
+        p = replace(ExperimentConfig().sampling(), seed=4)
+        widths = pass_spy(monkeypatch)
+        for zeroed in ([], [3, 100, 170]):
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed, zeroed=zeroed: ZeroedRaw(seed, zeroed))
+            widths.clear()
+            self.assert_matches_sequential(g, p)
+            assert (len(widths) > 1) == bool(zeroed)
+
+    def test_node_count_outside_32_bits_refused(self):
+        graph = SimpleNamespace(n_nodes=2**32 + 1)
+        with pytest.raises(ValueError, match=r"draw bound must be in \[1, 2\*\*32\], got 4294967297$"):
+            closure._lockstep_walks(graph, SamplingParams(), np.random.default_rng(0))
+
+    def test_passes_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(closure, "_WALK_BLOCK", 5)
+        f, sa, _ = punctured_net(3)
+        g = build_graph(f, sa, 0.6)
+        widths = pass_spy(monkeypatch)
+        self.assert_matches_sequential(g, SamplingParams(n_paths=12, path_len=9, seed=3))
+        assert widths == [5, 5, 2]
 
 
 class TestSelfLoops:
